@@ -19,6 +19,7 @@ import numpy as np
 from . import construct, gray, project, ring, wenum
 from .code import DistanceResult, LinearCode, dual_of_standard_form
 from .errors import BudgetExceeded, ZeroCode
+from .ring import F2U, R, RingTable, Z4
 from .scalars import GaussianInt, GaussianRational
 
 _ENUM_PRINT_CAP = 16 ** 6
@@ -38,9 +39,9 @@ def _dist_line(res: DistanceResult) -> str:
     return f"{res.value} ({res.label()})"
 
 
-def _load_code(path: str) -> LinearCode:
+def _load_code(path: str, ring: RingTable = R) -> LinearCode:
     try:
-        return LinearCode.from_file(path)
+        return LinearCode.from_file(path, ring)
     except FileNotFoundError:
         raise ValueError(f"cannot read generator file {path!r}")
 
@@ -82,11 +83,11 @@ def cmd_gray(args) -> None:
     code = _load_code(args.gen)
     budget = _budget_from(args)
     img = gray.gray_image(code, budget)
-    print(f"z4-image length: {img.length}")
+    print(f"z4-image length: {img.n}")
     print(f"z4-image cardinality: {img.cardinality(budget)}")
     print("z4-image generator:")
     for row in img.gen:
-        print("  " + " ".join(str(int(x)) for x in row))
+        print("  " + ring.format_vector(row, Z4))
     res = code.min_lee_distance(budget, args.sample, args.threads)
     print(f"z4-image min-lee-distance: {_dist_line(res)}  "
           f"(equals the source distance; the map is a Lee isometry)")
@@ -134,12 +135,12 @@ def cmd_macwilliams(args) -> None:
     if 16 ** code.n <= budget:
         words = code.dual_bruteforce(budget)
         ds = wenum.swe_of_words(words.sorted_words(), code.n)
-        dp = wenum.lee_of_words(words.sorted_words(), code.n)
+        dp = wenum.swe_to_lee(ds)
         ok_s = ds.terms == ts.terms
         ok_p = dp == tp
         print(f"swe transform equals brute-force dual swe: {'yes' if ok_s else 'NO'}")
         print(f"lee transform equals brute-force dual lee: {'yes' if ok_p else 'NO'}")
-        dcwe = wenum.cwe_of_words(words.sorted_words(), code.n)
+        dcwe = wenum.CWE.of_words(words.sorted_words(), code.n)
         rng = np.random.default_rng(args.seed)
         ok_c = True
         for _ in range(args.points):
@@ -162,44 +163,28 @@ def cmd_macwilliams(args) -> None:
 
 def cmd_project(args) -> None:
     code = _load_code(args.gen)
-    budget = _budget_from(args)
-    mu = project.project_constant(code, budget)
-    nu = project.project_u_coeff(code, budget)
-    al = project.project_mod2(code, budget)
-    print("constant-part projection (Z4) generator:")
-    for row in (code.gen >> 2) & 3:
-        print("  " + " ".join(str(int(x)) for x in row))
-    print(f"constant-part self-orthogonal: {'yes' if mu.is_self_orthogonal() else 'no'}")
-    print("u-coefficient projection (Z4) generator:")
-    for row in np.vstack([(code.gen >> 2) & 3, code.gen & 3]):
-        print("  " + " ".join(str(int(x)) for x in row))
-    print(f"u-coefficient self-orthogonal: {'yes' if nu.is_self_orthogonal() else 'no'}")
-    print("mod-2 projection (F2+uF2) generator:")
-    for row in project._mod2_matrix(code.gen):
-        print("  " + " ".join(project.f2u_format(int(x)) for x in row))
-    print(f"mod-2 self-orthogonal: {'yes' if al.is_self_orthogonal() else 'no'}")
+    for label, target, proj in (("constant-part", "Z4", project.project_constant(code)),
+                                ("u-coefficient", "Z4", project.project_u_coeff(code)),
+                                ("mod-2", "F2+uF2", project.project_mod2(code))):
+        print(f"{label} projection ({target}) generator:")
+        for row in proj.gen:
+            print("  " + ring.format_vector(row, proj.ring))
+        print(f"{label} self-orthogonal: {'yes' if proj.is_self_orthogonal() else 'no'}")
 
 
 def cmd_lift_check(args) -> None:
     code = _load_code(args.ring_gen)
-    d = gray.Z4Code(gray.parse_z4_matrix_text(open(args.z4_gen, encoding="utf-8").read()))
-    e = project.F2uCode(project.parse_f2u_matrix_text(open(args.f2u_gen, encoding="utf-8").read()))
+    d = _load_code(args.z4_gen, Z4)
+    e = _load_code(args.f2u_gen, F2U)
     budget = _budget_from(args)
     triple = project.LiftTriple(code, d, e)
-    proj_budget = min(budget, 16 ** 6)
-    if 16 ** code.k <= proj_budget:
-        ok = triple.verify_projections(proj_budget)
-    else:
-        mu_set = project.project_constant(code, budget, via="span").codeword_set(budget)
-        al_set = project.project_mod2(code, budget, via="span").codeword_set(budget)
-        ok = mu_set == d.codeword_set(budget) and al_set == e.codeword_set(budget)
+    ok = triple.verify_projections(budget)
     print(f"projections match the prescribed codes: {'yes' if ok else 'NO'}")
     report = project.lift_bound_check(triple, budget, args.sample, args.threads)
     for ln in report.format_lines():
         print(ln)
-    res = code.min_lee_distance(budget, args.sample, args.threads)
-    witness = code.encode(res.witness_message)
-    print(f"witness codeword of weight {res.value}: {ring.format_vector(witness)}")
+    witness = code.encode(report.d.witness_message)
+    print(f"witness codeword of weight {report.d.value}: {ring.format_vector(witness)}")
     if not ok or not report.holds:
         raise _Fail("lift check failed")
 
@@ -369,9 +354,18 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _check_numbers(args) -> None:
+    """Reject out-of-range numeric flags (exit 1, like any other bad input)."""
+    for flag, low in (("threads", 1), ("sample", 0), ("points", 0), ("budget", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{flag} must be >= {low}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         args.func(args)
     except _Fail as exc:
         print(f"FAIL: {exc}", file=sys.stderr)

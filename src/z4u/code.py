@@ -1,18 +1,22 @@
-"""Linear codes over Z4+uZ4: enumeration, duals, self-duality, min distance.
+"""Linear codes over a ring table: enumeration, duals, self-duality, distance.
 
 A linear code is the row span of a generator matrix G (a k x n uint8 array
-of packed ring elements).  The ring is not a chain ring, so there is no
-standard generating form in general; cardinality is 16^k only when G is
-literally [I_k | A], and must otherwise be established by deduplicated
-enumeration.
+of element values) over one of the ring records of `ring`: R = Z4+uZ4 (the
+default), or Z4 and F2+uF2, where the Gray images and projections live.
+R is not a chain ring, so there is no standard generating form in general;
+for every ring, cardinality is size^k only when G is literally [I_k | A],
+and is otherwise established by deduplicated enumeration.
 
-Enumeration kernels are table-driven numpy.  Messages x in R^k run in
-odometer order (last coordinate fastest), and the minimum-distance kernel
-splits the message space into a precomputed low block and an outer loop
-over high digits, so each step is one fancy-indexed gather plus a row sum
-over a (16^klo, n-k) array.  Work shards by the first message coordinate
-(16 fixed shards); shard results merge by an order-free minimum, so thread
-count never changes any reported value or witness.
+Enumeration kernels are table-driven numpy.  Messages x in ring^k run in
+odometer order (last coordinate fastest).  The sweep kernel splits the
+message space into a precomputed low block of 2^20 messages (5 digits over
+R, 10 over a 4-element ring) and an outer loop over the high digits, so
+each step is one fancy-indexed gather plus a row sum over a (2^20, n-k)
+array.  One kernel serves two reducers: the minimum nonzero weight (with
+information-weight pruning in standard form) and the Lee census.  Work
+shards by the first message coordinate; shard results merge by an
+order-free minimum or sum, so thread count never changes any reported value
+or witness.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import ring
 from .errors import BudgetExceeded, ZeroCode
+from .ring import R, RingTable, parse_matrix_text
 
 #: Default enumeration budget (message count); the slow lane raises it 16x.
 DEFAULT_BUDGET = 16 ** 7
@@ -35,52 +39,47 @@ SLOW_BUDGET = 16 ** 8
 SAMPLE_SEED = 0x5EED
 DEFAULT_SAMPLE_COUNT = 50_000
 
-_LO_DIGITS = 5          # low-block width: 16^5 rows per gather
+_LO_DIGITS = 5              # low-block width over R: 16^5 rows per gather
+_LO_BITS = 4 * _LO_DIGITS   # other rings take as many digits as fill 2^20 rows
+_STORE_CAP = 16 ** 6        # deduplicated codeword storage, in messages
 _BIG = 1 << 30
 
 
-def as_matrix(rows: Sequence[Sequence[int]] | np.ndarray) -> np.ndarray:
+def as_matrix(rows: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R) -> np.ndarray:
     """Validate and return a k x n uint8 matrix of ring element values."""
     m = np.asarray(rows, dtype=np.uint8)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"generator matrix must be 2-D and nonempty, got shape {m.shape}")
-    if m.max(initial=0) > 15:
-        raise ValueError("matrix entries must be packed ring values 0..15")
+    if m.max(initial=0) >= ring.size:
+        raise ValueError(f"matrix entries must be {ring.name} element values 0..{ring.size - 1}")
     return m
 
 
-def identity(k: int) -> np.ndarray:
-    m = np.full((k, k), ring.ZERO, dtype=np.uint8)
+def identity(k: int, ring: RingTable = R) -> np.ndarray:
+    m = np.zeros((k, k), dtype=np.uint8)
     np.fill_diagonal(m, ring.ONE)
     return m
 
 
-def transpose_neg(a: np.ndarray) -> np.ndarray:
-    """-A^T, entrywise ring negation."""
-    return ring.NEG[a.T]
-
-
-def ring_matmul(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+def ring_matmul(x: np.ndarray, g: np.ndarray, ring: RingTable = R) -> np.ndarray:
     """(B, k) x (k, n) -> (B, n) product over the ring, via lookup tables."""
-    b, k = x.shape
-    n = g.shape[1]
-    acc = np.full((b, n), ring.ZERO, dtype=np.uint8)
-    for i in range(k):
+    acc = np.zeros((x.shape[0], g.shape[1]), dtype=np.uint8)
+    for i in range(x.shape[1]):
         acc = ring.ADD[acc, ring.MUL[x[:, i]][:, g[i]]]
     return acc
 
 
-def inner(x: Sequence[int], y: Sequence[int]) -> int:
+def inner(x: Sequence[int], y: Sequence[int], ring: RingTable = R) -> int:
     """Euclidean inner product sum(x_i * y_i) in the ring."""
     if len(x) != len(y):
         raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    acc = ring.ZERO
+    acc = 0
     for a, b in zip(x, y):
-        acc = ring.add(acc, ring.mul(int(a), int(b)))
-    return acc
+        acc = ring.ADD[acc, ring.MUL[int(a), int(b)]]
+    return int(acc)
 
 
-def lee_weight_vector(v: Sequence[int]) -> int:
+def lee_weight_vector(v: Sequence[int], ring: RingTable = R) -> int:
     return int(ring.LEE[np.asarray(v, dtype=np.uint8)].sum())
 
 
@@ -98,38 +97,39 @@ def _digits_block(start: int, stop: int, k: int, base_bits: int = 4) -> np.ndarr
     return out
 
 
-def message_blocks(k: int, block: int = 16 ** _LO_DIGITS) -> Iterator[np.ndarray]:
-    total = 16 ** k
+def message_blocks(k: int, ring: RingTable = R, block: int = 1 << _LO_BITS) -> Iterator[np.ndarray]:
+    total = ring.size ** k
     for start in range(0, total, block):
-        yield _digits_block(start, min(start + block, total), k)
+        yield _digits_block(start, min(start + block, total), k, ring.bits)
 
 
-def low_weight_messages(k: int, max_hamming: int = 2) -> np.ndarray:
-    """All messages of Hamming weight 1..max_hamming over R^k, fixed order."""
+def low_weight_messages(k: int, max_hamming: int = 2, ring: RingTable = R) -> np.ndarray:
+    """All messages of Hamming weight 1..max_hamming over ring^k, fixed order."""
     rows: list[np.ndarray] = []
-    nz = np.arange(1, 16, dtype=np.uint8)
+    nz = np.arange(1, ring.size, dtype=np.uint8)
     for i in range(k):
-        m = np.zeros((15, k), dtype=np.uint8)
+        m = np.zeros((nz.shape[0], k), dtype=np.uint8)
         m[:, i] = nz
         rows.append(m)
     if max_hamming >= 2:
-        pair = np.array([(v1, v2) for v1 in range(1, 16) for v2 in range(1, 16)],
-                        dtype=np.uint8)
+        pair = np.array([(v1, v2) for v1 in range(1, ring.size)
+                         for v2 in range(1, ring.size)], dtype=np.uint8)
         for i in range(k):
             for j in range(i + 1, k):
-                m = np.zeros((225, k), dtype=np.uint8)
+                m = np.zeros((pair.shape[0], k), dtype=np.uint8)
                 m[:, i] = pair[:, 0]
                 m[:, j] = pair[:, 1]
                 rows.append(m)
     return np.concatenate(rows, axis=0) if rows else np.zeros((0, k), dtype=np.uint8)
 
 
-def sampled_messages(k: int, count: int, seed: int = SAMPLE_SEED) -> Iterator[np.ndarray]:
+def sampled_messages(k: int, count: int, seed: int = SAMPLE_SEED,
+                     ring: RingTable = R) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
     done = 0
     while done < count:
         b = min(1 << 16, count - done)
-        x = rng.integers(0, 16, size=(b, k), dtype=np.uint8)
+        x = rng.integers(0, ring.size, size=(b, k), dtype=np.uint8)
         yield x[(x != 0).any(axis=1)]
         done += b
 
@@ -162,6 +162,7 @@ class CodewordSet:
 
     words: frozenset[tuple[int, ...]]
     length: int
+    ring: RingTable = R
 
     def __len__(self) -> int:
         return len(self.words)
@@ -173,15 +174,16 @@ class CodewordSet:
         return sorted(self.words)
 
     def is_linear(self) -> bool:
-        """Closure under addition and all 16 scalar actions (exhaustive)."""
+        """Closure under addition and every scalar action (exhaustive)."""
         ws = self.words
-        for w in ws:
-            for s in ring.ELEMENTS:
-                if tuple(ring.mul(s, x) for x in w) not in ws:
+        arrs = [np.array(w, dtype=np.uint8) for w in ws]
+        for w in arrs:
+            for s in range(self.ring.size):
+                if tuple(self.ring.MUL[s][w].tolist()) not in ws:
                     return False
-        for w1 in ws:
-            for w2 in ws:
-                if tuple(ring.add(a, b) for a, b in zip(w1, w2)) not in ws:
+        for w1 in arrs:
+            for w2 in arrs:
+                if tuple(self.ring.ADD[w1, w2].tolist()) not in ws:
                     return False
         return True
 
@@ -191,22 +193,30 @@ class CodewordSet:
 # ---------------------------------------------------------------------------
 
 class LinearCode:
-    """Row span of a generator matrix over Z4+uZ4."""
+    """Row span of a generator matrix over a ring table (default R = Z4+uZ4).
 
-    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray):
-        self.gen = as_matrix(gen)
+    `cardinality`, when given, is the caller's exact |C| (for instance the
+    size of a code whose isometric image this is); it saves the dedup sweep.
+    """
+
+    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R,
+                 cardinality: int | None = None):
+        self.ring = ring
+        self.gen = as_matrix(gen, ring)
         self.gen.flags.writeable = False
-        self._cardinality: int | None = None
+        k, n = self.gen.shape
+        self.standard_form = n >= k and bool(np.array_equal(self.gen[:, :k], identity(k, ring)))
+        self._cardinality = cardinality
         self._words: CodewordSet | None = None
 
     @classmethod
-    def from_text(cls, text: str) -> "LinearCode":
-        return cls(ring.parse_matrix_text(text))
+    def from_text(cls, text: str, ring: RingTable = R) -> "LinearCode":
+        return cls(parse_matrix_text(text, ring), ring)
 
     @classmethod
-    def from_file(cls, path) -> "LinearCode":
+    def from_file(cls, path, ring: RingTable = R) -> "LinearCode":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), ring)
 
     @property
     def k(self) -> int:
@@ -217,11 +227,6 @@ class LinearCode:
         return self.gen.shape[1]
 
     @property
-    def standard_form(self) -> bool:
-        k = self.k
-        return self.n >= k and bool(np.array_equal(self.gen[:, :k], identity(k)))
-
-    @property
     def is_zero(self) -> bool:
         return not self.gen.any()
 
@@ -229,49 +234,49 @@ class LinearCode:
         x = np.asarray(message, dtype=np.uint8).reshape(1, -1)
         if x.shape[1] != self.k:
             raise ValueError(f"message length {x.shape[1]} != k = {self.k}")
-        return tuple(int(v) for v in ring_matmul(x, self.gen)[0])
+        return tuple(int(v) for v in ring_matmul(x, self.gen, self.ring)[0])
 
     # -- enumeration ------------------------------------------------------
 
     def codeword_set(self, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-        """Deduplicated codeword set; costs a 16^k message sweep."""
+        """Deduplicated codeword set; costs a size^k message sweep."""
         if self._words is not None:
             return self._words
-        total = 16 ** self.k
+        total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "codeword enumeration")
-        if total > 16 ** 6:
-            raise BudgetExceeded(total, 16 ** 6, "deduplicated codeword storage")
-        parts = [np.unique(ring_matmul(blk, self.gen), axis=0)
-                 for blk in message_blocks(self.k)]
+        if total > _STORE_CAP:
+            raise BudgetExceeded(total, _STORE_CAP, "deduplicated codeword storage")
+        parts = [np.unique(ring_matmul(blk, self.gen, self.ring), axis=0)
+                 for blk in message_blocks(self.k, self.ring)]
         dedup = np.unique(np.concatenate(parts, axis=0), axis=0)
         words = frozenset(tuple(w) for w in dedup.tolist())
-        self._words = CodewordSet(words, self.n)
+        self._words = CodewordSet(words, self.n, self.ring)
         self._cardinality = len(words)
         return self._words
 
     def iter_codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
         """Every codeword exactly once.
 
-        Standard form streams 16^k messages in odometer order; otherwise the
-        deduplicated set is materialized first and streamed sorted.
+        Standard form streams size^k messages in odometer order; otherwise
+        the deduplicated set is materialized first and streamed sorted.
         """
-        total = 16 ** self.k
+        total = self.ring.size ** self.k
         if self.standard_form:
             if total > budget:
                 raise BudgetExceeded(total, budget, "codeword enumeration")
             self._cardinality = total
-            for blk in message_blocks(self.k):
-                for row in ring_matmul(blk, self.gen):
+            for blk in message_blocks(self.k, self.ring):
+                for row in ring_matmul(blk, self.gen, self.ring):
                     yield tuple(int(v) for v in row)
         else:
             yield from self.codeword_set(budget).sorted_words()
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact |C|: 16^k in standard form, else by deduplication."""
+        """Exact |C|: size^k in standard form, else by deduplication."""
         if self._cardinality is None:
             if self.standard_form:
-                self._cardinality = 16 ** self.k
+                self._cardinality = self.ring.size ** self.k
             else:
                 self.codeword_set(budget)
         assert self._cardinality is not None
@@ -280,36 +285,26 @@ class LinearCode:
     # -- duality ----------------------------------------------------------
 
     def is_self_orthogonal(self) -> bool:
-        """C subseteq C-perp, via pairwise generator-row inner products."""
-        g = self.gen
-        for i in range(self.k):
-            for j in range(i, self.k):
-                if inner(g[i], g[j]) != ring.ZERO:
-                    return False
-        return True
+        """C subseteq C-perp: the Gram matrix G G^T is zero."""
+        return not ring_matmul(self.gen, self.gen.T, self.ring).any()
 
     def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-        """All vectors orthogonal to every generator row (16^n sweep)."""
-        total = 16 ** self.n
+        """All vectors orthogonal to every generator row (size^n sweep)."""
+        total = self.ring.size ** self.n
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
-        kept: list[np.ndarray] = []
-        for blk in message_blocks(self.n):
-            ok = np.ones(blk.shape[0], dtype=bool)
-            for row in self.gen:
-                ip = np.full(blk.shape[0], ring.ZERO, dtype=np.uint8)
-                for j in range(self.n):
-                    ip = ring.ADD[ip, ring.MUL[:, row[j]][blk[:, j]]]
-                ok &= ip == ring.ZERO
-            kept.append(blk[ok])
-        words = frozenset(tuple(int(v) for v in w) for w in np.concatenate(kept, axis=0))
-        return CodewordSet(words, self.n)
+        # G x^T rather than x G^T: the (k, block) product keeps temporaries
+        # at k bytes per vector instead of ring.size
+        kept = [blk[~ring_matmul(self.gen, blk.T, self.ring).any(axis=0)]
+                for blk in message_blocks(self.n, self.ring)]
+        words = frozenset(tuple(w) for w in np.concatenate(kept, axis=0).tolist())
+        return CodewordSet(words, self.n, self.ring)
 
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
         if not self.is_self_orthogonal():
             return SelfDuality.NEITHER
         size = self.cardinality(budget)
-        return SelfDuality.SELF_DUAL if size * size == 16 ** self.n \
+        return SelfDuality.SELF_DUAL if size * size == self.ring.size ** self.n \
             else SelfDuality.SELF_ORTHOGONAL_ONLY
 
     # -- minimum distance --------------------------------------------------
@@ -319,18 +314,21 @@ class LinearCode:
                          threads: int = 1) -> DistanceResult:
         """Minimum Lee weight of a nonzero codeword.
 
-        Exact when 16^k fits the budget, otherwise an upper bound from all
+        Exact when size^k fits the budget, otherwise an upper bound from all
         Hamming-weight-<=2 messages plus `sample_count` seeded random
         messages.
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        best = _low_weight_scan(self.gen, self.standard_form)
-        if 16 ** self.k <= budget:
-            exact = _exact_min_distance(self.gen, self.standard_form, best, threads)
-            return DistanceResult(exact[0], True, exact[1])
-        for blk in sampled_messages(self.k, sample_count):
-            cand = _best_in_block(self.gen, blk, self.standard_form)
+        best = _best_in_block(self, low_weight_messages(self.k, ring=self.ring))
+        if best is None:
+            # every Hamming-weight-<=2 codeword is zero; fall back to max bound
+            best = self.ring.max_lee * self.n + 1, ()
+        if self.ring.size ** self.k <= budget:
+            value, witness = _sweep(self, threads, best)
+            return DistanceResult(value, True, witness)
+        for blk in sampled_messages(self.k, sample_count, ring=self.ring):
+            cand = _best_in_block(self, blk)
             if cand is not None and cand[0] < best[0]:
                 best = cand
         return DistanceResult(best[0], False, best[1])
@@ -338,26 +336,25 @@ class LinearCode:
     # -- weight census -------------------------------------------------------
 
     def lee_census(self, budget: int = DEFAULT_BUDGET, threads: int = 1) -> np.ndarray:
-        """Counts of codewords per Lee weight 0..4n (each codeword once)."""
+        """Counts of codewords per Lee weight 0..max_lee*n (each codeword once)."""
         if self.standard_form:
-            total = 16 ** self.k
+            total = self.ring.size ** self.k
             if total > budget:
                 raise BudgetExceeded(total, budget, "weight census")
             self._cardinality = total
-            return _census_standard(self.gen, threads)
-        hist = np.zeros(4 * self.n + 1, dtype=np.int64)
-        for w in self.codeword_set(budget).words:
-            hist[lee_weight_vector(w)] += 1
-        return hist
+            return _sweep(self, threads)
+        words = np.array(list(self.codeword_set(budget).words), dtype=np.uint8)
+        weights = self.ring.LEE[words].sum(axis=1, dtype=np.int64)
+        return np.bincount(weights, minlength=self.ring.max_lee * self.n + 1)
 
     def __repr__(self) -> str:
-        return f"LinearCode(k={self.k}, n={self.n}, standard_form={self.standard_form})"
+        return (f"LinearCode(k={self.k}, n={self.n}, ring={self.ring.name}, "
+                f"standard_form={self.standard_form})")
 
 
 def best_weight_in_messages(code: LinearCode, messages: np.ndarray) -> _Best | None:
     """Min (nonzero codeword weight, witness message) over explicit messages."""
-    return _best_in_block(code.gen, np.asarray(messages, dtype=np.uint8),
-                          code.standard_form)
+    return _best_in_block(code, np.asarray(messages, dtype=np.uint8))
 
 
 def dual_of_standard_form(code: LinearCode) -> LinearCode:
@@ -365,33 +362,27 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
     k, n = code.k, code.n
     if not code.standard_form or n != 2 * k:
         raise ValueError("dual_of_standard_form needs a [I_k | A] generator with n = 2k")
-    a = code.gen[:, k:]
-    return LinearCode(np.hstack([transpose_neg(a), identity(k)]))
+    neg_at = code.ring.NEG[code.gen[:, k:].T]
+    return LinearCode(np.hstack([neg_at, identity(k, code.ring)]), code.ring)
 
 
 # ---------------------------------------------------------------------------
-# Distance kernel
+# Distance and census kernel
 # ---------------------------------------------------------------------------
 
 _Best = tuple[int, tuple[int, ...]]  # (weight, witness message)
 
 
-def _block_weights(gen: np.ndarray, blk: np.ndarray, standard: bool) -> np.ndarray:
-    if standard:
-        k = gen.shape[0]
-        tails = ring_matmul(blk, gen[:, k:]) if gen.shape[1] > k else \
-            np.zeros((blk.shape[0], 0), dtype=np.uint8)
-        return ring.LEE[blk].sum(axis=1, dtype=np.int64) + \
-            ring.LEE[tails].sum(axis=1, dtype=np.int64)
-    words = ring_matmul(blk, gen)
-    return ring.LEE[words].sum(axis=1, dtype=np.int64)
-
-
-def _best_in_block(gen, blk, standard) -> _Best | None:
+def _best_in_block(code: LinearCode, blk: np.ndarray) -> _Best | None:
     """Min (weight, first witness) over a block, zero codewords excluded."""
     if blk.shape[0] == 0:
         return None
-    w = _block_weights(gen, blk, standard)
+    ring, k = code.ring, code.k
+    if code.standard_form:
+        w = ring.LEE[blk].sum(axis=1, dtype=np.int64) + \
+            ring.LEE[ring_matmul(blk, code.gen[:, k:], ring)].sum(axis=1, dtype=np.int64)
+    else:
+        w = ring.LEE[ring_matmul(blk, code.gen, ring)].sum(axis=1, dtype=np.int64)
     w[w == 0] = _BIG
     i = int(w.argmin())
     if w[i] >= _BIG:
@@ -399,74 +390,72 @@ def _best_in_block(gen, blk, standard) -> _Best | None:
     return int(w[i]), tuple(int(v) for v in blk[i])
 
 
-def _low_weight_scan(gen, standard) -> _Best:
-    best = _best_in_block(gen, low_weight_messages(gen.shape[0]), standard)
-    if best is None:
-        # every Hamming-weight-<=2 codeword is zero; fall back to max bound
-        return 4 * gen.shape[1] + 1, ()
-    return best
-
-
-def _exact_min_distance(gen: np.ndarray, standard: bool, seed: _Best,
-                        threads: int = 1) -> _Best:
-    """Full 16^k sweep; two-level gather kernel with info-weight pruning."""
-    k = gen.shape[0]
-    if k <= _LO_DIGITS:
-        best = seed
-        for blk in message_blocks(k):
-            cand = _best_in_block(gen, blk, standard)
-            if cand is not None and cand[0] < best[0]:
-                best = cand
-        return best
-    shards = [(s, seed) for s in range(16)]
-    if threads > 1:
+def _sweep(code: LinearCode, threads: int = 1, seed: _Best | None = None):
+    """Full size^k sweep: the minimum reducer when seeded, else the census."""
+    shard = _Shard(code.gen, code.ring, code.standard_form)
+    shards = [(s, seed) for s in range(code.ring.size if shard.khi else 1)]
+    if threads > 1 and len(shards) > 1:
         with multiprocessing.get_context("fork").Pool(threads) as pool:
-            results = pool.starmap(_DistShard(gen, standard), shards)
+            results = pool.starmap(shard, shards)
     else:
-        results = [_DistShard(gen, standard)(s, b) for s, b in shards]
-    return min(results, key=lambda r: (r[0], r[1]))
+        results = [shard(s, b) for s, b in shards]
+    return np.sum(results, axis=0) if seed is None else min(results)
 
 
-class _DistShard:
-    """Picklable shard worker: messages whose first coordinate is fixed."""
+class _Shard:
+    """Picklable sweep worker: messages whose first coordinate is fixed.
 
-    def __init__(self, gen: np.ndarray, standard: bool):
+    The last `klo` message digits form a precomputed low block; the loop
+    runs over this shard's high digits.  With no high digits there is one
+    shard and the low block is the whole message space.  The reducer is the
+    Lee census when no seed is given, else the minimum nonzero weight,
+    improving on the seed (weight, witness) and pruned by information
+    weight in standard form.
+    """
+
+    def __init__(self, gen: np.ndarray, ring: RingTable, standard: bool):
         self.gen = gen
+        self.ring = ring
         self.standard = standard
+        self.khi = max(0, gen.shape[0] - _LO_BITS // ring.bits)
 
-    def __call__(self, shard: int, seed: _Best) -> _Best:
-        gen, standard = self.gen, self.standard
+    def __call__(self, shard: int, seed: _Best | None):
+        gen, ring, standard, khi = self.gen, self.ring, self.standard, self.khi
         k, n = gen.shape
-        klo = _LO_DIGITS
-        khi = k - klo
-        if standard:
-            m_tail = gen[:, k:]
-            lo_rows, hi_rows = m_tail[khi:], m_tail[:khi]
-            m = n - k
-        else:
-            lo_rows, hi_rows = gen[khi:], gen[:khi]
-            m = n
-        nlo = 16 ** klo
-        low = _digits_block(0, nlo, klo)
+        klo = k - khi
+        rows, m = (gen[:, k:], n - k) if standard else (gen, n)
+        lo_rows, hi_rows = rows[khi:], rows[:khi]
+        low = _digits_block(0, ring.size ** klo, klo, ring.bits)
+        tl = ring_matmul(low, lo_rows, ring)
         wlo = ring.LEE[low].sum(axis=1, dtype=np.int64) if standard else 0
-        tl = ring_matmul(low, lo_rows)
-        idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
-
-        per_shard = 16 ** (khi - 1)
-        his = _digits_block(shard * per_shard, (shard + 1) * per_shard, khi)
+        if khi:
+            idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
+            per_shard = ring.size ** (khi - 1)
+            his = _digits_block(shard * per_shard, (shard + 1) * per_shard, khi, ring.bits)
+        else:
+            his = np.zeros((1, 0), dtype=np.uint8)
         whis = ring.LEE[his].sum(axis=1, dtype=np.int64)
         order = np.argsort(whis, kind="stable") if standard else np.arange(len(whis))
 
-        best_w, best_msg = seed
+        hist = np.zeros(ring.max_lee * n + 1, dtype=np.int64)
+        census = seed is None
+        best_w, best_msg = (_BIG, ()) if census else seed
         for hi_i in order:
             whi = int(whis[hi_i])
-            if standard and whi >= best_w:
+            if standard and not census and whi >= best_w:
                 break
-            tail_hi = ring_matmul(his[hi_i:hi_i + 1], hi_rows)[0]
-            lflat = ring.LEE[ring.ADD[:, tail_hi]].ravel()
-            w = lflat[idx].sum(axis=1, dtype=np.int64)
+            if khi:
+                tail_hi = ring_matmul(his[hi_i:hi_i + 1], hi_rows, ring)[0]
+                lflat = ring.LEE[ring.ADD[:, tail_hi]].ravel()
+                w = lflat[idx].sum(axis=1, dtype=np.int64)
+            else:
+                w = ring.LEE[tl].sum(axis=1, dtype=np.int64)
             if standard:
                 w += wlo + whi
+            if census:
+                hist += np.bincount(w, minlength=hist.shape[0])
+                continue
+            if standard:
                 if whi == 0:
                     w[0] = _BIG  # the all-zero message
             else:
@@ -475,51 +464,4 @@ class _DistShard:
             if w[i] < best_w:
                 best_w = int(w[i])
                 best_msg = tuple(int(v) for v in his[hi_i]) + tuple(int(v) for v in low[i])
-        return best_w, best_msg
-
-
-def _census_standard(gen: np.ndarray, threads: int = 1) -> np.ndarray:
-    k, n = gen.shape
-    nbins = 4 * n + 1
-    if k <= _LO_DIGITS:
-        hist = np.zeros(nbins, dtype=np.int64)
-        for blk in message_blocks(k):
-            hist += np.bincount(_block_weights(gen, blk, True), minlength=nbins)
-        return hist
-    shards = list(range(16))
-    if threads > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            parts = pool.map(_CensusShard(gen), shards)
-    else:
-        parts = [_CensusShard(gen)(s) for s in shards]
-    return np.sum(parts, axis=0)
-
-
-class _CensusShard:
-    def __init__(self, gen: np.ndarray):
-        self.gen = gen
-
-    def __call__(self, shard: int) -> np.ndarray:
-        gen = self.gen
-        k, n = gen.shape
-        klo = _LO_DIGITS
-        khi = k - klo
-        m_tail = gen[:, k:]
-        lo_rows, hi_rows = m_tail[khi:], m_tail[:khi]
-        m = n - k
-        nlo = 16 ** klo
-        low = _digits_block(0, nlo, klo)
-        wlo = ring.LEE[low].sum(axis=1, dtype=np.int64)
-        tl = ring_matmul(low, lo_rows)
-        idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
-        nbins = 4 * n + 1
-        hist = np.zeros(nbins, dtype=np.int64)
-        per_shard = 16 ** (khi - 1)
-        his = _digits_block(shard * per_shard, (shard + 1) * per_shard, khi)
-        whis = ring.LEE[his].sum(axis=1, dtype=np.int64)
-        for hi_i in range(his.shape[0]):
-            tail_hi = ring_matmul(his[hi_i:hi_i + 1], hi_rows)[0]
-            lflat = ring.LEE[ring.ADD[:, tail_hi]].ravel()
-            w = lflat[idx].sum(axis=1, dtype=np.int64) + wlo + int(whis[hi_i])
-            hist += np.bincount(w, minlength=nbins)
-        return hist
+        return hist if census else (best_w, best_msg)

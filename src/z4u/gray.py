@@ -1,4 +1,4 @@
-"""Gray map to Z4 and the Z4-side code machinery.
+"""Gray map to Z4 and Gray image codes.
 
 The Gray map sends a + ub (componentwise over a length-n vector) to the
 length-2n Z4 vector (b, a+b).  It is a linear bijection and preserves Lee
@@ -7,25 +7,19 @@ Lee enumerator.
 
 The image code is generated over Z4 by {gray(g), gray(u*g)} for the
 generator rows g: as a Z4-module the source code is spanned by the rows
-and their u-multiples, since (a+ub)*g = a*g + b*(u*g).
-
-Z4 codes carry their own Lee enumerator (degree 2N for length N), dual
-transform Lee(W+X, W-X)/|D|, brute-force dual, and self-duality checks,
-at the small scales the verification suites need.
+and their u-multiples, since (a+ub)*g = a*g + b*(u*g).  It is an ordinary
+`LinearCode` over the `Z4` ring record, so its enumeration, dual,
+self-duality and Lee transform are the same code paths as over R.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import ring
 from .code import DEFAULT_BUDGET, LinearCode
-from .errors import BudgetExceeded, NonExactDivision, ZeroCode
-from .scalars import Z4_LEE
-
-_Z4_LEE_NP = np.array(Z4_LEE, dtype=np.uint8)
 
 
 def gray_map(v: Sequence[int]) -> tuple[int, ...]:
@@ -45,222 +39,11 @@ def gray_map_inverse(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) for x in ((a << 2) | b))
 
 
-def z4_lee_weight_vector(v: Sequence[int]) -> int:
-    return int(_Z4_LEE_NP[np.asarray(v, dtype=np.uint8)].sum(dtype=np.int64))
-
-
-def _z4_blocks(k: int, block: int = 1 << 20) -> Iterator[np.ndarray]:
-    total = 4 ** k
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((stop - start, k), dtype=np.uint8)
-        for j in range(k):
-            out[:, k - 1 - j] = (idx >> (2 * j)) & 3
-        yield out
-
-
-def _z4_matmul(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    acc = np.zeros((x.shape[0], g.shape[1]), dtype=np.uint8)
-    for i in range(g.shape[0]):
-        acc = (acc + x[:, i][:, None] * g[i][None, :]) & 3
-    return acc
-
-
-@dataclass(frozen=True)
-class Z4LeePoly:
-    length: int
-    coeffs: tuple[int, ...]  # index 0..2N
-
-    def format_lines(self) -> list[str]:
-        n2 = 2 * self.length
-        return [f"{n2 - w},{w} : {c}" for w, c in enumerate(self.coeffs) if c]
-
-
-def z4_macwilliams_lee(p: Z4LeePoly, size: int) -> Z4LeePoly:
-    """(1/size) * p(W+X, W-X), exact over degree 2N."""
-    import math
-    n2 = 2 * p.length
-    out = [0] * (n2 + 1)
-    for w, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        for v in range(n2 + 1):
-            s = 0
-            for j in range(max(0, v - (n2 - w)), min(w, v) + 1):
-                s += (-1) ** j * math.comb(w, j) * math.comb(n2 - w, v - j)
-            out[v] += c * s
-    coeffs = []
-    for val in out:
-        q, r = divmod(val, size)
-        if r:
-            raise NonExactDivision(f"Z4 Lee transform coefficient {val} not divisible by {size}")
-        coeffs.append(q)
-    return Z4LeePoly(p.length, tuple(coeffs))
-
-
-class Z4Code:
-    """Row span of a generator matrix over Z4."""
-
-    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray,
-                 known_cardinality: int | None = None):
-        self.gen = np.asarray(gen, dtype=np.uint8)
-        if self.gen.ndim != 2 or self.gen.shape[0] < 1 or self.gen.shape[1] < 1:
-            raise ValueError(f"bad Z4 generator shape {self.gen.shape}")
-        if self.gen.max(initial=0) > 3:
-            raise ValueError("Z4 entries must be 0..3")
-        self.gen.flags.writeable = False
-        self._cardinality = known_cardinality
-        self._words: frozenset[tuple[int, ...]] | None = None
-
-    @classmethod
-    def from_words(cls, words, length: int) -> "Z4Code":
-        ws = frozenset(tuple(int(x) for x in w) for w in words)
-        rows = sorted(ws - {(0,) * length}) or [(0,) * length]
-        obj = cls(np.array(rows, dtype=np.uint8), known_cardinality=len(ws))
-        obj._words = ws
-        return obj
-
-    @property
-    def k(self) -> int:
-        return self.gen.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.gen.shape[1]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gen.any()
-
-    @property
-    def standard_form(self) -> bool:
-        k = self.gen.shape[0]
-        if self.length < k:
-            return False
-        eye = np.zeros((k, k), dtype=np.uint8)
-        np.fill_diagonal(eye, 1)
-        return bool(np.array_equal(self.gen[:, :k], eye))
-
-    def codeword_set(self, budget: int = DEFAULT_BUDGET) -> frozenset[tuple[int, ...]]:
-        if self._words is not None:
-            return self._words
-        total = 4 ** self.k
-        if total > budget:
-            raise BudgetExceeded(total, budget, "Z4 enumeration")
-        if total > 4 ** 12:
-            raise BudgetExceeded(total, 4 ** 12, "Z4 deduplicated storage")
-        parts = [np.unique(_z4_matmul(blk, self.gen), axis=0) for blk in _z4_blocks(self.k)]
-        dedup = np.unique(np.concatenate(parts, axis=0), axis=0)
-        self._words = frozenset(tuple(w) for w in dedup.tolist())
-        self._cardinality = len(self._words)
-        return self._words
-
-    def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        if self._cardinality is None:
-            if self.standard_form:
-                self._cardinality = 4 ** self.k
-            else:
-                self.codeword_set(budget)
-        assert self._cardinality is not None
-        return self._cardinality
-
-    def lee_poly(self, budget: int = DEFAULT_BUDGET) -> Z4LeePoly:
-        """Exact Lee census; standard form streams, otherwise dedups."""
-        coeffs = np.zeros(2 * self.length + 1, dtype=np.int64)
-        if self.standard_form:
-            total = 4 ** self.k
-            if total > budget:
-                raise BudgetExceeded(total, budget, "Z4 weight census")
-            self._cardinality = total
-            for blk in _z4_blocks(self.k):
-                words = _z4_matmul(blk, self.gen)
-                w = _Z4_LEE_NP[words].sum(axis=1, dtype=np.int64)
-                coeffs += np.bincount(w, minlength=coeffs.shape[0])
-        else:
-            for word in self.codeword_set(budget):
-                coeffs[z4_lee_weight_vector(word)] += 1
-        return Z4LeePoly(self.length, tuple(int(c) for c in coeffs))
-
-    def min_lee_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        if self.is_zero:
-            raise ZeroCode("minimum distance of the zero code is undefined")
-        if self._words is not None:
-            return min(z4_lee_weight_vector(w) for w in self._words if any(w))
-        total = 4 ** self.k
-        if total > budget:
-            raise BudgetExceeded(total, budget, "Z4 distance enumeration")
-        best = 1 << 30
-        for blk in _z4_blocks(self.k):
-            words = _z4_matmul(blk, self.gen)
-            w = _Z4_LEE_NP[words].sum(axis=1, dtype=np.int64)
-            w[w == 0] = 1 << 30
-            best = min(best, int(w.min()))
-        return best
-
-    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> frozenset[tuple[int, ...]]:
-        total = 4 ** self.length
-        if total > budget:
-            raise BudgetExceeded(total, budget, "Z4 dual enumeration")
-        kept = []
-        for blk in _z4_blocks(self.length):
-            ok = np.ones(blk.shape[0], dtype=bool)
-            for row in self.gen:
-                ip = (blk @ row.astype(np.int64)) & 3
-                ok &= ip == 0
-            kept.append(blk[ok])
-        return frozenset(tuple(int(v) for v in w) for w in np.concatenate(kept, axis=0))
-
-    def is_self_orthogonal(self) -> bool:
-        g = self.gen.astype(np.int64)
-        return bool(((g @ g.T) & 3 == 0).all())
-
-    def is_self_dual(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.is_self_orthogonal() and \
-            self.cardinality(budget) ** 2 == 4 ** self.length
-
-    def __repr__(self) -> str:
-        return f"Z4Code(k={self.k}, length={self.length})"
-
-
-def gray_image(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Z4Code:
+def gray_image(code: LinearCode, budget: int = DEFAULT_BUDGET) -> LinearCode:
     """Z4 code generated by the Gray images of the rows and their u-multiples."""
-    from . import ring
     rows = []
     for g in code.gen:
         rows.append(gray_map(g))
         rows.append(gray_map(ring.MUL[ring.U][g]))
-    return Z4Code(np.array(rows, dtype=np.uint8),
-                  known_cardinality=code.cardinality(budget))
-
-
-def z4_formal_duality(d: Z4Code, budget: int = DEFAULT_BUDGET) -> bool:
-    """Lee enumerator of D is a fixed point of the Z4 dual transform."""
-    p = d.lee_poly(budget)
-    return z4_macwilliams_lee(p, d.cardinality(budget)) == p
-
-
-# ---------------------------------------------------------------------------
-# Z4 matrix text syntax: one row per line, single-digit tokens 0..3
-# ---------------------------------------------------------------------------
-
-def parse_z4_matrix_text(text: str) -> np.ndarray:
-    rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        toks = ln.split()
-        if any(t not in "0123" or len(t) != 1 for t in toks):
-            raise ValueError(f"bad Z4 row {ln!r}: tokens must be single digits 0-3")
-        rows.append([int(t) for t in toks])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix: rows have differing lengths")
-    return np.array(rows, dtype=np.uint8)
-
-
-def format_z4_matrix(m: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(str(int(x)) for x in row) for row in m)
+    return LinearCode(np.array(rows, dtype=np.uint8), ring.Z4,
+                      cardinality=code.cardinality(budget))

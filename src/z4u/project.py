@@ -2,225 +2,62 @@
 
 Three componentwise maps leave the ring:
 
-  * constant part: a + ub -> a          (Z4)
-  * u-coefficient: a + ub -> b          (Z4)
-  * mod-2 reduction: a + ub -> (a%2) + u(b%2)   (F2+uF2, a ring hom)
+  * constant part: mu(a + ub) = a                   (to Z4)
+  * u-coefficient: nu(a + ub) = b                   (to Z4)
+  * mod-2 reduction: alpha(a + ub) = (a%2) + u(b%2)  (to F2+uF2)
 
-Each projected code can be computed two ways.  Set-level: project every
-codeword and deduplicate (unconditionally correct, costs a 16^k sweep).
-Span-level: writing a generator row g = ga + u*gb, every codeword
-sum r_i g_i with r_i = a_i + u b_i projects to
+Each projected code is built from generators read off G alone, and those
+generators are exact: they span the projected code, not just a superset or
+a subset of it.  Let C be spanned by rows g_i = ga_i + u gb_i (ga_i, gb_i
+over Z4), so a codeword is c = sum r_i g_i with free r_i = a_i + u b_i.
 
-    constant part: sum a_i ga_i            -> Z4-span of the ga rows
-    u-coefficient: sum (a_i gb_i + b_i ga_i) -> Z4-span of ga and gb rows
-    mod-2:         sum alpha(r_i) alpha(g_i) -> span of the reduced rows
+  * mu is a ring homomorphism R -> Z4 ((a1+ub1)(a2+ub2) has constant part
+    a1 a2), so mu(c) = sum a_i ga_i.  Every such word is in the Z4-span of
+    the ga_i, and every Z4-combination sum a_i ga_i is mu of the codeword
+    with r_i = a_i.  So mu(C) = <ga_i>.
+  * nu is additive with nu(r g) = a gb + b ga for r = a + ub, so
+    nu(c) = sum (a_i gb_i + b_i ga_i).  The pairs (a_i, b_i) range over all
+    of Z4^2 independently, so nu(C) is exactly the Z4-span of the ga_i and
+    the gb_i together.
+  * alpha is a surjective ring homomorphism R -> F2+uF2 (reducing both
+    coefficients mod 2 commutes with the product rule above), so
+    alpha(c) = sum alpha(r_i) alpha(g_i) with alpha(r_i) ranging over all
+    of F2+uF2.  So alpha(C) is the F2+uF2-span of the reduced rows.
 
-so the span generators are exact, not just containments.  The default
-uses the set sweep while it fits the budget and the span generators
-beyond it; the test suite checks the two agree on zero-divisor-heavy
-generators.
+The test suite checks these against projecting every codeword.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode
+from .code import DEFAULT_BUDGET, DistanceResult, LinearCode, SelfDuality
 from .errors import BudgetExceeded, NotSelfDual, ZeroCode
-from .gray import Z4Code, gray_image, z4_formal_duality
-from .scalars import F2U_LEE, f2u_format, f2u_mul, f2u_parse
-from .code import SelfDuality
-
-_F2U_MUL = np.array([[f2u_mul(x, y) for y in range(4)] for x in range(4)],
-                    dtype=np.uint8)
-_F2U_LEE_NP = np.array(F2U_LEE, dtype=np.uint8)
-
-_SET_SWEEP_CAP = 16 ** 6
-
-
-# ---------------------------------------------------------------------------
-# F2+uF2 codes
-# ---------------------------------------------------------------------------
-
-def _f2u_blocks(k: int, block: int = 1 << 20) -> Iterator[np.ndarray]:
-    total = 4 ** k
-    for start in range(0, total, block):
-        stop = min(start + block, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        out = np.empty((stop - start, k), dtype=np.uint8)
-        for j in range(k):
-            out[:, k - 1 - j] = (idx >> (2 * j)) & 3
-        yield out
-
-
-def _f2u_matmul(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    acc = np.zeros((x.shape[0], g.shape[1]), dtype=np.uint8)
-    for i in range(g.shape[0]):
-        acc ^= _F2U_MUL[x[:, i]][:, g[i]]
-    return acc
-
-
-def f2u_inner(x: Sequence[int], y: Sequence[int]) -> int:
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
-    acc = 0
-    for a, b in zip(x, y):
-        acc ^= f2u_mul(int(a), int(b))
-    return acc
-
-
-class F2uCode:
-    """Row span of a generator matrix over F2+uF2."""
-
-    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray,
-                 known_cardinality: int | None = None):
-        self.gen = np.asarray(gen, dtype=np.uint8)
-        if self.gen.ndim != 2 or self.gen.shape[0] < 1 or self.gen.shape[1] < 1:
-            raise ValueError(f"bad F2+uF2 generator shape {self.gen.shape}")
-        if self.gen.max(initial=0) > 3:
-            raise ValueError("F2+uF2 entries must be packed values 0..3")
-        self.gen.flags.writeable = False
-        self._cardinality = known_cardinality
-        self._words: frozenset[tuple[int, ...]] | None = None
-
-    @classmethod
-    def from_words(cls, words, length: int) -> "F2uCode":
-        ws = frozenset(tuple(int(x) for x in w) for w in words)
-        rows = sorted(ws - {(0,) * length}) or [(0,) * length]
-        obj = cls(np.array(rows, dtype=np.uint8), known_cardinality=len(ws))
-        obj._words = ws
-        return obj
-
-    @property
-    def k(self) -> int:
-        return self.gen.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.gen.shape[1]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.gen.any()
-
-    def codeword_set(self, budget: int = DEFAULT_BUDGET) -> frozenset[tuple[int, ...]]:
-        if self._words is not None:
-            return self._words
-        total = 4 ** self.k
-        if total > budget:
-            raise BudgetExceeded(total, budget, "F2+uF2 enumeration")
-        parts = [np.unique(_f2u_matmul(blk, self.gen), axis=0)
-                 for blk in _f2u_blocks(self.k)]
-        dedup = np.unique(np.concatenate(parts, axis=0), axis=0)
-        self._words = frozenset(tuple(w) for w in dedup.tolist())
-        self._cardinality = len(self._words)
-        return self._words
-
-    def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        if self._cardinality is None:
-            self.codeword_set(budget)
-        assert self._cardinality is not None
-        return self._cardinality
-
-    def min_lee_distance(self, budget: int = DEFAULT_BUDGET) -> int:
-        if self.is_zero:
-            raise ZeroCode("minimum distance of the zero code is undefined")
-        if self._words is not None:
-            return min(int(_F2U_LEE_NP[np.asarray(w, dtype=np.uint8)].sum())
-                       for w in self._words if any(w))
-        total = 4 ** self.k
-        if total > budget:
-            raise BudgetExceeded(total, budget, "F2+uF2 distance enumeration")
-        best = 1 << 30
-        for blk in _f2u_blocks(self.k):
-            words = _f2u_matmul(blk, self.gen)
-            w = _F2U_LEE_NP[words].sum(axis=1, dtype=np.int64)
-            w[w == 0] = 1 << 30
-            best = min(best, int(w.min()))
-        return best
-
-    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> frozenset[tuple[int, ...]]:
-        total = 4 ** self.length
-        if total > budget:
-            raise BudgetExceeded(total, budget, "F2+uF2 dual enumeration")
-        kept = []
-        for blk in _f2u_blocks(self.length):
-            ok = np.ones(blk.shape[0], dtype=bool)
-            for row in self.gen:
-                ip = np.zeros(blk.shape[0], dtype=np.uint8)
-                for j in range(self.length):
-                    ip ^= _F2U_MUL[:, row[j]][blk[:, j]]
-                ok &= ip == 0
-            kept.append(blk[ok])
-        return frozenset(tuple(int(v) for v in w) for w in np.concatenate(kept, axis=0))
-
-    def is_self_orthogonal(self) -> bool:
-        for i in range(self.k):
-            for j in range(i, self.k):
-                if f2u_inner(self.gen[i], self.gen[j]) != 0:
-                    return False
-        return True
-
-    def is_self_dual(self, budget: int = DEFAULT_BUDGET) -> bool:
-        return self.is_self_orthogonal() and \
-            self.cardinality(budget) ** 2 == 4 ** self.length
-
-    def __repr__(self) -> str:
-        return f"F2uCode(k={self.k}, length={self.length})"
+from .gray import gray_image
+from .wenum import is_formally_self_dual
 
 
 # ---------------------------------------------------------------------------
 # The three projections
 # ---------------------------------------------------------------------------
 
-def _iter_projected(code: LinearCode, budget: int, pick) -> frozenset[tuple[int, ...]]:
-    total = 16 ** code.k
-    if total > budget:
-        raise BudgetExceeded(total, budget, "projection sweep")
-    return frozenset(pick(w) for w in code.iter_codewords(budget))
-
-
-def project_constant(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                     via: str = "auto") -> Z4Code:
+def project_constant(code: LinearCode) -> LinearCode:
     """Z4 code of the constant parts (a of a + ub), componentwise."""
-    if via == "set" or (via == "auto" and 16 ** code.k <= min(budget, _SET_SWEEP_CAP)):
-        words = _iter_projected(code, budget,
-                                lambda w: tuple(ring.a_part(x) for x in w))
-        return Z4Code.from_words(words, code.n)
-    return Z4Code((code.gen >> 2) & 3)
+    return LinearCode((code.gen >> 2) & 3, ring.Z4)
 
 
-def project_u_coeff(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                    via: str = "auto") -> Z4Code:
+def project_u_coeff(code: LinearCode) -> LinearCode:
     """Z4 code of the u-coefficients (b of a + ub), componentwise."""
-    if via == "set" or (via == "auto" and 16 ** code.k <= min(budget, _SET_SWEEP_CAP)):
-        words = _iter_projected(code, budget,
-                                lambda w: tuple(ring.b_part(x) for x in w))
-        return Z4Code.from_words(words, code.n)
-    rows = np.vstack([(code.gen >> 2) & 3, code.gen & 3])
-    return Z4Code(rows)
+    return LinearCode(np.vstack([(code.gen >> 2) & 3, code.gen & 3]), ring.Z4)
 
 
-def project_mod2(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                 via: str = "auto") -> F2uCode:
+def project_mod2(code: LinearCode) -> LinearCode:
     """F2+uF2 code from reducing both coordinates mod 2."""
-    if via == "set" or (via == "auto" and 16 ** code.k <= min(budget, _SET_SWEEP_CAP)):
-        words = _iter_projected(code, budget,
-                                lambda w: tuple(_mod2_elem(x) for x in w))
-        return F2uCode.from_words(words, code.n)
-    return F2uCode(_mod2_matrix(code.gen))
-
-
-def _mod2_elem(x: int) -> int:
-    return (ring.a_part(x) & 1) | ((ring.b_part(x) & 1) << 1)
-
-
-def _mod2_matrix(gen: np.ndarray) -> np.ndarray:
-    return (((gen >> 2) & 1) | ((gen & 1) << 1)).astype(np.uint8)
+    gen = code.gen
+    return LinearCode(((gen >> 2) & 1) | ((gen & 1) << 1), ring.F2U)
 
 
 # ---------------------------------------------------------------------------
@@ -232,30 +69,29 @@ class LiftTriple:
     """A code over the big ring with prescribed Z4 and F2+uF2 projections."""
 
     code: LinearCode
-    z4: Z4Code
-    f2u: F2uCode
+    z4: LinearCode
+    f2u: LinearCode
 
     def verify_projections(self, budget: int = DEFAULT_BUDGET) -> bool:
         """Projected codeword sets equal the prescribed codes' sets."""
-        d = project_constant(self.code, budget)
-        e = project_mod2(self.code, budget)
+        d = project_constant(self.code)
+        e = project_mod2(self.code)
         return d.codeword_set(budget) == self.z4.codeword_set(budget) and \
             e.codeword_set(budget) == self.f2u.codeword_set(budget)
 
 
 @dataclass(frozen=True)
 class LiftBoundReport:
-    d: int
-    d_exact: bool
-    d_z4: int
-    d_f2u: int
+    d: DistanceResult
+    d_z4: DistanceResult
+    d_f2u: DistanceResult
     holds: bool
 
     def format_lines(self) -> list[str]:
         return [
-            f"d  (ring code)  = {self.d} ({'exact' if self.d_exact else 'upper-bound'})",
-            f"d' (Z4 code)    = {self.d_z4} (exact)",
-            f"d'' (F2+uF2)    = {self.d_f2u} (exact)",
+            f"d  (ring code)  = {self.d.value} ({self.d.label()})",
+            f"d' (Z4 code)    = {self.d_z4.value} ({self.d_z4.label()})",
+            f"d'' (F2+uF2)    = {self.d_f2u.value} ({self.d_f2u.label()})",
             f"bound d <= 2*min(d', d'') : {'holds' if self.holds else 'VIOLATED'}",
         ]
 
@@ -265,15 +101,21 @@ def lift_bound_check(t: LiftTriple, budget: int = DEFAULT_BUDGET,
     """Check d <= 2d' and d <= 2d'' on a lift triple.
 
     An upper bound for d is enough to confirm the inequality holds (the
-    true distance can only be smaller).
+    true distance can only be smaller), but d' and d'' must be exact: an
+    upper bound on them cannot confirm anything, so they raise
+    BudgetExceeded when their sweep does not fit the budget.
     """
     if t.z4.is_zero or t.f2u.is_zero:
         raise ZeroCode("lift bound needs nonzero projected codes")
+    for proj in (t.z4, t.f2u):
+        total = proj.ring.size ** proj.k
+        if total > budget:
+            raise BudgetExceeded(total, budget, f"exact {proj.ring.name} distance")
+    d_z4 = t.z4.min_lee_distance(budget, sample_count, threads)
+    d_f2u = t.f2u.min_lee_distance(budget, sample_count, threads)
     res = t.code.min_lee_distance(budget, sample_count, threads)
-    d_z4 = t.z4.min_lee_distance(budget)
-    d_f2u = t.f2u.min_lee_distance(budget)
-    holds = res.value <= 2 * d_z4 and res.value <= 2 * d_f2u
-    return LiftBoundReport(res.value, res.exact, d_z4, d_f2u, holds)
+    holds = res.value <= 2 * d_z4.value and res.value <= 2 * d_f2u.value
+    return LiftBoundReport(res, d_z4, d_f2u, holds)
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +155,20 @@ class SelfDualImageReport:
 
 def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> SelfDualImageReport:
     """Image properties guaranteed for self-dual codes, checked explicitly."""
-    if code.self_duality(budget) is not SelfDuality.SELF_DUAL:
+    def self_dual(c: LinearCode) -> bool:
+        return c.self_duality(budget) is SelfDuality.SELF_DUAL
+
+    if not self_dual(code):
         raise NotSelfDual("report requires a self-dual input code")
     img = gray_image(code, budget)
-    fsd = z4_formal_duality(img, budget)
-    d = project_constant(code, budget)
-    e = project_mod2(code, budget)
-    nu = project_u_coeff(code, budget)
-    nu_so = nu.is_self_orthogonal()
-    gray_sd = img.is_self_dual(budget) if nu_so else None
+    fsd = is_formally_self_dual(img, budget)
+    d = project_constant(code)
+    e = project_mod2(code)
+    nu_so = project_u_coeff(code).is_self_orthogonal()
+    gray_sd = self_dual(img) if nu_so else None
     proj_sd = None
     if code.standard_form and code.n == 2 * code.k:
-        proj_sd = (d.is_self_dual(budget), e.is_self_dual(budget))
+        proj_sd = (self_dual(d), self_dual(e))
     all2u = (ring.TWO_U,) * code.n in code.codeword_set(budget)
     even = True
     for w in code.codeword_set(budget).words:
@@ -335,25 +179,3 @@ def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Se
     return SelfDualImageReport(fsd, d.is_self_orthogonal(), e.is_self_orthogonal(),
                                nu_so, gray_sd, proj_sd, all2u, even)
 
-
-# ---------------------------------------------------------------------------
-# F2+uF2 matrix text syntax: tokens 0, 1, u, 1+u
-# ---------------------------------------------------------------------------
-
-def parse_f2u_matrix_text(text: str) -> np.ndarray:
-    rows = []
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        rows.append([f2u_parse(t) for t in ln.split()])
-    if not rows:
-        raise ValueError("no matrix rows found")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix: rows have differing lengths")
-    return np.array(rows, dtype=np.uint8)
-
-
-def format_f2u_matrix(m: Sequence[Sequence[int]]) -> str:
-    return "\n".join(" ".join(f2u_format(int(x)) for x in row) for row in m)

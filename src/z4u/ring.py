@@ -9,8 +9,10 @@ Multiplication follows from u^2 = 0:
 
     (a1 + u b1)(a2 + u b2) = a1 a2 + u (a1 b2 + a2 b1)   (mod 4)
 
-All 16x16 operation tables are precomputed once, both as tuples (exact
-scalar paths) and as numpy uint8 arrays (vectorized kernels).
+All 16x16 operation tables are precomputed once as numpy uint8 arrays.
+The record `R` bundles them with the Lee weights and the element token
+syntax; `Z4` and `F2U` are the same record for the two 4-element rings the
+projections and the Gray map land in, so one code core serves all three.
 
 Units are the 8 elements with a odd.  They split into two types by their
 square: type-1 units square to 1, type-2 units square to 1+2u, and every
@@ -29,12 +31,15 @@ disagree.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .scalars import GaussianInt, I_POWERS, z4_lee_weight
+from .scalars import (GaussianInt, I_POWERS, f2u_add, f2u_format, f2u_lee_weight,
+                      f2u_mul, f2u_neg, f2u_parse, z4_add, z4_lee_weight, z4_mul,
+                      z4_neg, z4_parse)
 
 SIZE = 16
 
@@ -84,10 +89,6 @@ ADD = np.array([[add(x, y) for y in ELEMENTS] for x in ELEMENTS], dtype=np.uint8
 MUL = np.array([[mul(x, y) for y in ELEMENTS] for x in ELEMENTS], dtype=np.uint8)
 NEG = np.array([neg(x) for x in ELEMENTS], dtype=np.uint8)
 
-ADD_T = tuple(tuple(int(v) for v in row) for row in ADD)
-MUL_T = tuple(tuple(int(v) for v in row) for row in MUL)
-NEG_T = tuple(int(v) for v in NEG)
-
 
 def lee_weight(x: int) -> int:
     """Lee weight of a + ub: Z4 Lee weight of b plus that of a + b."""
@@ -96,7 +97,6 @@ def lee_weight(x: int) -> int:
 
 
 LEE = np.array([lee_weight(x) for x in ELEMENTS], dtype=np.uint8)
-LEE_T = tuple(int(v) for v in LEE)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,8 @@ def character_table_discrepancies() -> list[tuple[int, int, GaussianInt, Gaussia
 # ---------------------------------------------------------------------------
 # Element / vector / matrix text syntax
 # ---------------------------------------------------------------------------
-# An element prints as the two-digit token "ab" meaning a + ub ("12" = 1+2u).
+# An element of R prints as the two-digit token "ab" meaning a + ub ("12" =
+# 1+2u); Z4 elements as single digits 0-3; F2+uF2 elements as 0, 1, u, 1+u.
 # Matrix files are line-oriented: one row per line, tokens separated by
 # spaces, blank lines and '#' comment lines ignored.
 
@@ -242,22 +243,76 @@ def format_element_pretty(x: int) -> str:
     return ustr if a == 0 else f"{a}+{ustr}"
 
 
-def parse_vector(text: str) -> tuple[int, ...]:
-    return tuple(parse_element(tok) for tok in text.split())
+# ---------------------------------------------------------------------------
+# Ring table records
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RingTable:
+    """A finite ring as lookup tables: what the code core needs to know.
+
+    Elements are the ints 0..size-1, with 0 the zero element; ADD, MUL, NEG
+    and LEE are uint8 tables indexed by element values.  `name` is the
+    module-level name of the instance, so a record pickles by reference
+    (shard workers) and compares by identity.
+    """
+
+    name: str
+    size: int
+    ONE: int
+    ADD: np.ndarray
+    MUL: np.ndarray
+    NEG: np.ndarray
+    LEE: np.ndarray
+    max_lee: int
+    parse: Callable[[str], int]
+    format: Callable[[int], str]
+
+    @property
+    def bits(self) -> int:
+        """Bits per element (every size here is a power of two)."""
+        return self.size.bit_length() - 1
+
+    def __reduce__(self) -> str:
+        return self.name
+
+    def __repr__(self) -> str:
+        return self.name
 
 
-def format_vector(v: Iterable[int]) -> str:
-    return " ".join(format_element(x) for x in v)
+def _ring_table(name, size, one, add_, mul_, neg_, lee, parse, fmt) -> RingTable:
+    els = range(size)
+    lee_np = np.array([lee(x) for x in els], dtype=np.uint8)
+    return RingTable(name, size, one,
+                     np.array([[add_(x, y) for y in els] for x in els], dtype=np.uint8),
+                     np.array([[mul_(x, y) for y in els] for x in els], dtype=np.uint8),
+                     np.array([neg_(x) for x in els], dtype=np.uint8),
+                     lee_np, int(lee_np.max()), parse, fmt)
 
 
-def parse_matrix_text(text: str) -> np.ndarray:
+R = RingTable("R", SIZE, ONE, ADD, MUL, NEG, LEE, int(LEE.max()),
+              parse_element, format_element)
+Z4 = _ring_table("Z4", 4, 1, z4_add, z4_mul, z4_neg, z4_lee_weight, z4_parse, str)
+F2U = _ring_table("F2U", 4, 1, f2u_add, f2u_mul, f2u_neg, f2u_lee_weight,
+                  f2u_parse, f2u_format)
+
+
+def parse_vector(text: str, ring: RingTable = R) -> tuple[int, ...]:
+    return tuple(ring.parse(tok) for tok in text.split())
+
+
+def format_vector(v: Iterable[int], ring: RingTable = R) -> str:
+    return " ".join(ring.format(int(x)) for x in v)
+
+
+def parse_matrix_text(text: str, ring: RingTable = R) -> np.ndarray:
     """Parse the generator-matrix file grammar into a (k, n) uint8 array."""
     rows = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
-        rows.append(parse_vector(ln))
+        rows.append(parse_vector(ln, ring))
     if not rows:
         raise ValueError("no matrix rows found")
     n = len(rows[0])
@@ -266,5 +321,5 @@ def parse_matrix_text(text: str) -> np.ndarray:
     return np.array(rows, dtype=np.uint8)
 
 
-def format_matrix(m: Sequence[Sequence[int]]) -> str:
-    return "\n".join(format_vector(row) for row in m)
+def format_matrix(m: Sequence[Sequence[int]], ring: RingTable = R) -> str:
+    return "\n".join(format_vector(row, ring) for row in m)

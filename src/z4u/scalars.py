@@ -17,14 +17,28 @@ from fractions import Fraction
 # Z4
 # ---------------------------------------------------------------------------
 
-#: Lee weight on Z4: w(0,1,2,3) = 0,1,2,1.
-Z4_LEE = (0, 1, 2, 1)
+def z4_add(x: int, y: int) -> int:
+    return (x + y) & 3
+
+
+def z4_mul(x: int, y: int) -> int:
+    return (x * y) & 3
+
+
+def z4_neg(x: int) -> int:
+    return -x & 3
 
 
 def z4_lee_weight(x: int) -> int:
     """Lee weight min(x, 4-x) of a Z4 residue."""
     x &= 3
     return min(x, 4 - x)
+
+
+def z4_parse(token: str) -> int:
+    if len(token) != 1 or token not in "0123":
+        raise ValueError(f"bad Z4 token {token!r}, expected a single digit 0-3")
+    return int(token)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +53,10 @@ F2U_LEE = (0, 1, 2, 1)
 
 def f2u_add(x: int, y: int) -> int:
     return x ^ y
+
+
+def f2u_neg(x: int) -> int:
+    return x
 
 
 def f2u_mul(x: int, y: int) -> int:

@@ -8,7 +8,8 @@ For a code C of length n:
   * the symmetrized enumerator (SWE) merges variables by Lee weight class
     into (X, Y, Z, W, S) = weights (0, 4, 3, 1, 2);
   * the Lee enumerator collects codewords by total Lee weight w into
-    W^(4n-w) X^w, a dense length-(4n+1) coefficient vector.
+    W^(D-w) X^w, a dense length-(D+1) coefficient vector, where D is the
+    ring's maximum Lee weight times n (4n over R, 2n over Z4 and F2+uF2).
 
 Each enumerator has an exact dual transform scaled by 1/|C|:
 
@@ -18,7 +19,8 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
     class, which is what makes the symmetrization well defined).
-  * Lee: substitute (W+X, W-X), a binomial convolution.
+  * Lee: substitute (W+X, W-X), a binomial convolution, over any of the
+    three rings.
 
 All division by |C| is exact integer division; a remainder raises
 NonExactDivision, which almost always means the supplied cardinality was
@@ -32,8 +34,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode, lee_weight_vector
+from .code import DEFAULT_BUDGET, LinearCode
 from .errors import ExpansionTooLarge, NonExactDivision
+from .ring import R, RingTable
 from .scalars import GaussianInt, GaussianRational
 
 SWE_VARS = ("X", "Y", "Z", "W", "S")
@@ -63,6 +66,18 @@ class CWE:
 
     length: int
     terms: dict[tuple[int, ...], int]
+
+    @classmethod
+    def of_words(cls, words, length: int) -> "CWE":
+        """Composition census of explicit words over R (each counted once)."""
+        terms: dict[tuple[int, ...], int] = {}
+        for word in words:
+            counts = [0] * 16
+            for x in word:
+                counts[x] += 1
+            key = tuple(counts)
+            terms[key] = terms.get(key, 0) + 1
+        return cls(length, terms)
 
     def evaluate(self, point: Sequence):
         """Value at a 16-tuple of Gaussian integers or rationals.
@@ -120,10 +135,16 @@ class LeePoly:
     """Dense Lee enumerator: coeffs[w] counts codewords of Lee weight w."""
 
     length: int
-    coeffs: tuple[int, ...]  # index 0..4n
+    coeffs: tuple[int, ...]  # index 0..degree
+    ring: RingTable = R
 
     def __post_init__(self):
-        assert len(self.coeffs) == 4 * self.length + 1
+        assert len(self.coeffs) == self.degree + 1
+
+    @property
+    def degree(self) -> int:
+        """Maximum Lee weight of a length-n word: max_lee * n."""
+        return self.ring.max_lee * self.length
 
     def total(self) -> int:
         return sum(self.coeffs)
@@ -135,11 +156,11 @@ class LeePoly:
         return None
 
     def format_lines(self) -> list[str]:
-        n4 = 4 * self.length
+        n4 = self.degree
         return [f"{n4 - w},{w} : {c}" for w, c in enumerate(self.coeffs) if c]
 
     def format_polynomial(self) -> str:
-        n4 = 4 * self.length
+        n4 = self.degree
         parts = []
         for w, c in enumerate(self.coeffs):
             if not c:
@@ -159,14 +180,7 @@ class LeePoly:
 
 def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
     """Exact composition census over every codeword (each counted once)."""
-    terms: dict[tuple[int, ...], int] = {}
-    for word in code.iter_codewords(budget):
-        counts = [0] * 16
-        for x in word:
-            counts[x] += 1
-        key = tuple(counts)
-        terms[key] = terms.get(key, 0) + 1
-    return CWE(code.n, terms)
+    return CWE.of_words(code.iter_codewords(budget), code.n)
 
 
 def cwe_to_swe(e: CWE) -> SWE:
@@ -195,29 +209,11 @@ def swe_to_lee(e: SWE) -> LeePoly:
 def lee(code: LinearCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> LeePoly:
     """Lee enumerator straight from the weight census kernel."""
     hist = code.lee_census(budget, threads)
-    return LeePoly(code.n, tuple(int(c) for c in hist))
-
-
-def lee_of_words(words, length: int) -> LeePoly:
-    coeffs = [0] * (4 * length + 1)
-    for w in words:
-        coeffs[lee_weight_vector(w)] += 1
-    return LeePoly(length, tuple(coeffs))
-
-
-def cwe_of_words(words, length: int) -> CWE:
-    terms: dict[tuple[int, ...], int] = {}
-    for word in words:
-        counts = [0] * 16
-        for x in word:
-            counts[x] += 1
-        key = tuple(counts)
-        terms[key] = terms.get(key, 0) + 1
-    return CWE(length, terms)
+    return LeePoly(code.n, tuple(int(c) for c in hist), code.ring)
 
 
 def swe_of_words(words, length: int) -> SWE:
-    return cwe_to_swe(cwe_of_words(words, length))
+    return cwe_to_swe(CWE.of_words(words, length))
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +328,7 @@ def macwilliams_swe(e: SWE, size: int) -> SWE:
 
 def macwilliams_lee(p: LeePoly, size: int) -> LeePoly:
     """Dual Lee enumerator: (1/size) * p(W+X, W-X), exact."""
-    n4 = 4 * p.length
+    n4 = p.degree
     out = [0] * (n4 + 1)
     for w, c in enumerate(p.coeffs):
         if not c:
@@ -349,7 +345,7 @@ def macwilliams_lee(p: LeePoly, size: int) -> LeePoly:
         if r:
             raise NonExactDivision(f"Lee transform coefficient {val} not divisible by {size}")
         coeffs.append(q)
-    return LeePoly(p.length, tuple(coeffs))
+    return LeePoly(p.length, tuple(coeffs), p.ring)
 
 
 def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET,

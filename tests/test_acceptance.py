@@ -15,15 +15,13 @@ from z4u import ring
 from z4u.code import SLOW_BUDGET, LinearCode, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, CirculantSpec, BorderSpec,
                            search, symmetric_code, table_specs, verify_tables)
-from z4u.gray import (Z4Code, gray_image, gray_map, gray_map_inverse,
-                      z4_formal_duality, z4_lee_weight_vector)
-from z4u.project import (F2uCode, LiftTriple, lift_bound_check,
-                         parse_f2u_matrix_text, self_dual_image_report)
-from z4u.gray import parse_z4_matrix_text
+from z4u.gray import gray_image, gray_map, gray_map_inverse
+from z4u.project import LiftTriple, lift_bound_check, self_dual_image_report
+from z4u.ring import F2U, Z4
 from z4u.scalars import GaussianInt, GaussianRational
-from z4u.wenum import (cwe, cwe_of_words, cwe_to_swe, is_formally_self_dual,
-                       lee, lee_of_words, macwilliams_cwe_eval, macwilliams_lee,
-                       macwilliams_swe, swe_of_words)
+from z4u.wenum import (CWE, cwe, cwe_to_swe, is_formally_self_dual, lee,
+                       macwilliams_cwe_eval, macwilliams_lee, macwilliams_swe,
+                       swe_of_words, swe_to_lee)
 
 EVAL_POINT_SEED = 20120521
 
@@ -36,6 +34,10 @@ LEE_REFERENCE = {
 
 def R(tok):
     return ring.parse_element(tok)
+
+
+def z4_lee_weight_vector(v):
+    return lee_weight_vector(v, Z4)
 
 
 def _report(num, started, detail):
@@ -115,10 +117,10 @@ def test_criterion_03_macwilliams_suite():
         e = cwe(c)
         for pt in points:
             assert macwilliams_cwe_eval(e, size, pt) == \
-                GaussianRational.of(cwe_of_words(dual_words, c.n).evaluate(pt))
-        assert macwilliams_swe(cwe_to_swe(e), size).terms == \
-            swe_of_words(dual_words, c.n).terms
-        assert macwilliams_lee(lee(c), size) == lee_of_words(dual_words, c.n)
+                GaussianRational.of(CWE.of_words(dual_words, c.n).evaluate(pt))
+        dual_swe = swe_of_words(dual_words, c.n)
+        assert macwilliams_swe(cwe_to_swe(e), size).terms == dual_swe.terms
+        assert macwilliams_lee(lee(c), size) == swe_to_lee(dual_swe)
         count += 1
     assert count == 16 + 256 + 2 + 50
     assert time.time() - t0 < 60.0
@@ -144,7 +146,7 @@ def test_criterion_04_gray_suite():
              CirculantSpec((R("20"), R("12"))).build()]
     for c in suite:
         img = gray_image(c)
-        assert img.lee_poly().coeffs == lee(c).coeffs
+        assert lee(img).coeffs == lee(c).coeffs
     assert time.time() - t0 < 60.0
     _report(4, t0, "isometry exhaustive at n=1 + 10^4 random vectors over n<=8; "
                    "image Lee enumerators match")
@@ -170,16 +172,18 @@ def test_criterion_05_self_dual_image_suite():
 def test_criterion_06_lift_example():
     t0 = time.time()
     c = LinearCode.from_text(data_file("lift16_r.gen"))
-    d = Z4Code(parse_z4_matrix_text(data_file("lift16_z4.gen")))
-    e = F2uCode(parse_f2u_matrix_text(data_file("lift16_f2u.gen")))
-    assert d.min_lee_distance() == 8       # full 4^8 sweep
-    assert e.min_lee_distance() == 8
+    d = LinearCode.from_text(data_file("lift16_z4.gen"), Z4)
+    e = LinearCode.from_text(data_file("lift16_f2u.gen"), F2U)
+    for proj in (d, e):                    # full 4^8 sweeps
+        dp = proj.min_lee_distance()
+        assert dp.exact and dp.value == 8
+        assert lee_weight_vector(proj.encode(dp.witness_message), proj.ring) == 8
     res = c.min_lee_distance()             # 16^8 messages: upper-bound path
     assert not res.exact and res.value == 12
     witness = c.encode(res.witness_message)
     assert lee_weight_vector(witness) == 12
     rep = lift_bound_check(LiftTriple(c, d, e))
-    assert rep.holds and rep.d == 12 and rep.d_z4 == 8 and rep.d_f2u == 8
+    assert rep.holds and rep.d == res and rep.d_z4.value == 8 and rep.d_f2u.value == 8
     _report(6, t0, "d(D)=8 and d(E)=8 exact, weight-12 codeword exhibited, "
                    "12 <= 16 bound holds")
 
@@ -251,13 +255,13 @@ def test_criterion_09_formal_self_duality_of_constructions():
             assert is_formally_self_dual(c), spec
             checked += 1
             if length <= 8:
-                assert z4_formal_duality(gray_image(c)), spec
+                assert is_formally_self_dual(gray_image(c)), spec
     sym = symmetric_code([[ring.U]])
     assert is_formally_self_dual(sym)
-    assert z4_formal_duality(gray_image(sym))
+    assert is_formally_self_dual(gray_image(sym))
     sym2 = symmetric_code([[ring.ZERO, R("11")], [R("11"), R("20")]])
     assert is_formally_self_dual(sym2)
-    assert z4_formal_duality(gray_image(sym2))
+    assert is_formally_self_dual(gray_image(sym2))
     checked += 2
     negative = LinearCode([[R("20"), ring.ZERO]])
     assert not is_formally_self_dual(negative)

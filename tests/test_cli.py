@@ -162,3 +162,85 @@ def test_verify_tables_fail_exit_code(monkeypatch):
     status, out = run_cli("verify-tables", "--table", "2", "--max-length", "4")
     assert status == 2
     assert "FAIL" in out
+
+
+def test_bad_numeric_flags_exit_1():
+    u = gen_path("u.gen")
+    for argv in (("analyze", "--gen", u, "--threads", "0"),
+                 ("analyze", "--gen", u, "--sample", "-5"),
+                 ("analyze", "--gen", u, "--budget", "-1"),
+                 ("macwilliams", "--gen", u, "--points", "-1"),
+                 ("search", "--kind", "dc", "--n", "1", "--threads", "-2"),
+                 ("self-check", "--budget", "-3")):
+        status, out = run_cli(*argv)
+        assert status == 1, argv
+        assert out == "", argv
+
+
+def test_numeric_flags_at_their_bounds_accepted():
+    status, out = run_cli("analyze", "--gen", gen_path("u.gen"), "--threads", "1",
+                          "--sample", "0")
+    assert status == 0
+    assert "min-lee-distance: 2 (exact)" in out
+    assert run_cli("self-check", "--budget", "0")[0] == 0
+    status, out = run_cli("macwilliams", "--gen", gen_path("u.gen"), "--points", "0")
+    assert status == 0
+    assert "at 0 points: yes" in out
+
+
+def _z4_self_orthogonal(rows):
+    return all(sum(x * y for x, y in zip(r, s)) % 4 == 0 for r in rows for s in rows)
+
+
+def _f2u_self_orthogonal(rows):
+    # c + ud packed as c | d << 1: (c1 + u d1)(c2 + u d2) = c1 c2 + u (c1 d2 + c2 d1)
+    return all(sum((x & 1) * (y & 1) for x, y in zip(r, s)) % 2 == 0 and
+               sum((x & 1) * (y >> 1) + (y & 1) * (x >> 1) for x, y in zip(r, s)) % 2 == 0
+               for r in rows for s in rows)
+
+
+def test_project_dc8_runs_in_bounded_memory(tmp_path):
+    # [I4 | A] with unit first row (11 10 10 10): the u-parts of A form the
+    # identity circulant, so they span all of Z4^4 and the code's
+    # u-coefficient projection has 2^16 words.  Projecting word by word
+    # used to turn every one of them into a generator row and build a
+    # 32 GiB Gram matrix; the span generators keep it to 8 rows.
+    import os
+    import subprocess
+    import z4u
+    first = ["11", "10", "10", "10"]
+    rows = [["10" if i == j else "00" for j in range(4)] +
+            [first[(j - i) % 4] for j in range(4)] for i in range(4)]
+    g = tmp_path / "dc8.gen"
+    g.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    src = os.path.dirname(os.path.dirname(z4u.__file__))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from z4u.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "project", "--gen", str(g)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    f2u_tokens = ("0", "1", "u", "1+u")
+    checked = 0
+    for label, header, parse, self_orth in (
+            ("constant-part", "constant-part projection (Z4) generator:", int,
+             _z4_self_orthogonal),
+            ("u-coefficient", "u-coefficient projection (Z4) generator:", int,
+             _z4_self_orthogonal),
+            ("mod-2", "mod-2 projection (F2+uF2) generator:", f2u_tokens.index,
+             _f2u_self_orthogonal)):
+        i = lines.index(header)
+        block = []
+        for ln in lines[i + 1:]:
+            if not ln.startswith("  "):
+                break
+            block.append([parse(t) for t in ln.split()])
+        assert block and all(len(r) == 8 for r in block)
+        want = "yes" if self_orth(block) else "no"
+        assert f"{label} self-orthogonal: {want}" in lines
+        checked += 1
+    assert checked == 3
+    assert len(lines) == 6 + 4 + 8 + 4

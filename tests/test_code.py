@@ -246,3 +246,26 @@ def test_min_distance_deterministic_across_threads():
 def test_codeword_set_linearity():
     c = LinearCode([[ring.U, R("21")]])
     assert c.codeword_set().is_linear()
+
+
+def test_sharded_kernel_over_z4():
+    # k = 11 exceeds the 10 low digits of a 4-element ring: four shards of
+    # the Z4 sweep, checked against a plain sweep over all 4^11 messages
+    from z4u.code import identity
+    from z4u.ring import Z4
+    k = 11
+    a = np.random.default_rng(17).integers(0, 4, size=(k, 2), dtype=np.uint8)
+    c = LinearCode(np.hstack([identity(k, Z4), a]), Z4)
+    idx = np.arange(4 ** k, dtype=np.int64)
+    weights = np.zeros(4 ** k, dtype=np.int64)
+    tails = np.zeros((4 ** k, 2), dtype=np.uint8)
+    for i in range(k):
+        digit = ((idx >> (2 * (k - 1 - i))) & 3).astype(np.uint8)
+        weights += Z4.LEE[digit]
+        tails = (tails + digit[:, None] * a[i]) & 3
+    weights += Z4.LEE[tails].sum(axis=1, dtype=np.int64)
+    assert c.lee_census().tolist() == np.bincount(weights, minlength=2 * c.n + 1).tolist()
+    r1 = c.min_lee_distance(threads=1)
+    assert r1.exact and r1.value == int(weights[1:].min())
+    assert lee_weight_vector(c.encode(r1.witness_message), Z4) == r1.value
+    assert c.min_lee_distance(threads=2) == r1

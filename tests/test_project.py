@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import LinearCode
-from z4u.errors import NotSelfDual, ZeroCode
-from z4u.gray import Z4Code
-from z4u.project import (F2uCode, LiftTriple, f2u_inner, lift_bound_check,
-                         parse_f2u_matrix_text, project_constant, project_mod2,
-                         project_u_coeff, self_dual_image_report)
+from z4u.code import LinearCode, inner
+from z4u.errors import BudgetExceeded, NotSelfDual, ZeroCode
+from z4u.project import (LiftTriple, lift_bound_check, project_constant,
+                         project_mod2, project_u_coeff, self_dual_image_report)
+from z4u.ring import F2U, Z4
 from z4u.scalars import f2u_parse
 
 
@@ -17,30 +16,37 @@ def R(tok):
 
 def test_projections_of_u_code():
     c = LinearCode([[ring.U]])
-    assert project_constant(c).codeword_set() == {(0,)}
-    assert project_u_coeff(c).codeword_set() == {(0,), (1,), (2,), (3,)}
-    assert project_mod2(c).codeword_set() == {(0,), (f2u_parse("u"),)}
+    assert project_constant(c).codeword_set().words == {(0,)}
+    assert project_u_coeff(c).codeword_set().words == {(0,), (1,), (2,), (3,)}
+    assert project_mod2(c).codeword_set().words == {(0,), (f2u_parse("u"),)}
+    assert (project_constant(c).ring, project_u_coeff(c).ring,
+            project_mod2(c).ring) == (Z4, Z4, F2U)
 
 
 def test_projection_of_zero_code():
     c = LinearCode([[ring.ZERO, ring.ZERO]])
-    assert project_mod2(c).codeword_set() == {(0, 0)}
+    assert project_mod2(c).codeword_set().words == {(0, 0)}
 
 
 def test_set_and_span_paths_agree():
-    # zero-divisor-heavy generators are where span shortcuts could go wrong
+    # zero-divisor-heavy generators are where span shortcuts could go wrong;
+    # the set side projects every codeword of c one by one
     rng = np.random.default_rng(83)
     gens = [rng.integers(0, 16, size=(2, 3), dtype=np.uint8) for _ in range(15)]
     gens += [np.array([[ring.TWO_U, R("20")], [R("21"), ring.U]], dtype=np.uint8),
              np.array([[R("22"), R("02")]], dtype=np.uint8)]
+
+    def mod2(x):
+        return (ring.a_part(x) & 1) | ((ring.b_part(x) & 1) << 1)
+
     for gen in gens:
         c = LinearCode(gen)
-        assert project_constant(c, via="set").codeword_set() == \
-            project_constant(c, via="span").codeword_set()
-        assert project_u_coeff(c, via="set").codeword_set() == \
-            project_u_coeff(c, via="span").codeword_set()
-        assert project_mod2(c, via="set").codeword_set() == \
-            project_mod2(c, via="span").codeword_set()
+        words = c.codeword_set().words
+        for project, pick in ((project_constant, ring.a_part),
+                              (project_u_coeff, ring.b_part),
+                              (project_mod2, mod2)):
+            assert project(c).codeword_set().words == \
+                {tuple(pick(x) for x in w) for w in words}
 
 
 def test_projected_codes_are_linear():
@@ -54,7 +60,7 @@ def test_projected_codes_are_linear():
                 (project_u_coeff(c), range(4), lambda x, y: (x + y) % 4,
                  lambda s, x: (s * x) % 4),
         ):
-            words = proj.codeword_set()
+            words = proj.codeword_set().words
             for w1 in words:
                 for s in scalars:
                     assert tuple(mulf(s, x) for x in w1) in words
@@ -67,7 +73,7 @@ def test_mod2_projection_linear_over_f2u():
     rng = np.random.default_rng(97)
     for _ in range(10):
         gen = rng.integers(0, 16, size=(2, 2), dtype=np.uint8)
-        words = project_mod2(LinearCode(gen)).codeword_set()
+        words = project_mod2(LinearCode(gen)).codeword_set().words
         for w1 in words:
             for s in range(4):
                 assert tuple(f2u_mul(s, x) for x in w1) in words
@@ -76,10 +82,11 @@ def test_mod2_projection_linear_over_f2u():
 
 
 def test_f2u_code_basics():
-    e = F2uCode([[f2u_parse("u")]])
-    assert e.codeword_set() == {(0,), (f2u_parse("u"),)}
+    e = LinearCode([[f2u_parse("u")]], F2U)
+    assert e.codeword_set().words == {(0,), (f2u_parse("u"),)}
     assert e.cardinality() == 2
-    assert e.min_lee_distance() == 2
+    res = e.min_lee_distance()
+    assert res.value == 2 and res.exact
     dual = e.dual_bruteforce()
     assert e.cardinality() * len(dual) == 4
     assert e.is_self_orthogonal()
@@ -88,17 +95,18 @@ def test_f2u_code_basics():
 def test_f2u_inner():
     u = f2u_parse("u")
     one_u = f2u_parse("1+u")
-    assert f2u_inner((u,), (u,)) == 0
-    assert f2u_inner((one_u,), (one_u,)) == f2u_parse("1")
+    assert inner((u,), (u,), F2U) == 0
+    assert inner((one_u,), (one_u,), F2U) == f2u_parse("1")
     with pytest.raises(ValueError):
-        f2u_inner((u,), (u, u))
+        inner((u,), (u, u), F2U)
 
 
 def test_f2u_matrix_parsing():
-    m = parse_f2u_matrix_text("# c\n0 1 u 1+u\n1 0 u u\n")
+    m = ring.parse_matrix_text("# c\n0 1 u 1+u\n1 0 u u\n", F2U)
     assert m.tolist() == [[0, 1, 2, 3], [1, 0, 2, 2]]
-    with pytest.raises(ValueError):
-        parse_f2u_matrix_text("0 2\n")
+    for bad in ("0 2\n", "0 1\n1\n", "# only a comment\n"):
+        with pytest.raises(ValueError):
+            ring.parse_matrix_text(bad, F2U)
 
 
 def test_lift_bound_simple():
@@ -108,7 +116,22 @@ def test_lift_bound_simple():
     t = LiftTriple(c, d, e)
     assert t.verify_projections()
     rep = lift_bound_check(t)
-    assert rep.d == 1 and rep.d_z4 == 1 and rep.holds
+    assert rep.d.value == 1 and rep.d_z4.value == 1 and rep.holds
+    assert rep.d.exact and rep.d_z4.exact and rep.d_f2u.exact
+    assert rep.format_lines()[:3] == ["d  (ring code)  = 1 (exact)",
+                                      "d' (Z4 code)    = 1 (exact)",
+                                      "d'' (F2+uF2)    = 1 (exact)"]
+
+
+def test_lift_bound_needs_exact_projection_distances():
+    # an upper bound on d' cannot confirm d <= 2d', so it is refused
+    import importlib.resources as res
+    data = res.files("z4u") / "data"
+    c = LinearCode.from_text((data / "lift16_r.gen").read_text())
+    d = LinearCode.from_text((data / "lift16_z4.gen").read_text(), Z4)
+    e = LinearCode.from_text((data / "lift16_f2u.gen").read_text(), F2U)
+    with pytest.raises(BudgetExceeded):
+        lift_bound_check(LiftTriple(c, d, e), budget=4 ** 7)
 
 
 def test_lift_bound_zero_projection_rejected():
@@ -146,7 +169,8 @@ def test_self_dual_image_report_u():
     assert not rep.u_coeff_projection_self_orthogonal
     assert rep.gray_self_dual is None
     from z4u.gray import gray_image
-    assert not gray_image(LinearCode([[ring.U]])).is_self_dual()
+    from z4u.code import SelfDuality
+    assert gray_image(LinearCode([[ring.U]])).self_duality() is not SelfDuality.SELF_DUAL
     assert rep.all_2u_vector_present
     assert rep.unit_counts_even
 
@@ -167,16 +191,15 @@ def test_fixture_lift_triple():
     import importlib.resources as res
     data = res.files("z4u") / "data"
     c = LinearCode.from_text((data / "lift16_r.gen").read_text())
-    d = Z4Code(__import__("z4u.gray", fromlist=["parse_z4_matrix_text"])
-               .parse_z4_matrix_text((data / "lift16_z4.gen").read_text()))
-    e = F2uCode(parse_f2u_matrix_text((data / "lift16_f2u.gen").read_text()))
+    d = LinearCode.from_text((data / "lift16_z4.gen").read_text(), Z4)
+    e = LinearCode.from_text((data / "lift16_f2u.gen").read_text(), F2U)
     # generator-level identity: projecting the ring generator gives the
     # prescribed generators entrywise
     assert np.array_equal((c.gen >> 2) & 3, d.gen)
     mod2 = (((c.gen >> 2) & 1) | ((c.gen & 1) << 1)).astype(np.uint8)
     assert np.array_equal(mod2, e.gen)
     # span-level: projected codeword sets equal the prescribed codes'
-    mu = project_constant(c, via="span")
-    al = project_mod2(c, via="span")
+    mu = project_constant(c)
+    al = project_mod2(c)
     assert mu.codeword_set() == d.codeword_set()
     assert al.codeword_set() == e.codeword_set()

@@ -7,10 +7,10 @@ from z4u import ring
 from z4u.code import LinearCode
 from z4u.errors import ExpansionTooLarge, NonExactDivision
 from z4u.scalars import GaussianInt, GaussianRational
-from z4u.wenum import (SWE, LeePoly, cwe, cwe_of_words, cwe_to_swe,
-                       is_formally_self_dual, lee, lee_of_words,
-                       macwilliams_cwe_eval, macwilliams_lee, macwilliams_swe,
-                       swe_of_words, swe_to_lee, swe_transform_forms)
+from z4u.wenum import (CWE, SWE, LeePoly, cwe, cwe_to_swe,
+                       is_formally_self_dual, lee, macwilliams_cwe_eval,
+                       macwilliams_lee, macwilliams_swe, swe_of_words,
+                       swe_to_lee, swe_transform_forms)
 
 
 def R(tok):
@@ -156,7 +156,7 @@ def test_cwe_eval_matches_dual_at_random_points():
         c = LinearCode(gen)
         e = cwe(c)
         dual = c.dual_bruteforce()
-        dual_cwe = cwe_of_words(sorted(dual.words), c.n)
+        dual_cwe = CWE.of_words(sorted(dual.words), c.n)
         for _ in range(20):
             pt = [GaussianInt(int(a), int(b))
                   for a, b in rng.integers(-3, 4, size=(16, 2))]
@@ -168,7 +168,7 @@ def test_cwe_eval_rational_points():
     c = u_code()
     e = cwe(c)
     pt = [GaussianRational(Fraction(1, 2), Fraction(k, 3)) for k in range(16)]
-    dual_cwe = cwe_of_words(sorted(c.dual_bruteforce().words), 1)
+    dual_cwe = CWE.of_words(sorted(c.dual_bruteforce().words), 1)
     assert macwilliams_cwe_eval(e, 4, pt) == \
         dual_cwe.evaluate(pt) / GaussianRational.of(1)
 
@@ -255,7 +255,7 @@ def test_macwilliams_lee_matches_dual_census():
         c = LinearCode(gen)
         t = macwilliams_lee(lee(c), c.cardinality())
         dual = c.dual_bruteforce()
-        assert t == lee_of_words(sorted(dual.words), c.n)
+        assert t == swe_to_lee(swe_of_words(sorted(dual.words), c.n))
 
 
 def test_transform_identities_of_the_lee_proof():
