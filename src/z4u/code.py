@@ -7,20 +7,33 @@ R is not a chain ring, so there is no standard generating form in general;
 for every ring, cardinality is size^k only when G is literally [I_k | A],
 and is otherwise established by deduplicated enumeration.
 
-Enumeration kernels are table-driven numpy.  Messages x in ring^k run in
-odometer order (last coordinate fastest).  The sweep kernel splits the
-message space into a precomputed low block of 2^20 messages (5 digits over
-R, 10 over a 4-element ring) and an outer loop over the high digits, so
+Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
+odometer order (last coordinate fastest), and a whole message space is
+never written out as digits: `span_table` builds the products x.rows for
+every x directly, one broadcast gather ADD[t, MUL[:, r]] per row r, so the
+table for j digits costs about size/(size-1) gathers of its own size.
+`span_blocks` splits a large space into blocks of at most 2^20 rows (5
+digits over R, 10 over a 4-element ring): the low-digit table is built
+once, each high prefix comes from a second, small span table, and a block
+is one ADD of the two.  The codeword store, the codeword stream and the
+brute-force dual (the span of G^T, keeping the indices whose product is
+zero) all run on it.
+
+The sweep kernel uses the same layout: a low-digit table of parity products
+and information weights, and an outer loop over the high-digit prefixes, so
 each step is one fancy-indexed gather plus a row sum over a (2^20, n-k)
 array.  One kernel serves two reducers: the minimum nonzero weight (with
-information-weight pruning in standard form) and the Lee census.  Work
-shards by the first message coordinate; shard results merge by an
-order-free minimum or sum, so thread count never changes any reported value
-or witness.
+information-weight pruning in standard form) and the Lee census.  Message
+digits are decoded from the flat odometer index only where they are
+reported: the witness and the kept dual vectors.  Work shards by the first
+message coordinate; shard results merge by an order-free minimum or sum, so
+thread count never changes any reported value or witness.  Explicit message
+lists (encoding, low-weight and sampled messages) go through `ring_matmul`.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
@@ -47,7 +60,7 @@ _BIG = 1 << 30
 
 def as_matrix(rows: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R) -> np.ndarray:
     """Validate and return a k x n uint8 matrix of ring element values."""
-    m = np.asarray(rows, dtype=np.uint8)
+    m = np.array(rows, dtype=np.uint8)  # a copy: LinearCode freezes it
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"generator matrix must be 2-D and nonempty, got shape {m.shape}")
     if m.max(initial=0) >= ring.size:
@@ -87,24 +100,55 @@ def lee_weight_vector(v: Sequence[int], ring: RingTable = R) -> int:
 # Message enumeration
 # ---------------------------------------------------------------------------
 
-def _digits_block(start: int, stop: int, k: int, base_bits: int = 4) -> np.ndarray:
-    """Messages start..stop-1 as (stop-start, k) digit arrays, odometer order."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, k), dtype=np.uint8)
-    mask = (1 << base_bits) - 1
-    for j in range(k):
-        out[:, k - 1 - j] = (idx >> (base_bits * j)) & mask
+def span_table(rows: np.ndarray, ring: RingTable = R) -> np.ndarray:
+    """(size^j, m) products x.rows for every x in ring^j, odometer order.
+
+    Built one row at a time: the table for the first i rows, taken as a
+    column of prefixes, plus every multiple of row i.
+    """
+    m = rows.shape[1]
+    t = np.zeros((1, m), dtype=np.uint8)
+    for r in rows:
+        t = ring.ADD[t[:, None, :], ring.MUL[:, r][None, :, :]].reshape(len(t) * ring.size, m)
+    return t
+
+
+def _info_weights(j: int, ring: RingTable = R) -> np.ndarray:
+    """Lee weight of every message in ring^j, odometer order (int64)."""
+    w = np.zeros(1, dtype=np.int64)
+    for _ in range(j):
+        w = (w[:, None] + ring.LEE[None, :]).ravel()
+    return w
+
+
+def _high_digits(j: int, ring: RingTable) -> int:
+    """Digits left over when the low digits fill at most 2^20 rows."""
+    return max(0, j - _LO_BITS // ring.bits)
+
+
+def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np.ndarray]]:
+    """The span table of `rows` in (first index, products) blocks of <= 2^20 rows."""
+    khi = _high_digits(rows.shape[0], ring)
+    tl = span_table(rows[khi:], ring)
+    for h, prefix in enumerate(span_table(rows[:khi], ring)):
+        yield h * len(tl), ring.ADD[tl, prefix]
+
+
+def _digits(index: np.ndarray, j: int, ring: RingTable = R) -> np.ndarray:
+    """Odometer indices as (len, j) message digit rows."""
+    out = np.empty((len(index), j), dtype=np.uint8)
+    mask = ring.size - 1
+    for d in range(j):
+        out[:, j - 1 - d] = (index >> (ring.bits * d)) & mask
     return out
 
 
-def message_blocks(k: int, ring: RingTable = R, block: int = 1 << _LO_BITS) -> Iterator[np.ndarray]:
-    total = ring.size ** k
-    for start in range(0, total, block):
-        yield _digits_block(start, min(start + block, total), k, ring.bits)
-
-
+@functools.lru_cache(maxsize=None)
 def low_weight_messages(k: int, max_hamming: int = 2, ring: RingTable = R) -> np.ndarray:
-    """All messages of Hamming weight 1..max_hamming over ring^k, fixed order."""
+    """All messages of Hamming weight 1..max_hamming over ring^k, fixed order.
+
+    Cached per argument tuple; the array is read-only.
+    """
     rows: list[np.ndarray] = []
     nz = np.arange(1, ring.size, dtype=np.uint8)
     for i in range(k):
@@ -112,15 +156,16 @@ def low_weight_messages(k: int, max_hamming: int = 2, ring: RingTable = R) -> np
         m[:, i] = nz
         rows.append(m)
     if max_hamming >= 2:
-        pair = np.array([(v1, v2) for v1 in range(1, ring.size)
-                         for v2 in range(1, ring.size)], dtype=np.uint8)
+        first, second = np.repeat(nz, len(nz)), np.tile(nz, len(nz))
         for i in range(k):
             for j in range(i + 1, k):
-                m = np.zeros((pair.shape[0], k), dtype=np.uint8)
-                m[:, i] = pair[:, 0]
-                m[:, j] = pair[:, 1]
+                m = np.zeros((first.shape[0], k), dtype=np.uint8)
+                m[:, i] = first
+                m[:, j] = second
                 rows.append(m)
-    return np.concatenate(rows, axis=0) if rows else np.zeros((0, k), dtype=np.uint8)
+    out = np.concatenate(rows, axis=0) if rows else np.zeros((0, k), dtype=np.uint8)
+    out.flags.writeable = False
+    return out
 
 
 def sampled_messages(k: int, count: int, seed: int = SAMPLE_SEED,
@@ -247,8 +292,7 @@ class LinearCode:
             raise BudgetExceeded(total, budget, "codeword enumeration")
         if total > _STORE_CAP:
             raise BudgetExceeded(total, _STORE_CAP, "deduplicated codeword storage")
-        parts = [np.unique(ring_matmul(blk, self.gen, self.ring), axis=0)
-                 for blk in message_blocks(self.k, self.ring)]
+        parts = [np.unique(blk, axis=0) for _, blk in span_blocks(self.gen, self.ring)]
         dedup = np.unique(np.concatenate(parts, axis=0), axis=0)
         words = frozenset(tuple(w) for w in dedup.tolist())
         self._words = CodewordSet(words, self.n, self.ring)
@@ -266,9 +310,9 @@ class LinearCode:
             if total > budget:
                 raise BudgetExceeded(total, budget, "codeword enumeration")
             self._cardinality = total
-            for blk in message_blocks(self.k, self.ring):
-                for row in ring_matmul(blk, self.gen, self.ring):
-                    yield tuple(int(v) for v in row)
+            for _, blk in span_blocks(self.gen, self.ring):
+                for row in blk.tolist():
+                    yield tuple(row)
         else:
             yield from self.codeword_set(budget).sorted_words()
 
@@ -293,11 +337,11 @@ class LinearCode:
         total = self.ring.size ** self.n
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
-        # G x^T rather than x G^T: the (k, block) product keeps temporaries
-        # at k bytes per vector instead of ring.size
-        kept = [blk[~ring_matmul(self.gen, blk.T, self.ring).any(axis=0)]
-                for blk in message_blocks(self.n, self.ring)]
-        words = frozenset(tuple(w) for w in np.concatenate(kept, axis=0).tolist())
+        # x is in the dual iff x G^T = 0: the span of G^T, indexed by x
+        kept = [start + np.flatnonzero(~blk.any(axis=1))
+                for start, blk in span_blocks(self.gen.T, self.ring)]
+        vectors = _digits(np.concatenate(kept), self.n, self.ring)
+        words = frozenset(tuple(w) for w in vectors.tolist())
         return CodewordSet(words, self.n, self.ring)
 
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
@@ -405,36 +449,33 @@ def _sweep(code: LinearCode, threads: int = 1, seed: _Best | None = None):
 class _Shard:
     """Picklable sweep worker: messages whose first coordinate is fixed.
 
-    The last `klo` message digits form a precomputed low block; the loop
-    runs over this shard's high digits.  With no high digits there is one
-    shard and the low block is the whole message space.  The reducer is the
-    Lee census when no seed is given, else the minimum nonzero weight,
-    improving on the seed (weight, witness) and pruned by information
-    weight in standard form.
+    The last `klo` message digits form a low span table of products and
+    information weights; the loop runs over this shard's high-digit
+    prefixes, whose products and weights come from a small span table.
+    With no high digits there is one shard and the low table is the whole
+    message space.  The reducer is the Lee census when no seed is given,
+    else the minimum nonzero weight, improving on the seed (weight,
+    witness) and pruned by information weight in standard form.
     """
 
     def __init__(self, gen: np.ndarray, ring: RingTable, standard: bool):
         self.gen = gen
         self.ring = ring
         self.standard = standard
-        self.khi = max(0, gen.shape[0] - _LO_BITS // ring.bits)
+        self.khi = _high_digits(gen.shape[0], ring)
 
     def __call__(self, shard: int, seed: _Best | None):
         gen, ring, standard, khi = self.gen, self.ring, self.standard, self.khi
         k, n = gen.shape
-        klo = k - khi
         rows, m = (gen[:, k:], n - k) if standard else (gen, n)
-        lo_rows, hi_rows = rows[khi:], rows[:khi]
-        low = _digits_block(0, ring.size ** klo, klo, ring.bits)
-        tl = ring_matmul(low, lo_rows, ring)
-        wlo = ring.LEE[low].sum(axis=1, dtype=np.int64) if standard else 0
+        tl = span_table(rows[khi:], ring)
+        wlo = _info_weights(k - khi, ring) if standard else 0
         if khi:
             idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
-            per_shard = ring.size ** (khi - 1)
-            his = _digits_block(shard * per_shard, (shard + 1) * per_shard, khi, ring.bits)
-        else:
-            his = np.zeros((1, 0), dtype=np.uint8)
-        whis = ring.LEE[his].sum(axis=1, dtype=np.int64)
+        per_shard = ring.size ** (khi - 1) if khi else 1
+        first = shard * per_shard
+        tails_hi = span_table(rows[:khi], ring)[first:first + per_shard]
+        whis = _info_weights(khi, ring)[first:first + per_shard]
         order = np.argsort(whis, kind="stable") if standard else np.arange(len(whis))
 
         hist = np.zeros(ring.max_lee * n + 1, dtype=np.int64)
@@ -445,8 +486,7 @@ class _Shard:
             if standard and not census and whi >= best_w:
                 break
             if khi:
-                tail_hi = ring_matmul(his[hi_i:hi_i + 1], hi_rows, ring)[0]
-                lflat = ring.LEE[ring.ADD[:, tail_hi]].ravel()
+                lflat = ring.LEE[ring.ADD[:, tails_hi[hi_i]]].ravel()
                 w = lflat[idx].sum(axis=1, dtype=np.int64)
             else:
                 w = ring.LEE[tl].sum(axis=1, dtype=np.int64)
@@ -463,5 +503,6 @@ class _Shard:
             i = int(w.argmin())
             if w[i] < best_w:
                 best_w = int(w[i])
-                best_msg = tuple(int(v) for v in his[hi_i]) + tuple(int(v) for v in low[i])
+                index = (first + int(hi_i)) * len(tl) + i
+                best_msg = tuple(_digits(np.array([index]), k, ring)[0].tolist())
         return hist if census else (best_w, best_msg)

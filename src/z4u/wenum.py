@@ -29,6 +29,7 @@ not the true |C|.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -326,19 +327,27 @@ def macwilliams_swe(e: SWE, size: int) -> SWE:
     return SWE(e.length, out)
 
 
+@functools.lru_cache(maxsize=None)
+def _lee_transform_matrix(degree: int) -> tuple[tuple[int, ...], ...]:
+    """K[w][v]: coefficient of W^(D-v) X^v in (W+X)^(D-w) (W-X)^w, D = degree.
+
+    K[w][v] = sum_j (-1)^j C(w, j) C(D-w, v-j), exact Python ints (the
+    entries outgrow int64 at the degrees of long codes over R).
+    """
+    return tuple(
+        tuple(sum((-1) ** j * math.comb(w, j) * math.comb(degree - w, v - j)
+                  for j in range(max(0, v - (degree - w)), min(w, v) + 1))
+              for v in range(degree + 1))
+        for w in range(degree + 1))
+
+
 def macwilliams_lee(p: LeePoly, size: int) -> LeePoly:
     """Dual Lee enumerator: (1/size) * p(W+X, W-X), exact."""
-    n4 = p.degree
-    out = [0] * (n4 + 1)
-    for w, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        # (W+X)^(n4-w) (W-X)^w: coefficient of X^v
-        for v in range(n4 + 1):
-            s = 0
-            for j in range(max(0, v - (n4 - w)), min(w, v) + 1):
-                s += (-1) ** j * math.comb(w, j) * math.comb(n4 - w, v - j)
-            out[v] += c * s
+    kmat = _lee_transform_matrix(p.degree)
+    out = [0] * (p.degree + 1)
+    for c, row in zip(p.coeffs, kmat):
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
     coeffs = []
     for v, val in enumerate(out):
         q, r = divmod(val, size)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import (LinearCode, SelfDuality, dual_of_standard_form,
-                      inner, lee_weight_vector, low_weight_messages)
+from z4u.code import (LinearCode, SelfDuality, dual_of_standard_form, identity,
+                      inner, lee_weight_vector, low_weight_messages, ring_matmul,
+                      span_blocks)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
+from z4u.ring import F2U, Z4
 
 
 def R(tok):
@@ -251,8 +253,6 @@ def test_codeword_set_linearity():
 def test_sharded_kernel_over_z4():
     # k = 11 exceeds the 10 low digits of a 4-element ring: four shards of
     # the Z4 sweep, checked against a plain sweep over all 4^11 messages
-    from z4u.code import identity
-    from z4u.ring import Z4
     k = 11
     a = np.random.default_rng(17).integers(0, 4, size=(k, 2), dtype=np.uint8)
     c = LinearCode(np.hstack([identity(k, Z4), a]), Z4)
@@ -269,3 +269,57 @@ def test_sharded_kernel_over_z4():
     assert r1.exact and r1.value == int(weights[1:].min())
     assert lee_weight_vector(c.encode(r1.witness_message), Z4) == r1.value
     assert c.min_lee_distance(threads=2) == r1
+
+
+def test_generator_is_copied_not_frozen_in_place():
+    a = np.zeros((1, 2), np.uint8)
+    LinearCode(a)
+    a[0, 1] = 1
+    assert a[0, 1] == 1
+
+
+def test_low_weight_messages_cached_read_only():
+    msgs = low_weight_messages(3, ring=Z4)
+    assert low_weight_messages(3, ring=Z4) is msgs
+    assert not msgs.flags.writeable
+    assert msgs.shape == (3 * 3 + 9 * 3, 3)
+    assert {tuple(r) for r in msgs.tolist()} == {
+        m for m in np.ndindex(4, 4, 4) if 1 <= sum(1 for v in m if v) <= 2}
+
+
+def all_messages(k, table):
+    """Every message of ring^k as digit rows, odometer order (last fastest)."""
+    idx = np.arange(table.size ** k, dtype=np.int32)
+    return np.stack([(idx >> (table.bits * (k - 1 - i))) & (table.size - 1)
+                     for i in range(k)], axis=1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("table,k,m", [(ring.R, 3, 4), (ring.R, 2, 0), (Z4, 5, 3),
+                                       (F2U, 4, 0), (Z4, 11, 2), (F2U, 11, 3)])
+def test_span_blocks_equal_ring_matmul(table, k, m):
+    # k = 11 over a 4-element ring has one high digit: four blocks
+    rows = np.random.default_rng(k * 10 + m).integers(0, table.size, size=(k, m),
+                                                        dtype=np.uint8)
+    blocks = list(span_blocks(rows, table))
+    assert [start for start, _ in blocks] == [i * len(blocks[0][1])
+                                              for i in range(len(blocks))]
+    assert len(blocks) == (4 if k == 11 else 1)
+    got = np.concatenate([blk for _, blk in blocks], axis=0)
+    assert got.shape == (table.size ** k, m)
+    assert np.array_equal(got, ring_matmul(all_messages(k, table), rows, table))
+
+
+@pytest.mark.parametrize("table,k", [(ring.R, 3), (Z4, 11), (F2U, 11)])
+def test_identity_code_has_empty_parity_block(table, k):
+    # standard form with k = n: the parity block has 0 columns
+    c = LinearCode(identity(k, table), table)
+    assert c.standard_form and c.n == k
+    per_digit = np.bincount(table.LEE, minlength=table.max_lee + 1)
+    expected = np.array([1], dtype=np.int64)
+    for _ in range(k):
+        expected = np.convolve(expected, per_digit)
+    assert c.lee_census().tolist() == expected.tolist()
+    res = c.min_lee_distance()
+    assert res.exact and res.value == 1
+    assert lee_weight_vector(c.encode(res.witness_message), table) == 1
+    assert c.dual_bruteforce().words == {(0,) * k}
