@@ -108,7 +108,7 @@ def cmd_dual(args) -> None:
               f" (16^n = {16 ** code.n})")
         if len(words) <= 4096:
             print("dual codewords:")
-            for w in words.sorted_words():
+            for w in words:
                 print("  " + ring.format_vector(w))
     else:
         print(f"dual codewords: out of budget (16^{code.n} vectors)")
@@ -133,14 +133,13 @@ def cmd_macwilliams(args) -> None:
     print(f"lee transform fixed point (formally self-dual): {'yes' if fsd else 'no'}")
     failures = []
     if 16 ** code.n <= budget:
-        words = code.dual_bruteforce(budget)
-        ds = wenum.swe_of_words(words.sorted_words(), code.n)
+        dcwe = wenum.CWE.of_words(code.dual_bruteforce(budget), code.n)
+        ds = wenum.cwe_to_swe(dcwe)
         dp = wenum.swe_to_lee(ds)
         ok_s = ds.terms == ts.terms
         ok_p = dp == tp
         print(f"swe transform equals brute-force dual swe: {'yes' if ok_s else 'NO'}")
         print(f"lee transform equals brute-force dual lee: {'yes' if ok_p else 'NO'}")
-        dcwe = wenum.CWE.of_words(words.sorted_words(), code.n)
         rng = np.random.default_rng(args.seed)
         ok_c = True
         for _ in range(args.points):

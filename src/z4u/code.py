@@ -4,8 +4,14 @@ A linear code is the row span of a generator matrix G (a k x n uint8 array
 of element values) over one of the ring records of `ring`: R = Z4+uZ4 (the
 default), or Z4 and F2+uF2, where the Gray images and projections live.
 R is not a chain ring, so there is no standard generating form in general;
-for every ring, cardinality is size^k only when G is literally [I_k | A],
-and is otherwise established by deduplicated enumeration.
+for every ring, cardinality is size^k only when G is literally [I_k | A].
+Every other count over C comes from all size^k messages.  The encoding map
+x -> xG is a module homomorphism, so every codeword has exactly |K|
+preimages, K = {x : xG = 0}: a count over all messages, divided by the
+number of messages that give the zero word, is the count over C.  So no
+codeword store exists: |C| and the Lee census come from the census sweep
+(hist[0] = |K|), the complete enumerator from compositions counted over
+all messages, and membership from one pass over the message space.
 
 Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
 odometer order (last coordinate fastest), and a whole message space is
@@ -15,7 +21,7 @@ table for j digits costs about size/(size-1) gathers of its own size.
 `span_blocks` splits a large space into blocks of at most 2^20 rows (5
 digits over R, 10 over a 4-element ring): the low-digit table is built
 once, each high prefix comes from a second, small span table, and a block
-is one ADD of the two.  The codeword store, the codeword stream and the
+is one ADD of the two.  Membership, the complete enumerator and the
 brute-force dual (the span of G^T, keeping the indices whose product is
 zero) all run on it.
 
@@ -54,7 +60,6 @@ DEFAULT_SAMPLE_COUNT = 50_000
 
 _LO_DIGITS = 5              # low-block width over R: 16^5 rows per gather
 _LO_BITS = 4 * _LO_DIGITS   # other rings take as many digits as fill 2^20 rows
-_STORE_CAP = 16 ** 6        # deduplicated codeword storage, in messages
 _BIG = 1 << 30
 
 
@@ -201,38 +206,6 @@ class DistanceResult:
         return "exact" if self.exact else "upper-bound"
 
 
-@dataclass(frozen=True)
-class CodewordSet:
-    """Explicit deduplicated codeword collection (small codes only)."""
-
-    words: frozenset[tuple[int, ...]]
-    length: int
-    ring: RingTable = R
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __contains__(self, v) -> bool:
-        return tuple(int(x) for x in v) in self.words
-
-    def sorted_words(self) -> list[tuple[int, ...]]:
-        return sorted(self.words)
-
-    def is_linear(self) -> bool:
-        """Closure under addition and every scalar action (exhaustive)."""
-        ws = self.words
-        arrs = [np.array(w, dtype=np.uint8) for w in ws]
-        for w in arrs:
-            for s in range(self.ring.size):
-                if tuple(self.ring.MUL[s][w].tolist()) not in ws:
-                    return False
-        for w1 in arrs:
-            for w2 in arrs:
-                if tuple(self.ring.ADD[w1, w2].tolist()) not in ws:
-                    return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # The code object
 # ---------------------------------------------------------------------------
@@ -241,7 +214,7 @@ class LinearCode:
     """Row span of a generator matrix over a ring table (default R = Z4+uZ4).
 
     `cardinality`, when given, is the caller's exact |C| (for instance the
-    size of a code whose isometric image this is); it saves the dedup sweep.
+    size of a code whose isometric image this is); it saves the census sweep.
     """
 
     def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R,
@@ -252,7 +225,6 @@ class LinearCode:
         k, n = self.gen.shape
         self.standard_form = n >= k and bool(np.array_equal(self.gen[:, :k], identity(k, ring)))
         self._cardinality = cardinality
-        self._words: CodewordSet | None = None
 
     @classmethod
     def from_text(cls, text: str, ring: RingTable = R) -> "LinearCode":
@@ -283,46 +255,45 @@ class LinearCode:
 
     # -- enumeration ------------------------------------------------------
 
-    def codeword_set(self, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-        """Deduplicated codeword set; costs a size^k message sweep."""
-        if self._words is not None:
-            return self._words
+    def codeword_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, np.ndarray]]:
+        """`span_blocks` of G: the codeword of every message, so each
+        codeword appears |K| times; raises BudgetExceeded past the budget."""
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "codeword enumeration")
-        if total > _STORE_CAP:
-            raise BudgetExceeded(total, _STORE_CAP, "deduplicated codeword storage")
-        parts = [np.unique(blk, axis=0) for _, blk in span_blocks(self.gen, self.ring)]
-        dedup = np.unique(np.concatenate(parts, axis=0), axis=0)
-        words = frozenset(tuple(w) for w in dedup.tolist())
-        self._words = CodewordSet(words, self.n, self.ring)
-        self._cardinality = len(words)
-        return self._words
+        return span_blocks(self.gen, self.ring)
 
-    def iter_codewords(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, ...]]:
-        """Every codeword exactly once.
+    def contains(self, words, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """One bool per row of the (N, n) `words`: is it a codeword?
 
-        Standard form streams size^k messages in odometer order; otherwise
-        the deduplicated set is materialized first and streamed sorted.
+        One sweep over the message space for all rows together; rows are
+        compared as n-byte keys.
         """
-        total = self.ring.size ** self.k
-        if self.standard_form:
-            if total > budget:
-                raise BudgetExceeded(total, budget, "codeword enumeration")
-            self._cardinality = total
-            for _, blk in span_blocks(self.gen, self.ring):
-                for row in blk.tolist():
-                    yield tuple(row)
-        else:
-            yield from self.codeword_set(budget).sorted_words()
+        q = np.asarray(words, dtype=np.uint8)
+        if q.ndim != 2 or q.shape[1] != self.n:
+            raise ValueError(f"expected an (N, {self.n}) array of words, got shape {q.shape}")
+        key = np.dtype((np.void, self.n))
+        qv = np.ascontiguousarray(q).view(key).ravel()
+        found = np.zeros(len(qv), dtype=bool)
+        for _, blk in self.codeword_blocks(budget):
+            bv = np.ascontiguousarray(blk).view(key).ravel()
+            found |= np.isin(qv, bv[np.isin(bv, qv)])
+        return found
+
+    def same_code(self, other: "LinearCode", budget: int = DEFAULT_BUDGET) -> bool:
+        """Equal codeword sets: same ring, length and |C|, and every row of
+        this generator in `other` (so this code is inside `other`)."""
+        return (self.ring is other.ring and self.n == other.n
+                and self.cardinality(budget) == other.cardinality(budget)
+                and bool(other.contains(self.gen, budget).all()))
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact |C|: size^k in standard form, else by deduplication."""
+        """Exact |C|: size^k in standard form, else from the Lee census."""
         if self._cardinality is None:
             if self.standard_form:
                 self._cardinality = self.ring.size ** self.k
             else:
-                self.codeword_set(budget)
+                self.lee_census(budget)
         assert self._cardinality is not None
         return self._cardinality
 
@@ -332,8 +303,12 @@ class LinearCode:
         """C subseteq C-perp: the Gram matrix G G^T is zero."""
         return not ring_matmul(self.gen, self.gen.T, self.ring).any()
 
-    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> CodewordSet:
-        """All vectors orthogonal to every generator row (size^n sweep)."""
+    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """All vectors orthogonal to every generator row (size^n sweep).
+
+        A read-only (N, n) uint8 array, sorted: the sweep runs in odometer
+        order, which is lexicographic.
+        """
         total = self.ring.size ** self.n
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
@@ -341,8 +316,8 @@ class LinearCode:
         kept = [start + np.flatnonzero(~blk.any(axis=1))
                 for start, blk in span_blocks(self.gen.T, self.ring)]
         vectors = _digits(np.concatenate(kept), self.n, self.ring)
-        words = frozenset(tuple(w) for w in vectors.tolist())
-        return CodewordSet(words, self.n, self.ring)
+        vectors.flags.writeable = False
+        return vectors
 
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
         if not self.is_self_orthogonal():
@@ -364,7 +339,7 @@ class LinearCode:
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        best = _best_in_block(self, low_weight_messages(self.k, ring=self.ring))
+        best = best_in_block(self, low_weight_messages(self.k, ring=self.ring))
         if best is None:
             # every Hamming-weight-<=2 codeword is zero; fall back to max bound
             best = self.ring.max_lee * self.n + 1, ()
@@ -372,7 +347,7 @@ class LinearCode:
             value, witness = _sweep(self, threads, best)
             return DistanceResult(value, True, witness)
         for blk in sampled_messages(self.k, sample_count, ring=self.ring):
-            cand = _best_in_block(self, blk)
+            cand = best_in_block(self, blk)
             if cand is not None and cand[0] < best[0]:
                 best = cand
         return DistanceResult(best[0], False, best[1])
@@ -380,25 +355,21 @@ class LinearCode:
     # -- weight census -------------------------------------------------------
 
     def lee_census(self, budget: int = DEFAULT_BUDGET, threads: int = 1) -> np.ndarray:
-        """Counts of codewords per Lee weight 0..max_lee*n (each codeword once)."""
-        if self.standard_form:
-            total = self.ring.size ** self.k
-            if total > budget:
-                raise BudgetExceeded(total, budget, "weight census")
-            self._cardinality = total
-            return _sweep(self, threads)
-        words = np.array(list(self.codeword_set(budget).words), dtype=np.uint8)
-        weights = self.ring.LEE[words].sum(axis=1, dtype=np.int64)
-        return np.bincount(weights, minlength=self.ring.max_lee * self.n + 1)
+        """Counts of codewords per Lee weight 0..max_lee*n (each codeword once).
+
+        The sweep counts messages; only the zero word has weight 0, so
+        hist[0] = |K| divides every count exactly.  Records |C| as well.
+        """
+        total = self.ring.size ** self.k
+        if total > budget:
+            raise BudgetExceeded(total, budget, "weight census")
+        hist = _sweep(self, threads)
+        self._cardinality = total // int(hist[0])
+        return hist // hist[0]
 
     def __repr__(self) -> str:
         return (f"LinearCode(k={self.k}, n={self.n}, ring={self.ring.name}, "
                 f"standard_form={self.standard_form})")
-
-
-def best_weight_in_messages(code: LinearCode, messages: np.ndarray) -> _Best | None:
-    """Min (nonzero codeword weight, witness message) over explicit messages."""
-    return _best_in_block(code, np.asarray(messages, dtype=np.uint8))
 
 
 def dual_of_standard_form(code: LinearCode) -> LinearCode:
@@ -417,8 +388,9 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 _Best = tuple[int, tuple[int, ...]]  # (weight, witness message)
 
 
-def _best_in_block(code: LinearCode, blk: np.ndarray) -> _Best | None:
-    """Min (weight, first witness) over a block, zero codewords excluded."""
+def best_in_block(code: LinearCode, blk: np.ndarray) -> _Best | None:
+    """Min (nonzero codeword weight, first witness message) over a uint8
+    block of explicit messages; None when every codeword is zero."""
     if blk.shape[0] == 0:
         return None
     ring, k = code.ring, code.k
@@ -439,7 +411,7 @@ def _sweep(code: LinearCode, threads: int = 1, seed: _Best | None = None):
     shard = _Shard(code.gen, code.ring, code.standard_form)
     shards = [(s, seed) for s in range(code.ring.size if shard.khi else 1)]
     if threads > 1 and len(shards) > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
+        with multiprocessing.get_context("fork").Pool(min(threads, len(shards))) as pool:
             results = pool.starmap(shard, shards)
     else:
         results = [shard(s, b) for s, b in shards]

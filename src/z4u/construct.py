@@ -35,8 +35,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import ring
-from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode,
-                   best_weight_in_messages, identity, sampled_messages)
+from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, best_in_block,
+                   identity, sampled_messages)
 from .errors import BadBorder, NotSymmetric
 from .wenum import is_formally_self_dual
 
@@ -214,14 +214,14 @@ def shift_anchored_upper_bound(spec: "CirculantSpec | BorderSpec",
     fixed_first = isinstance(spec, BorderSpec)
     best: tuple[int, tuple[int, ...]] | None = None
     for support in _anchored_supports(k, depth, fixed_first):
-        cand = best_weight_in_messages(codeobj, _support_messages(k, support))
+        cand = best_in_block(codeobj, _support_messages(k, support))
         if cand is not None and (best is None or cand[0] < best[0]):
             best = cand
             if stop_at is not None and best[0] <= stop_at:
                 break
     if sample_count:
         for blk in sampled_messages(k, sample_count):
-            cand = best_weight_in_messages(codeobj, blk)
+            cand = best_in_block(codeobj, blk)
             if cand is not None and (best is None or cand[0] < best[0]):
                 best = cand
     assert best is not None
@@ -304,9 +304,10 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
     cands = list(_dc_candidates(n, alpha) if kind == "dc" else _bdc_candidates(n, alpha))
     ev = _Evaluate(budget, sample_count, fsd_budget)
-    if threads > 1:
-        with multiprocessing.get_context("fork").Pool(threads) as pool:
-            evaluated = pool.map(ev, cands, chunksize=max(1, len(cands) // (8 * threads)))
+    workers = min(threads, len(cands))
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            evaluated = pool.map(ev, cands, chunksize=max(1, len(cands) // (8 * workers)))
     else:
         evaluated = [ev(s) for s in cands]
     results = tuple(r for r in evaluated if r.distance.value >= threshold)

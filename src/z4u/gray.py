@@ -44,6 +44,6 @@ def gray_image(code: LinearCode, budget: int = DEFAULT_BUDGET) -> LinearCode:
     rows = []
     for g in code.gen:
         rows.append(gray_map(g))
-        rows.append(gray_map(ring.MUL[ring.U][g]))
+        rows.append(gray_map(ring.R.MUL[ring.U][g]))
     return LinearCode(np.array(rows, dtype=np.uint8), ring.Z4,
                       cardinality=code.cardinality(budget))

@@ -73,11 +73,9 @@ class LiftTriple:
     f2u: LinearCode
 
     def verify_projections(self, budget: int = DEFAULT_BUDGET) -> bool:
-        """Projected codeword sets equal the prescribed codes' sets."""
-        d = project_constant(self.code)
-        e = project_mod2(self.code)
-        return d.codeword_set(budget) == self.z4.codeword_set(budget) and \
-            e.codeword_set(budget) == self.f2u.codeword_set(budget)
+        """The projected codes equal the prescribed codes as codeword sets."""
+        return project_constant(self.code).same_code(self.z4, budget) and \
+            project_mod2(self.code).same_code(self.f2u, budget)
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,11 @@ def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Se
     proj_sd = None
     if code.standard_form and code.n == 2 * code.k:
         proj_sd = (self_dual(d), self_dual(e))
-    all2u = (ring.TWO_U,) * code.n in code.codeword_set(budget)
+    all2u = bool(code.contains([[ring.TWO_U] * code.n], budget)[0])
     even = True
-    for w in code.codeword_set(budget).words:
-        codes = ring.UNIT_TYPE_CODE[np.asarray(w, dtype=np.uint8)]
-        if int((codes == 1).sum()) % 2 or int((codes == 2).sum()) % 2:
+    for _, blk in code.codeword_blocks(budget):
+        types = ring.UNIT_TYPE_CODE[blk]
+        if ((types == 1).sum(axis=1) % 2).any() or ((types == 2).sum(axis=1) % 2).any():
             even = False
             break
     return SelfDualImageReport(fsd, d.is_self_orthogonal(), e.is_self_orthogonal(),

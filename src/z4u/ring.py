@@ -9,10 +9,11 @@ Multiplication follows from u^2 = 0:
 
     (a1 + u b1)(a2 + u b2) = a1 a2 + u (a1 b2 + a2 b1)   (mod 4)
 
-All 16x16 operation tables are precomputed once as numpy uint8 arrays.
-The record `R` bundles them with the Lee weights and the element token
-syntax; `Z4` and `F2U` are the same record for the two 4-element rings the
-projections and the Gray map land in, so one code core serves all three.
+The record `R` holds the 16x16 operation tables, precomputed once from
+the scalar functions below as numpy uint8 arrays, with the Lee weights
+and the element token syntax; `Z4` and `F2U` are the same record for the
+two 4-element rings the projections and the Gray map land in, so one code
+core serves all three.
 
 Units are the 8 elements with a odd.  They split into two types by their
 square: type-1 units square to 1, type-2 units square to 1+2u, and every
@@ -85,18 +86,10 @@ def mul(x: int, y: int) -> int:
     return make(a1 * a2, a1 * b2 + a2 * b1)
 
 
-ADD = np.array([[add(x, y) for y in ELEMENTS] for x in ELEMENTS], dtype=np.uint8)
-MUL = np.array([[mul(x, y) for y in ELEMENTS] for x in ELEMENTS], dtype=np.uint8)
-NEG = np.array([neg(x) for x in ELEMENTS], dtype=np.uint8)
-
-
 def lee_weight(x: int) -> int:
     """Lee weight of a + ub: Z4 Lee weight of b plus that of a + b."""
     a, b = a_part(x), b_part(x)
     return z4_lee_weight(b) + z4_lee_weight((a + b) & 3)
-
-
-LEE = np.array([lee_weight(x) for x in ELEMENTS], dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +283,7 @@ def _ring_table(name, size, one, add_, mul_, neg_, lee, parse, fmt) -> RingTable
                      lee_np, int(lee_np.max()), parse, fmt)
 
 
-R = RingTable("R", SIZE, ONE, ADD, MUL, NEG, LEE, int(LEE.max()),
-              parse_element, format_element)
+R = _ring_table("R", SIZE, ONE, add, mul, neg, lee_weight, parse_element, format_element)
 Z4 = _ring_table("Z4", 4, 1, z4_add, z4_mul, z4_neg, z4_lee_weight, z4_parse, str)
 F2U = _ring_table("F2U", 4, 1, f2u_add, f2u_mul, f2u_neg, f2u_lee_weight,
                   f2u_parse, f2u_format)

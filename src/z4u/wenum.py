@@ -32,7 +32,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from . import ring
 from .code import DEFAULT_BUDGET, LinearCode
@@ -50,6 +52,7 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
                       for x in ring.ELEMENTS)
 
 _EXPANSION_GUARD = 24
+_COMPOSITION_ROWS = 1 << 16   # words per bincount: a (rows * 16) int64 count array
 
 
 def _coerce_point(point: Sequence) -> tuple[list, object]:
@@ -69,16 +72,12 @@ class CWE:
     terms: dict[tuple[int, ...], int]
 
     @classmethod
-    def of_words(cls, words, length: int) -> "CWE":
-        """Composition census of explicit words over R (each counted once)."""
-        terms: dict[tuple[int, ...], int] = {}
-        for word in words:
-            counts = [0] * 16
-            for x in word:
-                counts[x] += 1
-            key = tuple(counts)
-            terms[key] = terms.get(key, 0) + 1
-        return cls(length, terms)
+    def of_words(cls, words, length: int, table: RingTable = R) -> "CWE":
+        """Composition census of the rows of an (N, length) array over R,
+        each row counted once."""
+        _require_r(table)
+        comps, counts = _compositions([np.asarray(words, dtype=np.uint8)], length)
+        return cls(length, dict(zip(map(tuple, comps.tolist()), counts.tolist())))
 
     def evaluate(self, point: Sequence):
         """Value at a 16-tuple of Gaussian integers or rationals.
@@ -179,9 +178,46 @@ class LeePoly:
 # Building enumerators from codes
 # ---------------------------------------------------------------------------
 
+def _require_r(table: RingTable) -> None:
+    if table is not R:
+        raise ValueError(f"complete enumerators count the 16 elements of R, not {table.name}")
+
+
+def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct compositions (16 element counts per word) among the rows of
+    (B, n) word blocks, with how many rows have each.
+
+    Compositions are 16-count byte keys; the running totals are merged
+    once per block, so memory follows the distinct compositions.
+    """
+    dtype = np.min_scalar_type(n)  # a count is at most n: no wraparound
+    key = np.dtype((np.void, 16 * dtype.itemsize))
+    found, total = np.empty(0, key), np.empty(0, np.int64)
+    for blk in blocks:
+        keys, counts = [found], [total]
+        for s in range(0, len(blk), _COMPOSITION_ROWS):
+            part = blk[s:s + _COMPOSITION_ROWS]
+            flat = (np.arange(len(part))[:, None] * 16 + part).ravel(order="K")
+            comp = np.bincount(flat, minlength=16 * len(part)).astype(dtype)
+            u, c = np.unique(comp.view(key), return_counts=True)
+            keys.append(u)
+            counts.append(c)
+        found, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        total = np.zeros(len(found), dtype=np.int64)
+        np.add.at(total, inv, np.concatenate(counts))
+    return found.view(dtype).reshape(-1, 16), total
+
+
 def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
-    """Exact composition census over every codeword (each counted once)."""
-    return CWE.of_words(code.iter_codewords(budget), code.n)
+    """Exact composition census over every codeword (each counted once).
+
+    Counted over all messages, then divided by the count of the zero word's
+    composition (n, 0, ..., 0): every codeword has that many messages.
+    """
+    _require_r(code.ring)
+    comps, counts = _compositions((blk for _, blk in code.codeword_blocks(budget)), code.n)
+    zero = int(counts[comps[:, 0] == code.n][0])
+    return CWE(code.n, dict(zip(map(tuple, comps.tolist()), (counts // zero).tolist())))
 
 
 def cwe_to_swe(e: CWE) -> SWE:
@@ -213,8 +249,8 @@ def lee(code: LinearCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Lee
     return LeePoly(code.n, tuple(int(c) for c in hist), code.ring)
 
 
-def swe_of_words(words, length: int) -> SWE:
-    return cwe_to_swe(CWE.of_words(words, length))
+def swe_of_words(words, length: int, table: RingTable = R) -> SWE:
+    return cwe_to_swe(CWE.of_words(words, length, table))
 
 
 # ---------------------------------------------------------------------------

@@ -136,6 +136,45 @@ def test_search_deterministic_across_threads():
     assert a == b
 
 
+class _SerialPool:
+    """Stands in for a process pool: records its size, runs work in order."""
+
+    def __init__(self, sizes, processes):
+        sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args):
+        return [fn(*a) for a in args]
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(x) for x in items]
+
+
+def test_worker_pools_capped_at_their_work(monkeypatch):
+    # a Z4 code with k = 11 sweeps in 4 shards; 16 dc candidates for n = 1
+    import multiprocessing
+
+    from z4u.code import LinearCode, identity
+    sizes = []
+
+    class _Context:
+        def Pool(self, processes):
+            return _SerialPool(sizes, processes)
+
+    c = LinearCode(np.hstack([identity(11, ring.Z4),
+                              np.ones((11, 1), dtype=np.uint8)]), ring.Z4)
+    expected = c.min_lee_distance(threads=1), search("dc", 1, threshold=2, threads=1)
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Context())
+    assert c.min_lee_distance(threads=64) == expected[0]
+    assert search("dc", 1, threshold=2, threads=64) == expected[1]
+    assert sizes == [4, 16]
+
+
 def test_search_alphabet_restriction():
     out = search("dc", 2, alphabet=[ring.ZERO, R("12")])
     assert out.candidates == 4

@@ -1,0 +1,31 @@
+"""CLI stdout against recorded files.
+
+The files under tests/golden/ hold the full stdout of each command as the
+CLI printed it before the deduplicated codeword store was replaced by
+counts over all messages.  Counting may change how results are computed,
+never what is printed; a change that means to alter stdout updates the
+files on purpose.
+"""
+
+import os
+
+import pytest
+
+from test_cli import gen_path, run_cli
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+LIFT16 = ("--ring-gen", gen_path("lift16_r.gen"), "--z4-gen", gen_path("lift16_z4.gen"),
+          "--f2u-gen", gen_path("lift16_f2u.gen"))
+
+CASES = [(f"{cmd}_u", (cmd, "--gen", gen_path("u.gen")))
+         for cmd in ("analyze", "dual", "macwilliams", "gray", "project")]
+CASES.append(("lift_check_lift16", ("lift-check",) + LIFT16))
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_stdout_matches_golden(name, argv):
+    status, out = run_cli(*argv)
+    assert status == 0
+    with open(os.path.join(GOLDEN, f"{name}.out"), encoding="utf-8") as fh:
+        assert out == fh.read()

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import LinearCode, inner
+from z4u.code import LinearCode, inner, span_blocks
 from z4u.errors import BudgetExceeded, NotSelfDual, ZeroCode
 from z4u.project import (LiftTriple, lift_bound_check, project_constant,
                          project_mod2, project_u_coeff, self_dual_image_report)
 from z4u.ring import F2U, Z4
 from z4u.scalars import f2u_parse
+
+from oracles import members, span
 
 
 def R(tok):
@@ -16,21 +18,21 @@ def R(tok):
 
 def test_projections_of_u_code():
     c = LinearCode([[ring.U]])
-    assert project_constant(c).codeword_set().words == {(0,)}
-    assert project_u_coeff(c).codeword_set().words == {(0,), (1,), (2,), (3,)}
-    assert project_mod2(c).codeword_set().words == {(0,), (f2u_parse("u"),)}
+    assert members(project_constant(c)) == {(0,)}
+    assert members(project_u_coeff(c)) == {(0,), (1,), (2,), (3,)}
+    assert members(project_mod2(c)) == {(0,), (f2u_parse("u"),)}
     assert (project_constant(c).ring, project_u_coeff(c).ring,
             project_mod2(c).ring) == (Z4, Z4, F2U)
 
 
 def test_projection_of_zero_code():
     c = LinearCode([[ring.ZERO, ring.ZERO]])
-    assert project_mod2(c).codeword_set().words == {(0, 0)}
+    assert members(project_mod2(c)) == {(0, 0)}
 
 
 def test_set_and_span_paths_agree():
     # zero-divisor-heavy generators are where span shortcuts could go wrong;
-    # the set side projects every codeword of c one by one
+    # the set side projects every codeword of c (a scalar-oracle span) one by one
     rng = np.random.default_rng(83)
     gens = [rng.integers(0, 16, size=(2, 3), dtype=np.uint8) for _ in range(15)]
     gens += [np.array([[ring.TWO_U, R("20")], [R("21"), ring.U]], dtype=np.uint8),
@@ -41,12 +43,11 @@ def test_set_and_span_paths_agree():
 
     for gen in gens:
         c = LinearCode(gen)
-        words = c.codeword_set().words
+        words = span(gen.tolist(), 16, ring.add, ring.mul)
         for project, pick in ((project_constant, ring.a_part),
                               (project_u_coeff, ring.b_part),
                               (project_mod2, mod2)):
-            assert project(c).codeword_set().words == \
-                {tuple(pick(x) for x in w) for w in words}
+            assert members(project(c)) == {tuple(pick(x) for x in w) for w in words}
 
 
 def test_projected_codes_are_linear():
@@ -60,7 +61,7 @@ def test_projected_codes_are_linear():
                 (project_u_coeff(c), range(4), lambda x, y: (x + y) % 4,
                  lambda s, x: (s * x) % 4),
         ):
-            words = proj.codeword_set().words
+            words = members(proj)
             for w1 in words:
                 for s in scalars:
                     assert tuple(mulf(s, x) for x in w1) in words
@@ -73,7 +74,7 @@ def test_mod2_projection_linear_over_f2u():
     rng = np.random.default_rng(97)
     for _ in range(10):
         gen = rng.integers(0, 16, size=(2, 2), dtype=np.uint8)
-        words = project_mod2(LinearCode(gen)).codeword_set().words
+        words = members(project_mod2(LinearCode(gen)))
         for w1 in words:
             for s in range(4):
                 assert tuple(f2u_mul(s, x) for x in w1) in words
@@ -83,7 +84,7 @@ def test_mod2_projection_linear_over_f2u():
 
 def test_f2u_code_basics():
     e = LinearCode([[f2u_parse("u")]], F2U)
-    assert e.codeword_set().words == {(0,), (f2u_parse("u"),)}
+    assert members(e) == {(0,), (f2u_parse("u"),)}
     assert e.cardinality() == 2
     res = e.min_lee_distance()
     assert res.value == 2 and res.exact
@@ -199,7 +200,10 @@ def test_fixture_lift_triple():
     mod2 = (((c.gen >> 2) & 1) | ((c.gen & 1) << 1)).astype(np.uint8)
     assert np.array_equal(mod2, e.gen)
     # span-level: projected codeword sets equal the prescribed codes'
+    def words(code):
+        return {tuple(w) for _, blk in span_blocks(code.gen, code.ring) for w in blk.tolist()}
+
     mu = project_constant(c)
     al = project_mod2(c)
-    assert mu.codeword_set() == d.codeword_set()
-    assert al.codeword_set() == e.codeword_set()
+    assert words(mu) == words(d) and mu.same_code(d)
+    assert words(al) == words(e) and al.same_code(e)

@@ -2,11 +2,15 @@
 
 For each ring record (R, Z4, F2+uF2), random small generators, non-free
 and standard-form ones included, are checked against brute force written
-here from the ring's scalar functions: codeword set, |C|, Lee census,
-minimum distance and self-orthogonality; |C| * |C-perp| = size^n; and the
-Lee MacWilliams transform against the brute-force dual's Lee census.
+from the ring's scalar functions: codeword set (read back through
+`contains`), |C|, Lee census, minimum distance and self-orthogonality;
+membership of random vectors and code equality under row permutation,
+row duplication and a changed row; over R, the complete enumerator;
+|C| * |C-perp| = size^n; and the Lee MacWilliams transform against the
+brute-force dual's Lee census.
 """
 
+from collections import Counter
 from functools import reduce
 from itertools import product
 
@@ -20,7 +24,9 @@ from z4u.errors import ZeroCode
 from z4u.ring import F2U, R, Z4
 from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight,
                          z4_mul)
-from z4u.wenum import lee, macwilliams_lee
+from z4u.wenum import cwe, lee, macwilliams_lee
+
+from oracles import members, span
 
 #: ring -> (table, add, mul, lee weight, max k, max n).  Over R the sizes stay
 #: at 16^3 messages and dual vectors so each example runs in milliseconds.
@@ -54,14 +60,6 @@ def dot(x, y, add, mul):
     return reduce(add, (mul(a, b) for a, b in zip(x, y)), 0)
 
 
-def span(rows, size, add, mul):
-    words = {(0,) * len(rows[0])}
-    for row in rows:
-        words = {tuple(add(x, mul(c, y)) for x, y in zip(w, row))
-                 for w in words for c in range(size)}
-    return words
-
-
 def census(words, lee_w, degree):
     out = [0] * (degree + 1)
     for w in words:
@@ -77,7 +75,7 @@ def test_code_matches_scalar_oracle(name, data):
     rows = data.draw(generators(name))
     c = LinearCode(rows, table)
     words = span(rows, table.size, add, mul)
-    assert c.codeword_set().words == words
+    assert members(c) == words
     assert c.cardinality() == len(words)
     assert c.lee_census().tolist() == census(words, lee_w, table.max_lee * c.n)
     nonzero = [sum(lee_w(x) for x in w) for w in words if any(w)]
@@ -90,6 +88,33 @@ def test_code_matches_scalar_oracle(name, data):
             c.min_lee_distance()
     gram_zero = all(dot(r, s, add, mul) == 0 for r in rows for s in rows)
     assert c.is_self_orthogonal() == gram_zero
+    if table is R:
+        compositions = Counter(tuple(w.count(x) for x in range(16)) for w in words)
+        assert cwe(c).terms == dict(compositions)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_membership_and_equality(name, data):
+    table, add, mul, _, _, _ = SCALARS[name]
+    rows = data.draw(generators(name))
+    c = LinearCode(rows, table)
+    words = span(rows, table.size, add, mul)
+    n, elem = len(rows[0]), st.integers(0, table.size - 1)
+    vectors = data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=1,
+                                 max_size=8))
+    vectors.append(data.draw(st.sampled_from(sorted(words))))
+    assert c.contains(vectors).tolist() == [tuple(v) in words for v in vectors]
+    permuted = data.draw(st.permutations(rows))
+    assert LinearCode(permuted, table).same_code(c)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    assert LinearCode(rows + [rows[i]], table).same_code(c)
+    changed = list(rows)
+    changed[i] = data.draw(st.lists(elem, min_size=n, max_size=n))
+    other = LinearCode(changed, table)
+    assert other.same_code(c) == c.same_code(other) == \
+        (span(changed, table.size, add, mul) == words)
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -103,7 +128,8 @@ def test_dual_size_and_lee_transform(name, data):
     dual = c.dual_bruteforce()
     oracle = {v for v in product(range(table.size), repeat=n)
               if all(dot(v, r, add, mul) == 0 for r in rows)}
-    assert dual.words == oracle
+    assert dual.tolist() == sorted(map(list, oracle))
+    assert not dual.flags.writeable
     assert c.cardinality() * len(dual) == table.size ** n
     t = macwilliams_lee(lee(c), c.cardinality())
     assert list(t.coeffs) == census(oracle, lee_w, table.max_lee * n)

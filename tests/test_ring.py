@@ -181,11 +181,11 @@ def test_matrix_text_grammar():
 
 def test_numpy_tables_match_scalar_ops():
     for x in ring.ELEMENTS:
-        assert ring.NEG[x] == ring.neg(x)
-        assert ring.LEE[x] == ring.lee_weight(x)
+        assert ring.R.NEG[x] == ring.neg(x)
+        assert ring.R.LEE[x] == ring.lee_weight(x)
         for y in ring.ELEMENTS:
-            assert ring.ADD[x, y] == ring.add(x, y)
-            assert ring.MUL[x, y] == ring.mul(x, y)
+            assert ring.R.ADD[x, y] == ring.add(x, y)
+            assert ring.R.MUL[x, y] == ring.mul(x, y)
 
 
 def test_canonical_order_is_packed_value_order():

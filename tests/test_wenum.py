@@ -41,6 +41,27 @@ def test_cwe_zero_code_has_x1_power_n():
     assert e.terms == {(3,) + (0,) * 15: 1}
 
 
+def test_cwe_counts_past_255_do_not_wrap():
+    # four codewords, each the image of four messages, of length 300
+    e = cwe(LinearCode([[ring.U] * 300]))
+    assert e.terms == {(0,) * i + (300,) + (0,) * (15 - i): 1 for i in range(4)}
+    words = np.array([[0] * 300, [ring.U] * 300], dtype=np.uint8)
+    assert CWE.of_words(words, 300).terms == {(300,) + (0,) * 15: 1,
+                                              (0, 300) + (0,) * 14: 1}
+
+
+@pytest.mark.parametrize("table", [ring.Z4, ring.F2U])
+def test_cwe_rejects_rings_other_than_r(table):
+    # the 16 CWE variables are R's elements: Z4 or F2+uF2 values would be
+    # read as 0, u, 2u, 3u and give a wrong Lee enumerator
+    with pytest.raises(ValueError):
+        cwe(LinearCode([[1, 1]], table))
+    with pytest.raises(ValueError):
+        CWE.of_words([[1, 1]], 2, table)
+    with pytest.raises(ValueError):
+        swe_of_words([[1, 1]], 2, table)
+
+
 def test_cwe_all_ones_evaluation_is_cardinality():
     for gen in ([[ring.U]], [[ring.ONE, R("21")]], [[R("20"), R("12")]]):
         c = LinearCode(gen)
@@ -156,7 +177,7 @@ def test_cwe_eval_matches_dual_at_random_points():
         c = LinearCode(gen)
         e = cwe(c)
         dual = c.dual_bruteforce()
-        dual_cwe = CWE.of_words(sorted(dual.words), c.n)
+        dual_cwe = CWE.of_words(dual, c.n)
         for _ in range(20):
             pt = [GaussianInt(int(a), int(b))
                   for a, b in rng.integers(-3, 4, size=(16, 2))]
@@ -168,7 +189,7 @@ def test_cwe_eval_rational_points():
     c = u_code()
     e = cwe(c)
     pt = [GaussianRational(Fraction(1, 2), Fraction(k, 3)) for k in range(16)]
-    dual_cwe = CWE.of_words(sorted(c.dual_bruteforce().words), 1)
+    dual_cwe = CWE.of_words(c.dual_bruteforce(), 1)
     assert macwilliams_cwe_eval(e, 4, pt) == \
         dual_cwe.evaluate(pt) / GaussianRational.of(1)
 
@@ -201,7 +222,7 @@ def test_macwilliams_swe_matches_dual_census():
         c = LinearCode(gen)
         t = macwilliams_swe(cwe_to_swe(cwe(c)), c.cardinality())
         dual = c.dual_bruteforce()
-        assert t.terms == swe_of_words(sorted(dual.words), c.n).terms
+        assert t.terms == swe_of_words(dual, c.n).terms
 
 
 def test_macwilliams_swe_guard():
@@ -255,7 +276,7 @@ def test_macwilliams_lee_matches_dual_census():
         c = LinearCode(gen)
         t = macwilliams_lee(lee(c), c.cardinality())
         dual = c.dual_bruteforce()
-        assert t == swe_to_lee(swe_of_words(sorted(dual.words), c.n))
+        assert t == swe_to_lee(swe_of_words(dual, c.n))
 
 
 def test_transform_identities_of_the_lee_proof():
