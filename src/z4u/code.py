@@ -281,11 +281,11 @@ class LinearCode:
         return found
 
     def same_code(self, other: "LinearCode", budget: int = DEFAULT_BUDGET) -> bool:
-        """Equal codeword sets: same ring, length and |C|, and every row of
-        this generator in `other` (so this code is inside `other`)."""
+        """Equal codeword sets: same ring and length, and each code holds
+        every generator row of the other (at most one sweep of each)."""
         return (self.ring is other.ring and self.n == other.n
-                and self.cardinality(budget) == other.cardinality(budget)
-                and bool(other.contains(self.gen, budget).all()))
+                and bool(other.contains(self.gen, budget).all())
+                and bool(self.contains(other.gen, budget).all()))
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
         """Exact |C|: size^k in standard form, else from the Lee census."""

@@ -167,12 +167,14 @@ def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Se
     proj_sd = None
     if code.standard_form and code.n == 2 * code.k:
         proj_sd = (self_dual(d), self_dual(e))
-    all2u = bool(code.contains([[ring.TWO_U] * code.n], budget)[0])
-    even = True
+    all2u, even = False, True
     for _, blk in code.codeword_blocks(budget):
-        types = ring.UNIT_TYPE_CODE[blk]
-        if ((types == 1).sum(axis=1) % 2).any() or ((types == 2).sum(axis=1) % 2).any():
-            even = False
+        all2u |= bool((blk == ring.TWO_U).all(axis=1).any())
+        if even:
+            types = ring.UNIT_TYPE_CODE[blk]
+            even = not (((types == 1).sum(axis=1) % 2).any()
+                        or ((types == 2).sum(axis=1) % 2).any())
+        if all2u and not even:
             break
     return SelfDualImageReport(fsd, d.is_self_orthogonal(), e.is_self_orthogonal(),
                                nu_so, gray_sd, proj_sd, all2u, even)

@@ -72,10 +72,9 @@ class CWE:
     terms: dict[tuple[int, ...], int]
 
     @classmethod
-    def of_words(cls, words, length: int, table: RingTable = R) -> "CWE":
-        """Composition census of the rows of an (N, length) array over R,
-        each row counted once."""
-        _require_r(table)
+    def of_words(cls, words, length: int) -> "CWE":
+        """Composition census of the rows of an (N, length) array of R
+        words (element values 0..15), each row counted once."""
         comps, counts = _compositions([np.asarray(words, dtype=np.uint8)], length)
         return cls(length, dict(zip(map(tuple, comps.tolist()), counts.tolist())))
 
@@ -178,17 +177,14 @@ class LeePoly:
 # Building enumerators from codes
 # ---------------------------------------------------------------------------
 
-def _require_r(table: RingTable) -> None:
-    if table is not R:
-        raise ValueError(f"complete enumerators count the 16 elements of R, not {table.name}")
-
-
 def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct compositions (16 element counts per word) among the rows of
     (B, n) word blocks, with how many rows have each.
 
     Compositions are 16-count byte keys; the running totals are merged
-    once per block, so memory follows the distinct compositions.
+    once per block, so memory follows the distinct compositions.  Each
+    bincount covers at most _COMPOSITION_ROWS words: its int64 output is
+    then 8 MB where a whole 2^20-word block would need 128 MB.
     """
     dtype = np.min_scalar_type(n)  # a count is at most n: no wraparound
     key = np.dtype((np.void, 16 * dtype.itemsize))
@@ -213,8 +209,10 @@ def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
 
     Counted over all messages, then divided by the count of the zero word's
     composition (n, 0, ..., 0): every codeword has that many messages.
+    The 16 variables are R's elements, so only codes over R are accepted.
     """
-    _require_r(code.ring)
+    if code.ring is not R:
+        raise ValueError(f"complete enumerators count the 16 elements of R, not {code.ring.name}")
     comps, counts = _compositions((blk for _, blk in code.codeword_blocks(budget)), code.n)
     zero = int(counts[comps[:, 0] == code.n][0])
     return CWE(code.n, dict(zip(map(tuple, comps.tolist()), (counts // zero).tolist())))
@@ -249,8 +247,9 @@ def lee(code: LinearCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> Lee
     return LeePoly(code.n, tuple(int(c) for c in hist), code.ring)
 
 
-def swe_of_words(words, length: int, table: RingTable = R) -> SWE:
-    return cwe_to_swe(CWE.of_words(words, length, table))
+def swe_of_words(words, length: int) -> SWE:
+    """SWE of the rows of an (N, length) array of R words."""
+    return cwe_to_swe(CWE.of_words(words, length))
 
 
 # ---------------------------------------------------------------------------

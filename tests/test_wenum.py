@@ -56,10 +56,6 @@ def test_cwe_rejects_rings_other_than_r(table):
     # read as 0, u, 2u, 3u and give a wrong Lee enumerator
     with pytest.raises(ValueError):
         cwe(LinearCode([[1, 1]], table))
-    with pytest.raises(ValueError):
-        CWE.of_words([[1, 1]], 2, table)
-    with pytest.raises(ValueError):
-        swe_of_words([[1, 1]], 2, table)
 
 
 def test_cwe_all_ones_evaluation_is_cardinality():
