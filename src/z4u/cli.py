@@ -23,6 +23,8 @@ from .ring import F2U, R, RingTable, Z4
 from .scalars import GaussianInt, GaussianRational
 
 _ENUM_PRINT_CAP = 16 ** 6
+#: `dual` lists the dual's vectors only up to this many; past it, the count.
+_DUAL_PRINT_CAP = 4096
 
 
 class _Fail(Exception):
@@ -102,14 +104,19 @@ def cmd_dual(args) -> None:
         for row in dual_code.gen:
             print("  " + ring.format_vector(row))
     if 16 ** code.n <= budget:
-        words = code.dual_bruteforce(budget)
-        print(f"dual cardinality: {len(words)}")
-        print(f"size product |C|*|dual|: {code.cardinality(budget) * len(words)}"
+        count, kept = 0, []
+        for blk in code.dual_blocks(budget):
+            count += len(blk)
+            if count <= _DUAL_PRINT_CAP:
+                kept.append(blk)
+        print(f"dual cardinality: {count}")
+        print(f"size product |C|*|dual|: {code.cardinality(budget) * count}"
               f" (16^n = {16 ** code.n})")
-        if len(words) <= 4096:
+        if count <= _DUAL_PRINT_CAP:
             print("dual codewords:")
-            for w in words:
-                print("  " + ring.format_vector(w))
+            for blk in kept:
+                for w in blk:
+                    print("  " + ring.format_vector(w))
     else:
         print(f"dual codewords: out of budget (16^{code.n} vectors)")
 

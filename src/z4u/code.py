@@ -303,19 +303,23 @@ class LinearCode:
         """C subseteq C-perp: the Gram matrix G G^T is zero."""
         return not ring_matmul(self.gen, self.gen.T, self.ring).any()
 
-    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """All vectors orthogonal to every generator row (size^n sweep).
+    def dual_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+        """The vectors orthogonal to every generator row (size^n sweep), as
+        (B, n) uint8 blocks in odometer order, which is lexicographic.
 
-        A read-only (N, n) uint8 array, sorted: the sweep runs in odometer
-        order, which is lexicographic.
+        x is in the dual iff x G^T = 0: each block holds the x whose row of
+        a `span_blocks` block of G^T is zero, so memory follows the block,
+        not the dual.  Raises BudgetExceeded past the budget.
         """
         total = self.ring.size ** self.n
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
-        # x is in the dual iff x G^T = 0: the span of G^T, indexed by x
-        kept = [start + np.flatnonzero(~blk.any(axis=1))
-                for start, blk in span_blocks(self.gen.T, self.ring)]
-        vectors = _digits(np.concatenate(kept), self.n, self.ring)
+        return (_digits(start + np.flatnonzero(~blk.any(axis=1)), self.n, self.ring)
+                for start, blk in span_blocks(self.gen.T, self.ring))
+
+    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+        """Every `dual_blocks` vector in one read-only, sorted (N, n) array."""
+        vectors = np.concatenate(list(self.dual_blocks(budget)))
         vectors.flags.writeable = False
         return vectors
 

@@ -32,6 +32,7 @@ disagree.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -156,10 +157,12 @@ def character(x: int) -> GaussianInt:
     return I_POWERS[(a_part(x) + b_part(x)) & 3]
 
 
+@functools.lru_cache(maxsize=None)
 def character_table() -> tuple[tuple[GaussianInt, ...], ...]:
     """16x16 table chi(g_i * g_j), generated from the character formula.
 
     Indexed 0-based by packed element value (= canonical index - 1).
+    Built once: the entries are immutable constants.
     """
     return tuple(tuple(character(mul(x, y)) for y in ELEMENTS) for x in ELEMENTS)
 

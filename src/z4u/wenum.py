@@ -15,10 +15,14 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
 
   * CWE: substitute T.(X_1..X_16), T the 16x16 character table.  Kept
     evaluation-only (16-variable symbolic expansion is combinatorial);
-    equality of the two sides is certified at random Gaussian points.
+    equality of the two sides is certified at random Gaussian points,
+    multiplying (re, im) pairs over each term's nonzero exponents.
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
-    class, which is what makes the symmetrization well defined).
+    class, which is what makes the symmetrization well defined).  No
+    product of forms is expanded: the form matrix factors into four
+    Hadamard pairs (v_i, v_j) -> (v_i+v_j, v_i-v_j), a shear-and-scale
+    step and an exponent swap, each one pass over the sparse exponent dict.
   * Lee: substitute (W+X, W-X), a binomial convolution, over any of the
     three rings.
 
@@ -32,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -78,27 +83,41 @@ class CWE:
         comps, counts = _compositions([np.asarray(words, dtype=np.uint8)], length)
         return cls(length, dict(zip(map(tuple, comps.tolist()), counts.tolist())))
 
+    @functools.cached_property
+    def _sparse(self) -> tuple[tuple, list[int]]:
+        """(coefficient, nonzero (variable, exponent) pairs) per term, and
+        the largest exponent of each variable."""
+        rows = tuple((c, tuple((i, x) for i, x in enumerate(exps) if x))
+                     for exps, c in self.terms.items())
+        return rows, [max((e[i] for e in self.terms), default=0) for i in range(16)]
+
     def evaluate(self, point: Sequence):
         """Value at a 16-tuple of Gaussian integers or rationals.
 
-        Stays in exact integer arithmetic when the point is integral.
+        Works on plain (re, im) pairs: ints when every entry is a
+        GaussianInt, so the result is exact integer arithmetic, else
+        Fractions.
         """
         vals, one = _coerce_point(point)
+        rows, maxima = self._sparse
         pows = []
-        for i in range(16):
-            m = max((e[i] for e in self.terms), default=0)
-            col = [one]
+        for p, m in zip(vals, maxima, strict=True):
+            col = [(1, 0)]
             for _ in range(m):
-                col.append(col[-1] * vals[i])
+                a, b = col[-1]
+                col.append((a * p.re - b * p.im, a * p.im + b * p.re))
             pows.append(col)
-        out = one.scale(0)
-        for exps, coeff in self.terms.items():
-            prod = one
-            for i, e in enumerate(exps):
-                if e:
-                    prod = prod * pows[i][e]
-            out = out + prod.scale(coeff)
-        return out
+        sre = sim = 0
+        for coeff, factors in rows:
+            re, im = coeff, 0
+            for i, x in factors:
+                a, b = pows[i][x]
+                re, im = re * a - im * b, re * b + im * a
+            sre += re
+            sim += im
+        if isinstance(one, GaussianInt):
+            return GaussianInt(sre, sim)
+        return GaussianRational(Fraction(sre), Fraction(sim))
 
     def format_lines(self) -> list[str]:
         return [f"{','.join(map(str, exps))} : {self.terms[exps]}"
@@ -307,54 +326,73 @@ def swe_transform_forms() -> tuple[tuple[int, ...], ...]:
     return tuple(forms)  # type: ignore[arg-type]
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
+def _hadamard(terms: dict, i: int, j: int) -> dict:
+    """Substitute (v_i + v_j, v_i - v_j) for (v_i, v_j) in a sparse
+    exponent dict: v_i^p v_j^q expands by row q of the Krawtchouk table of
+    degree p + q, the same table as the Lee transform's."""
     out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+    for exps, coeff in terms.items():
+        p, q = exps[i], exps[j]
+        e = list(exps)
+        for v, k in enumerate(_lee_transform_matrix(p + q)[q]):
+            if k:
+                e[i], e[j] = p + q - v, v
+                key = tuple(e)
+                out[key] = out.get(key, 0) + coeff * k
+    return {key: c for key, c in out.items() if c}
 
 
-def _poly_pow(p: dict, n: int) -> dict:
-    out = {(0, 0, 0, 0, 0): 1}
-    base = p
-    while n:
-        if n & 1:
-            out = _poly_mul(out, base)
-        base = _poly_mul(base, base)
-        n >>= 1
+def _shear(terms: dict) -> dict:
+    """Substitute (v0 + 2 v4, v1, 4 v2, 2 v3, 4 v4) for (v0, .., v4)."""
+    out: dict = {}
+    for (a, b, c, d, e), coeff in terms.items():
+        scaled = coeff << (2 * c + d + 2 * e)
+        for t in range(a + 1):
+            key = (a - t, b, c, d, e + t)
+            out[key] = out.get(key, 0) + (scaled * math.comb(a, t) << t)
     return out
 
 
+def _swe_substitute(terms: dict) -> dict:
+    """sum_e c_e * prod_v F_v(X, Y, Z, W, S)^e_v, F = swe_transform_forms(),
+    without expanding a product of forms.
+
+    With P = X+Y, M = X-Y, Q = Z+W, D = Z-W and T = P+2S the forms are
+    X', Y' = (T+4S) +- 4Q, Z', W' = M +- 2D and S' = T-4S.  Read from the
+    outside in, each step is one substitution into the previous result:
+    reorder (X', Y', Z', W', S') as (X', Z', Y', W', S'); Hadamard pairs
+    (0, 2) and (1, 3) leave (T+4S, M, 4Q, 2D, S'), pair (0, 4) leaves
+    (T, M, 4Q, 2D, 4S); the shear leaves (P, M, Q, D, S); pairs (0, 1) and
+    (2, 3) leave (X, Y, Z, W, S).
+    """
+    t = {(a, c, b, d, e): k for (a, b, c, d, e), k in terms.items()}
+    for i, j in ((0, 2), (1, 3), (0, 4)):
+        t = _hadamard(t, i, j)
+    t = _shear(t)
+    for i, j in ((0, 1), (2, 3)):
+        t = _hadamard(t, i, j)
+    return t
+
+
+@functools.lru_cache(maxsize=None)
+def _check_swe_substitution() -> None:
+    """The step chain sends each variable to its row of the derived form
+    matrix (asserted once, not assumed)."""
+    unit = [tuple(int(c == v) for c in range(5)) for v in range(5)]
+    for v, form in enumerate(swe_transform_forms()):
+        want = {unit[c]: f for c, f in enumerate(form) if f}
+        if _swe_substitute({unit[v]: 1}) != want:
+            raise AssertionError(f"SWE step chain differs from transform form {v}")
+
+
 def macwilliams_swe(e: SWE, size: int) -> SWE:
-    """Fully expanded dual SWE: (1/size) * swe(five substituted forms)."""
+    """Dual SWE: (1/size) * swe(five substituted forms), by the step chain
+    of `_swe_substitute`."""
     if e.length > _EXPANSION_GUARD:
         raise ExpansionTooLarge(f"SWE transform expansion guarded at n <= {_EXPANSION_GUARD}")
-    forms = swe_transform_forms()
-    form_polys = []
-    for c in range(5):
-        poly = {}
-        for c2 in range(5):
-            if forms[c][c2]:
-                poly[(0,) * c2 + (1,) + (0,) * (4 - c2)] = forms[c][c2]
-        form_polys.append(poly)
-    acc: dict = {}
-    pow_cache: list[dict[int, dict]] = [dict() for _ in range(5)]
-    for exps, coeff in e.terms.items():
-        prod = {(0, 0, 0, 0, 0): 1}
-        for c, ex in enumerate(exps):
-            if not ex:
-                continue
-            if ex not in pow_cache[c]:
-                pow_cache[c][ex] = _poly_pow(form_polys[c], ex)
-            prod = _poly_mul(prod, pow_cache[c][ex])
-        for key, v in prod.items():
-            acc[key] = acc.get(key, 0) + coeff * v
+    _check_swe_substitution()
     out: dict = {}
-    for key, v in acc.items():
-        if v == 0:
-            continue
+    for key, v in _swe_substitute(e.terms).items():
         q, r = divmod(v, size)
         if r:
             raise NonExactDivision(f"SWE transform coefficient {v} not divisible by {size}")

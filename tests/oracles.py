@@ -3,11 +3,16 @@
 `span` builds a code's codeword set from a ring's scalar functions alone;
 `members` reads the codeword set back from `LinearCode.contains` by asking
 about every vector of ring^n, so the two can be compared as sets.
+`swe_substitution` and `cwe_value` are the enumerator transforms written
+the direct way: products of expanded linear forms, and Gaussian-number
+arithmetic term by term.
 """
 
 from itertools import product
 
 import numpy as np
+
+from z4u.scalars import GaussianInt, GaussianRational
 
 
 def span(rows, size, add, mul):
@@ -30,3 +35,57 @@ def is_linear(words, size, add, mul):
     return all(tuple(mul(s, x) for x in w) in words for w in words for s in range(size)) \
         and all(tuple(add(a, b) for a, b in zip(w1, w2)) in words
                 for w1 in words for w2 in words)
+
+
+def _poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {k: v for k, v in out.items() if v}
+
+
+def _poly_pow(p, n):
+    out = {(0,) * len(next(iter(p))): 1}
+    base = p
+    while n:
+        if n & 1:
+            out = _poly_mul(out, base)
+        base = _poly_mul(base, base)
+        n >>= 1
+    return out
+
+
+def swe_substitution(terms, forms):
+    """sum c * prod_v forms[v]^e_v, every power and product fully expanded
+    (no division): the substitution behind the dual SWE."""
+    m = len(forms)
+    form_polys = [{(0,) * w + (1,) + (0,) * (m - 1 - w): f for w, f in enumerate(row) if f}
+                  for row in forms]
+    acc = {}
+    for exps, coeff in terms.items():
+        prod = {(0,) * m: 1}
+        for v, ex in enumerate(exps):
+            if ex:
+                prod = _poly_mul(prod, _poly_pow(form_polys[v], ex))
+        for key, c in prod.items():
+            acc[key] = acc.get(key, 0) + coeff * c
+    return {k: c for k, c in acc.items() if c}
+
+
+def cwe_value(terms, point):
+    """A CWE at a point of 16 GaussianInts (or of GaussianRationals), one
+    Gaussian product per factor of every term."""
+    if all(isinstance(p, GaussianInt) for p in point):
+        one, vals = GaussianInt(1, 0), list(point)
+    else:
+        one, vals = GaussianRational.of(1), [GaussianRational.of(p) for p in point]
+    out = one.scale(0)
+    for exps, coeff in terms.items():
+        prod = one
+        for v, e in zip(vals, exps):
+            for _ in range(e):
+                prod = prod * v
+        out = out + prod.scale(coeff)
+    return out

@@ -2,7 +2,9 @@ import importlib.resources as res
 import io
 import sys
 
+from z4u import ring
 from z4u.cli import main
+from z4u.code import LinearCode
 
 DATA = res.files("z4u") / "data"
 
@@ -244,3 +246,46 @@ def test_project_dc8_runs_in_bounded_memory(tmp_path):
         checked += 1
     assert checked == 3
     assert len(lines) == 6 + 4 + 8 + 4
+
+
+def test_dual_count_runs_in_bounded_memory(tmp_path):
+    # (01 00 00 00 00 00 00) has 4 * 16^6 = 67108864 dual vectors, within
+    # the default budget of 16^7; listing them all as flat indices and then
+    # as digit rows needs well over 2 GiB, counting them per block does not
+    import os
+    import subprocess
+    import z4u
+    g = tmp_path / "u7.gen"
+    g.write_text("01" + " 00" * 6 + "\n")
+    src = os.path.dirname(os.path.dirname(z4u.__file__))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from z4u.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "dual", "--gen", str(g)],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "dual cardinality: 67108864",
+        "size product |C|*|dual|: 268435456 (16^n = 268435456)"]
+
+
+def test_dual_lists_vectors_up_to_print_cap(tmp_path):
+    # [0 | I3] over length 6: the dual R^3 x 0^3 has exactly 4096 vectors,
+    # 256 in each of the sweep's 16 blocks; (01 00 00 00) has 16384
+    g = tmp_path / "zi.gen"
+    rows = [["00"] * 3 + ["10" if i == j else "00" for j in range(3)] for i in range(3)]
+    g.write_text("\n".join(" ".join(r) for r in rows) + "\n")
+    status, out = run_cli("dual", "--gen", str(g))
+    assert status == 0
+    lines = out.splitlines()
+    i = lines.index("dual codewords:")
+    dual = LinearCode.from_text(g.read_text()).dual_bruteforce()
+    assert lines[i + 1:] == ["  " + ring.format_vector(w) for w in dual]
+    assert len(dual) == 4096
+    g.write_text("01 00 00 00\n")
+    status, out = run_cli("dual", "--gen", str(g))
+    assert status == 0
+    assert out.splitlines() == ["dual cardinality: 16384",
+                                "size product |C|*|dual|: 65536 (16^n = 65536)"]

@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from z4u import ring
+from oracles import cwe_value, swe_substitution
+from z4u import ring, wenum
 from z4u.code import LinearCode
 from z4u.errors import ExpansionTooLarge, NonExactDivision
 from z4u.scalars import GaussianInt, GaussianRational
@@ -219,6 +220,61 @@ def test_macwilliams_swe_matches_dual_census():
         t = macwilliams_swe(cwe_to_swe(cwe(c)), c.cardinality())
         dual = c.dual_bruteforce()
         assert t.terms == swe_of_words(dual, c.n).terms
+
+
+def _random_swe(rng, n, terms):
+    out = {}
+    for _ in range(terms):
+        cuts = np.sort(rng.integers(0, n + 1, size=4))
+        exps = tuple(int(x) for x in np.diff(np.concatenate(([0], cuts, [n]))))
+        out[exps] = out.get(exps, 0) + int(rng.integers(-50, 51))
+    return SWE(n, {e: c for e, c in out.items() if c})
+
+
+def test_macwilliams_swe_matches_substitution_oracle():
+    # the step chain against the five forms substituted and fully expanded
+    rng = np.random.default_rng(83)
+    forms = swe_transform_forms()
+    for n in range(1, 9):
+        for _ in range(3):
+            s = _random_swe(rng, n, int(rng.integers(1, 9)))
+            assert macwilliams_swe(s, 1).terms == swe_substitution(s.terms, forms)
+
+
+def test_macwilliams_swe_involution_at_length_16():
+    # F F = 16 I, so transforming twice scales by 16^n
+    rng = np.random.default_rng(89)
+    s = _random_swe(rng, 16, 40)
+    assert macwilliams_swe(macwilliams_swe(s, 1), 16 ** 16).terms == s.terms
+
+
+def test_swe_step_chain_composes_to_transform_forms(monkeypatch):
+    # each variable goes to its row of the form matrix derived from the
+    # character table, and the check refuses a matrix the chain does not give
+    forms = swe_transform_forms()
+    unit = [tuple(int(c == v) for c in range(5)) for v in range(5)]
+    for v in range(5):
+        assert macwilliams_swe(SWE(1, {unit[v]: 1}), 1).terms == \
+            {unit[c]: f for c, f in enumerate(forms[v]) if f}
+    wrong = tuple(row if v != 4 else (1, 1, 0, 0, 2) for v, row in enumerate(forms))
+    monkeypatch.setattr(wenum, "swe_transform_forms", lambda: wrong)
+    with pytest.raises(AssertionError):
+        wenum._check_swe_substitution.__wrapped__()
+
+
+def test_cwe_evaluate_matches_gaussian_oracle():
+    rng = np.random.default_rng(97)
+    for _ in range(6):
+        gen = rng.integers(0, 16, size=(2, 3), dtype=np.uint8)
+        e = cwe(LinearCode(gen))
+        for _ in range(3):
+            pt = [GaussianInt(int(a), int(b)) for a, b in rng.integers(-5, 6, size=(16, 2))]
+            val = e.evaluate(pt)
+            assert isinstance(val, GaussianInt) and val == cwe_value(e.terms, pt)
+            qt = [GaussianRational(Fraction(int(a), int(c)), Fraction(int(b), int(c)))
+                  for a, b, c in rng.integers(1, 7, size=(16, 3))]
+            assert e.evaluate(qt) == cwe_value(e.terms, qt)
+            assert e.evaluate(pt[:8] + qt[8:]) == cwe_value(e.terms, pt[:8] + qt[8:])
 
 
 def test_macwilliams_swe_guard():
