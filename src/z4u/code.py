@@ -11,7 +11,8 @@ preimages, K = {x : xG = 0}: a count over all messages, divided by the
 number of messages that give the zero word, is the count over C.  So no
 codeword store exists: |C| and the Lee census come from the census sweep
 (hist[0] = |K|), the complete enumerator from compositions counted over
-all messages, and membership from one pass over the message space.
+all messages, and membership from one pass over the message space (in
+standard form, from one product: the message is the first k coordinates).
 
 Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
 odometer order (last coordinate fastest), and a whole message space is
@@ -266,12 +267,17 @@ class LinearCode:
     def contains(self, words, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """One bool per row of the (N, n) `words`: is it a codeword?
 
-        One sweep over the message space for all rows together; rows are
-        compared as n-byte keys.
+        In standard form [I_k | A] the first k coordinates are the message,
+        so w is a codeword iff w[k:] = w[:k] A: one product, no sweep.
+        Otherwise one sweep over the message space for all rows together;
+        rows are compared as n-byte keys.
         """
         q = np.asarray(words, dtype=np.uint8)
         if q.ndim != 2 or q.shape[1] != self.n:
             raise ValueError(f"expected an (N, {self.n}) array of words, got shape {q.shape}")
+        if self.standard_form:
+            k = self.k
+            return (ring_matmul(q[:, :k], self.gen[:, k:], self.ring) == q[:, k:]).all(axis=1)
         key = np.dtype((np.void, self.n))
         qv = np.ascontiguousarray(q).view(key).ravel()
         found = np.zeros(len(qv), dtype=bool)
@@ -282,7 +288,8 @@ class LinearCode:
 
     def same_code(self, other: "LinearCode", budget: int = DEFAULT_BUDGET) -> bool:
         """Equal codeword sets: same ring and length, and each code holds
-        every generator row of the other (at most one sweep of each)."""
+        every generator row of the other (at most one sweep of each, none
+        for a code in standard form)."""
         return (self.ring is other.ring and self.n == other.n
                 and bool(other.contains(self.gen, budget).all())
                 and bool(self.contains(other.gen, budget).all()))

@@ -8,8 +8,16 @@ Three generator shapes, all of the form [I_n | B]:
     first column (alpha, gamma..gamma) and a circulant M of order n-1 in
     the remaining block, with gamma = beta or gamma = -beta.
 
-Every such code has the same Lee enumerator as its dual, which the test
-suites confirm through the transform fixed point rather than assuming.
+Every such code is isodual: a monomial map (a coordinate permutation with
++-1 signs, so a Lee isometry) sends its dual <[-B^T | I]> onto it.
+Swapping the halves and negating the right one gives [I | B^T]; one map Q
+applied to both halves then gives [I | Q^-1 B^T Q] = [I | B].  Q is the
+identity for symmetric B, the reversal i -> -i mod n for a circulant, and
+for a bordered block the reversal of the circulant coordinates with the
+border fixed, and negated when gamma = -beta.  `search` and
+`verify_tables` check each spec's Q on every code (`maps_dual_into`), never
+assume it; the enumerator fixed point (`wenum.is_formally_self_dual`)
+stays as the tests' oracle.
 
 `search` sweeps first rows (and border triples) in lexicographic order
 over a chosen alphabet and reports the best minimum distance with the
@@ -17,7 +25,7 @@ lexicographically smallest witness; candidate evaluation order is fixed,
 so results do not depend on worker count.
 
 `verify_tables` rebuilds each catalogued code and compares its minimum
-distance against the recorded value: exact while 16^k fits the budget,
+distance against the recorded value: exact while size^k fits the budget,
 otherwise an upper-bound scan.  Both dc and bdc codewords are invariant
 under a cyclic shift of the circulant message block, so the upper-bound
 scan anchors message supports at the first circulant coordinate and can
@@ -36,11 +44,8 @@ import numpy as np
 
 from . import ring
 from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, best_in_block,
-                   identity, sampled_messages)
+                   dual_of_standard_form, identity, sampled_messages)
 from .errors import BadBorder, NotSymmetric
-from .wenum import is_formally_self_dual
-
-_FSD_CHECK_CAP = 16 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +105,11 @@ class CirculantSpec:
     def describe(self) -> str:
         return f"dc first_row=({ring.format_vector(self.first_row)})"
 
+    def isodual_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, neg) of Q: the reversal i -> -i mod n, no signs."""
+        n = len(self.first_row)
+        return -np.arange(n) % n, np.zeros(n, dtype=bool)
+
 
 @dataclass(frozen=True)
 class BorderSpec:
@@ -114,6 +124,39 @@ class BorderSpec:
     def describe(self) -> str:
         abg = ",".join(ring.format_element(x) for x in (self.alpha, self.beta, self.gamma))
         return f"bdc first_row=({ring.format_vector(self.first_row)}) border=({abg})"
+
+    def isodual_map(self) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, neg) of Q: the border coordinate 0 fixed, and negated when
+        gamma = -beta != beta; the reversal on the n-1 circulant ones."""
+        m = len(self.first_row)
+        neg = np.zeros(m + 1, dtype=bool)
+        neg[0] = self.gamma != self.beta
+        return np.concatenate([[0], 1 + (-np.arange(m) % m)]), neg
+
+
+def maps_dual_into(code: LinearCode, perm: np.ndarray, neg: np.ndarray) -> bool:
+    """Does (x, y) -> (yQ, -xQ) send every row of the dual generator
+    [-B^T | I] of C = <[I | B]> into C?
+
+    Q acts on the k coordinates of each half: (wQ)_j = +-w[perm[j]], with
+    the sign - where `neg[j]`.  The map only permutes coordinates and
+    multiplies them by +-1, so it keeps Lee weight and is injective; the
+    dual and C both have size^k words, so True proves the dual isometric
+    to C.
+    """
+    k, neg_table = code.k, code.ring.NEG
+    dual = dual_of_standard_form(code).gen
+    mapped = np.hstack([dual[:, k:], neg_table[dual[:, :k]]])[:, np.concatenate([perm, k + perm])]
+    signs = np.concatenate([neg, neg])
+    mapped[:, signs] = neg_table[mapped[:, signs]]
+    return bool(code.contains(mapped).all())
+
+
+def _certify_isodual(spec: "CirculantSpec | BorderSpec", codeobj: LinearCode) -> None:
+    """Check the spec's isodual map on its code.  The construction
+    guarantees it, so a failure is a fault in the program."""
+    if not maps_dual_into(codeobj, *spec.isodual_map()):
+        raise AssertionError(f"isodual map does not hold for {spec.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +279,7 @@ def shift_anchored_upper_bound(spec: "CirculantSpec | BorderSpec",
 class SearchResult:
     spec: "CirculantSpec | BorderSpec"
     distance: DistanceResult
-    fsd: str  # "verified" | "failed" | "skipped"
+    fsd: str  # "verified": the spec's isodual map checked out
 
 
 @dataclass(frozen=True)
@@ -268,29 +311,24 @@ def _bdc_candidates(n: int, alphabet: tuple[int, ...]) -> Iterator[BorderSpec]:
 class _Evaluate:
     """Picklable candidate evaluator for the search pool."""
 
-    def __init__(self, budget: int, sample_count: int, fsd_budget: int):
+    def __init__(self, budget: int, sample_count: int):
         self.budget = budget
         self.sample_count = sample_count
-        self.fsd_budget = fsd_budget
 
     def __call__(self, spec) -> SearchResult:
         codeobj = spec.build()
-        if 16 ** codeobj.k <= self.budget:
+        if codeobj.ring.size ** codeobj.k <= self.budget:
             dist = codeobj.min_lee_distance(self.budget, self.sample_count)
         else:
             dist = shift_anchored_upper_bound(spec, depth=3,
                                               sample_count=self.sample_count)
-        if 16 ** codeobj.k <= min(self.fsd_budget, _FSD_CHECK_CAP):
-            fsd = "verified" if is_formally_self_dual(codeobj, self.fsd_budget) else "failed"
-        else:
-            fsd = "skipped"
-        return SearchResult(spec, dist, fsd)
+        _certify_isodual(spec, codeobj)
+        return SearchResult(spec, dist, "verified")
 
 
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
            budget: int = DEFAULT_BUDGET, threshold: int = 0,
-           sample_count: int = 2000, threads: int = 1,
-           fsd_budget: int = 16 ** 5) -> SearchOutcome:
+           sample_count: int = 2000, threads: int = 1) -> SearchOutcome:
     """Sweep dc/bdc codes of length 2n; keep candidates with d >= threshold.
 
     Candidates run in lexicographic order over the alphabet; with several
@@ -303,7 +341,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
         raise ValueError(f"order n={n} too small for kind {kind}")
     alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
     cands = list(_dc_candidates(n, alpha) if kind == "dc" else _bdc_candidates(n, alpha))
-    ev = _Evaluate(budget, sample_count, fsd_budget)
+    ev = _Evaluate(budget, sample_count)
     workers = min(threads, len(cands))
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -329,33 +367,30 @@ class RowReport:
     recorded_d: int
     got: DistanceResult
     ok: bool
-    fsd: bool | None  # None = skipped (over the census budget)
+    fsd: bool  # True: the spec's isodual map checked out
 
     def format_line(self) -> str:
         verdict = "PASS" if self.ok else "FAIL"
-        fsd = {True: "fsd=yes", False: "fsd=NO", None: "fsd=skipped"}[self.fsd]
+        fsd = "fsd=yes" if self.fsd else "fsd=NO"
         return (f"length {self.length:>2}  d={self.got.value:>2} ({self.got.label()})"
                 f"  recorded {self.recorded_d:>2}  {verdict}  {fsd}  {self.spec.describe()}")
 
 
 def verify_tables(table: int, max_length: int = 26,
                   budget: int = DEFAULT_BUDGET, sample_count: int = 50_000,
-                  threads: int = 1, fsd_budget: int = _FSD_CHECK_CAP) -> list[RowReport]:
+                  threads: int = 1) -> list[RowReport]:
     """Rebuild catalogued codes and compare distances with recorded values."""
     reports = []
     for length, spec, recorded in table_specs(table):
         if length > max_length:
             continue
         codeobj = spec.build()
-        if 16 ** codeobj.k <= budget:
+        if codeobj.ring.size ** codeobj.k <= budget:
             got = codeobj.min_lee_distance(budget, sample_count, threads)
         else:
             got = shift_anchored_upper_bound(spec, depth=4, stop_at=recorded,
                                              sample_count=0)
-        if 16 ** codeobj.k <= min(fsd_budget, _FSD_CHECK_CAP):
-            fsd: bool | None = is_formally_self_dual(codeobj, fsd_budget, threads)
-        else:
-            fsd = None
+        _certify_isodual(spec, codeobj)
         reports.append(RowReport(length, spec, recorded, got,
-                                 ok=(got.value == recorded), fsd=fsd))
+                                 ok=(got.value == recorded), fsd=True))
     return reports

@@ -58,6 +58,7 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
 
 _EXPANSION_GUARD = 24
 _COMPOSITION_ROWS = 1 << 16   # words per bincount: a (rows * 16) int64 count array
+_MERGE_KEYS = 1 << 18         # pending distinct keys that trigger a merge at the least
 
 
 def _coerce_point(point: Sequence) -> tuple[list, object]:
@@ -80,7 +81,13 @@ class CWE:
     def of_words(cls, words, length: int) -> "CWE":
         """Composition census of the rows of an (N, length) array of R
         words (element values 0..15), each row counted once."""
-        comps, counts = _compositions([np.asarray(words, dtype=np.uint8)], length)
+        return cls.of_blocks([np.asarray(words, dtype=np.uint8)], length)
+
+    @classmethod
+    def of_blocks(cls, blocks: Iterable[np.ndarray], length: int) -> "CWE":
+        """`of_words` over the rows of a stream of (B, length) uint8
+        blocks; memory follows one block, not the stream."""
+        comps, counts = _compositions(blocks, length)
         return cls(length, dict(zip(map(tuple, comps.tolist()), counts.tolist())))
 
     @functools.cached_property
@@ -200,16 +207,18 @@ def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.
     """Distinct compositions (16 element counts per word) among the rows of
     (B, n) word blocks, with how many rows have each.
 
-    Compositions are 16-count byte keys; the running totals are merged
-    once per block, so memory follows the distinct compositions.  Each
-    bincount covers at most _COMPOSITION_ROWS words: its int64 output is
-    then 8 MB where a whole 2^20-word block would need 128 MB.
+    Compositions are 16-count byte keys.  Each bincount covers at most
+    _COMPOSITION_ROWS words: its int64 output is then 8 MB where a whole
+    2^20-word block would need 128 MB.  The distinct keys of each bincount
+    wait until they outnumber both the running totals and _MERGE_KEYS, then
+    all merge in one sort: memory follows the distinct compositions, and a
+    stream of many small blocks does not re-sort the totals per block.
     """
     dtype = np.min_scalar_type(n)  # a count is at most n: no wraparound
     key = np.dtype((np.void, 16 * dtype.itemsize))
     found, total = np.empty(0, key), np.empty(0, np.int64)
+    keys, counts, pending = [], [], 0
     for blk in blocks:
-        keys, counts = [found], [total]
         for s in range(0, len(blk), _COMPOSITION_ROWS):
             part = blk[s:s + _COMPOSITION_ROWS]
             flat = (np.arange(len(part))[:, None] * 16 + part).ravel(order="K")
@@ -217,10 +226,20 @@ def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.
             u, c = np.unique(comp.view(key), return_counts=True)
             keys.append(u)
             counts.append(c)
-        found, inv = np.unique(np.concatenate(keys), return_inverse=True)
-        total = np.zeros(len(found), dtype=np.int64)
-        np.add.at(total, inv, np.concatenate(counts))
+            pending += len(u)
+            if pending >= max(len(found), _MERGE_KEYS):
+                found, total = _merge_counts([found, *keys], [total, *counts])
+                keys, counts, pending = [], [], 0
+    found, total = _merge_counts([found, *keys], [total, *counts])
     return found.view(dtype).reshape(-1, 16), total
+
+
+def _merge_counts(keys: list[np.ndarray], counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys among `keys`, each with the sum of its counts."""
+    found, inv = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(found), dtype=np.int64)
+    np.add.at(total, inv, np.concatenate(counts))
+    return found, total
 
 
 def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:

@@ -3,6 +3,8 @@
 `span` builds a code's codeword set from a ring's scalar functions alone;
 `members` reads the codeword set back from `LinearCode.contains` by asking
 about every vector of ring^n, so the two can be compared as sets.
+`sweep_contains` is membership by one sweep over every message, whatever
+the generator's shape: the reference for the standard-form fast path.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.
@@ -12,6 +14,7 @@ from itertools import product
 
 import numpy as np
 
+from z4u.code import DEFAULT_BUDGET
 from z4u.scalars import GaussianInt, GaussianRational
 
 
@@ -28,6 +31,19 @@ def members(code):
     """Every vector of ring^n that the code contains (small n only)."""
     vectors = np.array(list(product(range(code.ring.size), repeat=code.n)), dtype=np.uint8)
     return {tuple(v) for v in vectors[code.contains(vectors)].tolist()}
+
+
+def sweep_contains(code, words, budget=DEFAULT_BUDGET):
+    """One bool per row of the (N, n) `words`, from every block of
+    codewords; rows are compared as n-byte keys."""
+    q = np.asarray(words, dtype=np.uint8)
+    key = np.dtype((np.void, code.n))
+    qv = np.ascontiguousarray(q).view(key).ravel()
+    found = np.zeros(len(qv), dtype=bool)
+    for _, blk in code.codeword_blocks(budget):
+        bv = np.ascontiguousarray(blk).view(key).ravel()
+        found |= np.isin(qv, bv[np.isin(bv, qv)])
+    return found
 
 
 def is_linear(words, size, add, mul):

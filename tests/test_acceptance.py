@@ -197,7 +197,8 @@ def test_criterion_06_slow_exact_lift_distance():
 
 
 def _check_table(num, table, expect_exact, expect_ub, t0):
-    reports = verify_tables(table, max_length=26, fsd_budget=1)
+    reports = verify_tables(table, max_length=26)
+    assert all(r.fsd is True for r in reports), [r.length for r in reports if r.fsd is not True]
     by_len = {r.length: r for r in reports}
     for length, d in expect_exact.items():
         r = by_len[length]
@@ -206,7 +207,8 @@ def _check_table(num, table, expect_exact, expect_ub, t0):
         r = by_len[length]
         assert (not r.got.exact) and r.got.value == d and r.ok, (length, r)
     _report(num, t0, f"table {table}: lengths {sorted(expect_exact)} exact, "
-                     f"{sorted(expect_ub)} upper-bound, all match recorded d")
+                     f"{sorted(expect_ub)} upper-bound, all match recorded d; "
+                     "every row certified isodual")
 
 
 def test_criterion_07_table2_reproduction():

@@ -271,6 +271,36 @@ def test_dual_count_runs_in_bounded_memory(tmp_path):
         "size product |C|*|dual|: 268435456 (16^n = 268435456)"]
 
 
+def test_macwilliams_dual_cwe_runs_in_bounded_memory(tmp_path):
+    # the zero code of length 6: its dual is all 16^6 vectors, 96 MiB as one
+    # (N, 6) array and twice that while the blocks are joined.  Counting the
+    # dual's compositions block by block needs well under 128 MiB of address
+    # space past what the imports take; holding the whole dual does not fit.
+    import os
+    import subprocess
+    import z4u
+    g = tmp_path / "zero6.gen"
+    g.write_text(" ".join(["00"] * 6) + "\n")
+    src = os.path.dirname(os.path.dirname(z4u.__file__))
+    script = ("import resource, sys\n"
+              "from z4u.cli import main\n"
+              "pages = int(open('/proc/self/statm').read().split()[0])\n"
+              "limit = pages * resource.getpagesize() + (128 << 20)\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "macwilliams", "--gen", str(g),
+                           "--points", "0"],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-3:] == ["swe transform equals brute-force dual swe: yes",
+                          "lee transform equals brute-force dual lee: yes",
+                          "cwe transform evaluations match brute-force dual at 0 points: yes"]
+    i, j = lines.index("swe transform (dual swe):"), lines.index("lee transform (dual lee):")
+    assert sum(int(ln.partition(" : ")[2]) for ln in lines[i + 1:j]) == 16 ** 6
+
+
 def test_dual_lists_vectors_up_to_print_cap(tmp_path):
     # [0 | I3] over length 6: the dual R^3 x 0^3 has exactly 4096 vectors,
     # 256 in each of the sweep's 16 blocks; (01 00 00 00) has 16384

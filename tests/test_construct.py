@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from z4u import ring
-from z4u.code import lee_weight_vector
+from z4u.code import LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
-                           bordered_code, circulant, double_circulant_code,
-                           search, shift_anchored_upper_bound, symmetric_code,
+                           _certify_isodual, bordered_code, circulant,
+                           double_circulant_code, maps_dual_into, search,
+                           shift_anchored_upper_bound, symmetric_code,
                            table_specs, verify_tables)
 from z4u.errors import BadBorder, NotSymmetric
 from z4u.wenum import is_formally_self_dual
@@ -205,7 +208,7 @@ def test_verify_tables_upper_bound_rows():
     assert by_len[18].ok and not by_len[18].got.exact
     assert by_len[26].ok and not by_len[26].got.exact
     assert by_len[26].got.value == 15
-    assert by_len[26].fsd is None  # census out of budget, honestly skipped
+    assert by_len[26].fsd is True  # certified by the isodual map, no census
 
 
 def test_table_data_shapes():
@@ -216,3 +219,86 @@ def test_table_data_shapes():
     for length, row, (a, b, g), _ in BDC_TABLE:
         assert length == 2 * (len(row) + 1)
         assert g == b or g == ring.neg(b)
+
+
+# ---------------------------------------------------------------------------
+# Isodual certificates against the enumerator fixed point
+# ---------------------------------------------------------------------------
+
+ELEMENT = st.sampled_from(ring.ELEMENTS)
+#: beta with -beta != beta, so gamma = -beta is a second border
+SIGNED_BETA = st.sampled_from([x for x in ring.ELEMENTS if ring.neg(x) != x])
+
+
+def test_isodual_map_keeps_lee_weight():
+    for table in (ring.R, ring.Z4, ring.F2U):
+        assert (table.LEE[table.NEG] == table.LEE).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(row=st.lists(ELEMENT, min_size=1, max_size=4))
+def test_dc_certificate_agrees_with_fixed_point(row):
+    spec = CirculantSpec(tuple(row))
+    c = spec.build()
+    assert maps_dual_into(c, *spec.isodual_map())
+    assert is_formally_self_dual(c)
+
+
+@pytest.mark.parametrize("negated", [False, True])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_bdc_certificate_agrees_with_fixed_point(negated, data):
+    row = data.draw(st.lists(ELEMENT, min_size=1, max_size=3))
+    alpha = data.draw(ELEMENT)
+    beta = data.draw(SIGNED_BETA if negated else ELEMENT)
+    spec = BorderSpec(tuple(row), alpha, beta, ring.neg(beta) if negated else beta)
+    c = spec.build()
+    assert maps_dual_into(c, *spec.isodual_map())
+    assert is_formally_self_dual(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_symmetric_certificate_agrees_with_fixed_point(data):
+    k = data.draw(st.integers(1, 4))
+    upper = data.draw(st.lists(ELEMENT, min_size=k * (k + 1) // 2, max_size=k * (k + 1) // 2))
+    a = np.zeros((k, k), dtype=np.uint8)
+    a[np.triu_indices(k)] = upper
+    c = symmetric_code(np.maximum(a, a.T))
+    assert maps_dual_into(c, np.arange(k), np.zeros(k, dtype=bool))
+    assert is_formally_self_dual(c)
+
+
+def _is_circulant(a):
+    return all(a[i][j] == a[0][(j - i) % len(a)] for i in range(len(a)) for j in range(len(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_map_check_on_random_standard_form(data):
+    k = data.draw(st.integers(2, 4))
+    a = np.array(data.draw(st.lists(st.lists(ELEMENT, min_size=k, max_size=k),
+                                    min_size=k, max_size=k)), dtype=np.uint8)
+    c = LinearCode(np.hstack([identity(k), a]))
+    # (x, y) -> (yQ, -xQ) sends the dual <[-A^T | I]> onto <[I | Q^-1 A^T Q]>,
+    # so the check holds iff A[i][j] = s_i s_j A[perm j][perm i]
+    perm = np.array(data.draw(st.permutations(range(k))))
+    neg = np.array(data.draw(st.lists(st.booleans(), min_size=k, max_size=k)))
+    moved = a.T[perm][:, perm]
+    flip = neg[:, None] ^ neg[None, :]
+    moved[flip] = ring.R.NEG[moved[flip]]
+    assert maps_dual_into(c, perm, neg) == np.array_equal(moved, a)
+    if not _is_circulant(a) and not np.array_equal(a, a.T):
+        # the symmetric construction's map (Q = I) fails, and so does the
+        # dc map unless A is fixed by it
+        assert not maps_dual_into(c, np.arange(k), np.zeros(k, dtype=bool))
+        reversal = -np.arange(k) % k
+        assert maps_dual_into(c, reversal, np.zeros(k, dtype=bool)) == \
+            np.array_equal(a.T[reversal][:, reversal], a)
+
+
+def test_failed_certificate_raises():
+    spec = CirculantSpec((R("10"), R("20")))
+    lopsided = LinearCode([[R("10"), 0, R("10"), R("20")], [0, R("10"), 0, R("10")]])
+    with pytest.raises(AssertionError, match="isodual"):
+        _certify_isodual(spec, lopsided)

@@ -5,7 +5,8 @@ and standard-form ones included, are checked against brute force written
 from the ring's scalar functions: codeword set (read back through
 `contains`), |C|, Lee census, minimum distance and self-orthogonality;
 membership of random vectors and code equality under row permutation,
-row duplication and a changed row; over R, the complete enumerator;
+row duplication and a changed row; the standard-form membership product
+against a sweep over every message; over R, the complete enumerator;
 |C| * |C-perp| = size^n; and the Lee MacWilliams transform against the
 brute-force dual's Lee census.
 """
@@ -26,7 +27,7 @@ from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight
                          z4_mul)
 from z4u.wenum import cwe, lee, macwilliams_lee
 
-from oracles import members, span
+from oracles import members, span, sweep_contains
 
 #: ring -> (table, add, mul, lee weight, max k, max n).  Over R the sizes stay
 #: at 16^3 messages and dual vectors so each example runs in milliseconds.
@@ -115,6 +116,36 @@ def test_membership_and_equality(name, data):
     other = LinearCode(changed, table)
     assert other.same_code(c) == c.same_code(other) == \
         (span(changed, table.size, add, mul) == words)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_standard_form_contains_matches_sweep(name, data):
+    table, _add, _mul, _, kmax, nmax = SCALARS[name]
+    elem = st.integers(0, table.size - 1)
+    k = data.draw(st.integers(1, kmax))
+    n = data.draw(st.integers(k, nmax))
+    a = data.draw(st.lists(st.lists(elem, min_size=n - k, max_size=n - k),
+                           min_size=k, max_size=k))
+    c = LinearCode([[table.ONE if i == j else 0 for j in range(k)] + a[i] for i in range(k)],
+                   table)
+    assert c.standard_form
+    vectors = data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=1,
+                                 max_size=8))
+    codewords = [list(c.encode(m)) for m in
+                 data.draw(st.lists(st.lists(elem, min_size=k, max_size=k), min_size=1,
+                                    max_size=4))]
+    # a codeword changed in one parity coordinate is never a codeword
+    changed = []
+    for w in (codewords if n > k else []):
+        j = data.draw(st.integers(k, n - 1))
+        w = list(w)
+        w[j] = table.ADD[w[j], data.draw(st.integers(1, table.size - 1))]
+        changed.append(w)
+    got = c.contains(vectors + codewords + changed).tolist()
+    assert got == sweep_contains(c, vectors + codewords + changed).tolist()
+    assert got[len(vectors):] == [True] * len(codewords) + [False] * len(changed)
 
 
 @pytest.mark.parametrize("name", RINGS)
