@@ -21,8 +21,20 @@ stays as the tests' oracle.
 
 `search` sweeps first rows (and border triples) in lexicographic order
 over a chosen alphabet and reports the best minimum distance with the
-lexicographically smallest witness; candidate evaluation order is fixed,
-so results do not depend on worker count.
+lexicographically smallest witness.  Three maps send a spec to one whose
+code is isometric: a cyclic shift of the circulant first row (for bdc the
+border stays), the reversal r_j -> r_{-j mod n}, which transposes the block
+(for bdc it also swaps beta and gamma), and negation of every entry.  The
+candidates fall into orbits of the group they generate; only the first
+member of each orbit in candidate order is evaluated, and every other
+member carries its result.  Each member is checked, not assumed: the
+orbit element is a signed permutation of rows and columns, and applied to
+the representative's block it must give the member's block, or the search
+raises AssertionError.  A member keeps the representative's distance, its
+exact flag and fsd; its witness is the representative's mapped by the
+element (x -> xQ under reversal, unchanged under shift and negation).
+Results come back in candidate order, so they do not depend on worker
+count.
 
 `verify_tables` rebuilds each catalogued code and compares its minimum
 distance against the recorded value: exact while size^k fits the budget,
@@ -35,6 +47,7 @@ recorded weight at the longest catalogued lengths.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -53,10 +66,10 @@ from .errors import BadBorder, NotSymmetric
 # ---------------------------------------------------------------------------
 
 def circulant(first_row: Sequence[int]) -> np.ndarray:
-    n = len(first_row)
-    row = [int(x) for x in first_row]
-    return np.array([[row[(j - i) % n] for j in range(n)] for i in range(n)],
-                    dtype=np.uint8)
+    """M[i][j] = first_row[(j - i) mod n]."""
+    row = np.asarray(first_row, dtype=np.uint8)
+    idx = np.arange(len(row))
+    return row[(idx[None, :] - idx[:, None]) % len(row)]
 
 
 def symmetric_code(a: Sequence[Sequence[int]] | np.ndarray) -> LinearCode:
@@ -99,6 +112,9 @@ def bordered_code(first_row: Sequence[int], alpha: int, beta: int,
 class CirculantSpec:
     first_row: tuple[int, ...]
 
+    def block(self) -> np.ndarray:
+        return circulant(self.first_row)
+
     def build(self) -> LinearCode:
         return double_circulant_code(self.first_row)
 
@@ -117,6 +133,9 @@ class BorderSpec:
     alpha: int
     beta: int
     gamma: int
+
+    def block(self) -> np.ndarray:
+        return bordered_block(self.first_row, self.alpha, self.beta, self.gamma)
 
     def build(self) -> LinearCode:
         return bordered_code(self.first_row, self.alpha, self.beta, self.gamma)
@@ -326,14 +345,115 @@ class _Evaluate:
         return SearchResult(spec, dist, "verified")
 
 
+@dataclass(frozen=True)
+class _Move:
+    """A signed permutation of k x k blocks: B'[i][j] = B[rows[i]][cols[j]],
+    negated where row_neg[i] != col_neg[j].
+
+    It sends <[I | B]> onto <[I | B']>: the codeword of message x goes to
+    the codeword of x[rows] (negated where row_neg), which is the same word
+    with its right half permuted by cols and signed by col_neg, so every Lee
+    weight is kept.  `take` indexes B' out of the stacked (B; -B).
+    """
+    rows: tuple[int, ...]
+    row_neg: tuple[bool, ...]
+    take: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, cols: np.ndarray, row_neg: np.ndarray,
+           col_neg: np.ndarray) -> "_Move":
+        k = rows.size
+        flip = row_neg[:, None] != col_neg[None, :]
+        return cls(tuple(rows.tolist()), tuple(row_neg.tolist()),
+                   (flip * k + rows[:, None]) * k + cols[None, :])
+
+    def block(self, b: np.ndarray) -> np.ndarray:
+        return np.concatenate([b, ring.R.NEG[b]]).ravel()[self.take]
+
+    def message(self, x: Sequence[int]) -> tuple[int, ...]:
+        return tuple(ring.neg(x[r]) if s else x[r] for r, s in zip(self.rows, self.row_neg))
+
+
+@functools.lru_cache(maxsize=None)
+def _moves(m: int, bordered: bool,
+           signed_border: bool) -> tuple[tuple[bool, np.ndarray, bool, _Move], ...]:
+    """(reversed, circulant permutation, negated, move) for every element of
+    the group generated by the cyclic shifts of an order-m circulant, its
+    reversal and negation; the identity comes first.
+
+    The image's first row is row[perm].  Reversal transposes the block:
+    for a circulant that is the reversal i -> -i mod m on rows and columns,
+    and a bdc border with gamma = -beta != beta also comes back negated on
+    the border coordinate 0, which every shift fixes.
+    """
+    head = np.zeros(int(bordered), dtype=np.intp)
+    idx = np.arange(m)
+    out = []
+    for rev in (False, True):
+        base = -idx % m if rev else idx
+        rows = np.concatenate([head, head.size + base])
+        sign = np.zeros(rows.size, dtype=bool)
+        sign[0] = rev and signed_border
+        for s in range(m):
+            perm = base[(idx - s) % m]
+            cols = np.concatenate([head, head.size + perm])
+            for negated in (False, True):
+                out.append((rev, perm, negated, _Move.of(rows, cols, sign, sign ^ negated)))
+    return tuple(out)
+
+
+def _orbit(spec: "CirculantSpec | BorderSpec"
+           ) -> Iterator[tuple["CirculantSpec | BorderSpec", _Move]]:
+    """Every image of `spec` under shifts, reversal and negation, with the
+    move that sends spec's block to the image's (reversal swaps a bdc
+    spec's beta and gamma)."""
+    bordered = isinstance(spec, BorderSpec)
+    signed = bordered and spec.gamma != spec.beta
+    for rev, perm, negated, move in _moves(len(spec.first_row), bordered, signed):
+        vals = tuple(spec.first_row[i] for i in perm)
+        if bordered:
+            vals += (spec.alpha,) + ((spec.gamma, spec.beta) if rev else (spec.beta, spec.gamma))
+        if negated:
+            vals = tuple(ring.neg(x) for x in vals)
+        m = len(perm)
+        yield (BorderSpec(vals[:m], *vals[m:]) if bordered else CirculantSpec(vals)), move
+
+
+def _orbit_owners(cands: list) -> list[tuple[int, _Move]]:
+    """Per candidate, (index of its orbit representative, move from the
+    representative's block to the candidate's).  The representative is the
+    first member, in candidate order, of the orbit intersected with the
+    candidate list."""
+    index = {spec: i for i, spec in enumerate(cands)}
+    owners: list = [None] * len(cands)
+    for i, spec in enumerate(cands):
+        if owners[i] is None:
+            for image, move in _orbit(spec):
+                j = index.get(image)
+                if j is not None and owners[j] is None:
+                    owners[j] = (i, move)
+    return owners
+
+
+def _carry(rep: SearchResult, rep_block: np.ndarray, spec, move: _Move) -> SearchResult:
+    """The representative's result for the orbit member `spec` (rep itself
+    under the identity move).  The move must send rep's block to spec's; a
+    failure is a fault in the program."""
+    if not (move.block(rep_block) == spec.block()).all():
+        raise AssertionError(f"orbit move does not send {rep.spec.describe()} to {spec.describe()}")
+    d = rep.distance
+    return SearchResult(spec, DistanceResult(d.value, d.exact, move.message(d.witness_message)),
+                        rep.fsd)
+
+
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
            budget: int = DEFAULT_BUDGET, threshold: int = 0,
            sample_count: int = 2000, threads: int = 1) -> SearchOutcome:
     """Sweep dc/bdc codes of length 2n; keep candidates with d >= threshold.
 
-    Candidates run in lexicographic order over the alphabet; with several
-    workers the order of evaluation may interleave but results are merged
-    back in candidate order, so the outcome is worker-count independent.
+    Only one candidate per isometry orbit is evaluated, by the worker pool;
+    every result is then carried back out in candidate order, so the
+    outcome is worker-count independent.
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -341,13 +461,18 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
         raise ValueError(f"order n={n} too small for kind {kind}")
     alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
     cands = list(_dc_candidates(n, alpha) if kind == "dc" else _bdc_candidates(n, alpha))
+    owners = _orbit_owners(cands)
+    rep_index = [i for i, (owner, _) in enumerate(owners) if owner == i]
+    reps = [cands[i] for i in rep_index]
     ev = _Evaluate(budget, sample_count)
-    workers = min(threads, len(cands))
+    workers = min(threads, len(reps))
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            evaluated = pool.map(ev, cands, chunksize=max(1, len(cands) // (8 * workers)))
+            done = pool.map(ev, reps, chunksize=max(1, len(reps) // (8 * workers)))
     else:
-        evaluated = [ev(s) for s in cands]
+        done = [ev(s) for s in reps]
+    by_rep = {i: (r, r.spec.block()) for i, r in zip(rep_index, done)}
+    evaluated = [_carry(*by_rep[owner], spec, move) for spec, (owner, move) in zip(cands, owners)]
     results = tuple(r for r in evaluated if r.distance.value >= threshold)
     best = max(r.distance.value for r in evaluated)
     best_spec = next(r.spec for r in evaluated if r.distance.value == best)

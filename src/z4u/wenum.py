@@ -57,8 +57,12 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
                       for x in ring.ELEMENTS)
 
 _EXPANSION_GUARD = 24
-_COMPOSITION_ROWS = 1 << 16   # words per bincount: a (rows * 16) int64 count array
+_COMPOSITION_ROWS = 1 << 16   # words per key pass: a (rows * 16) int64 bincount at most
 _MERGE_KEYS = 1 << 18         # pending distinct keys that trigger a merge at the least
+_PACKED_MAX_N = 15            # longest word whose 16 counts fit 4 bits each
+#: element v's count sits in bits 4*(15-v) and up of a packed key
+_NIBBLE_SHIFT = np.arange(60, -1, -4, dtype=np.uint64)
+_NIBBLE_UNIT = np.left_shift(np.uint64(1), _NIBBLE_SHIFT)
 
 
 def _coerce_point(point: Sequence) -> tuple[list, object]:
@@ -205,25 +209,36 @@ class LeePoly:
 
 def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
     """Distinct compositions (16 element counts per word) among the rows of
-    (B, n) word blocks, with how many rows have each.
+    (B, n) word blocks, with how many rows have each, in the byte order of
+    the 16 counts.
 
-    Compositions are 16-count byte keys.  Each bincount covers at most
-    _COMPOSITION_ROWS words: its int64 output is then 8 MB where a whole
-    2^20-word block would need 128 MB.  The distinct keys of each bincount
-    wait until they outnumber both the running totals and _MERGE_KEYS, then
-    all merge in one sort: memory follows the distinct compositions, and a
-    stream of many small blocks does not re-sort the totals per block.
+    While n <= _PACKED_MAX_N a composition is one uint64 key: the count of
+    element v in bits 4*(15-v) and up, so numeric order is byte order, and a
+    word's key is the sum of its elements' nibble units.  Longer words use
+    16-count byte keys from a bincount.  Each key pass covers at most
+    _COMPOSITION_ROWS words, so a bincount's int64 output is 8 MB where a
+    whole 2^20-word block would need 128 MB.  The distinct keys of each
+    pass wait until they outnumber both the running totals and _MERGE_KEYS,
+    then all merge in one sort: memory follows the distinct compositions,
+    and a stream of many small blocks does not re-sort the totals per block.
     """
     dtype = np.min_scalar_type(n)  # a count is at most n: no wraparound
-    key = np.dtype((np.void, 16 * dtype.itemsize))
+    if n <= _PACKED_MAX_N:
+        key = np.dtype(np.uint64)
+
+        def keys_of(part):
+            return _NIBBLE_UNIT[part].sum(axis=1, dtype=np.uint64)
+    else:
+        key = np.dtype((np.void, 16 * dtype.itemsize))
+
+        def keys_of(part):
+            flat = (np.arange(len(part))[:, None] * 16 + part).ravel(order="K")
+            return np.bincount(flat, minlength=16 * len(part)).astype(dtype).view(key)
     found, total = np.empty(0, key), np.empty(0, np.int64)
     keys, counts, pending = [], [], 0
     for blk in blocks:
         for s in range(0, len(blk), _COMPOSITION_ROWS):
-            part = blk[s:s + _COMPOSITION_ROWS]
-            flat = (np.arange(len(part))[:, None] * 16 + part).ravel(order="K")
-            comp = np.bincount(flat, minlength=16 * len(part)).astype(dtype)
-            u, c = np.unique(comp.view(key), return_counts=True)
+            u, c = np.unique(keys_of(blk[s:s + _COMPOSITION_ROWS]), return_counts=True)
             keys.append(u)
             counts.append(c)
             pending += len(u)
@@ -231,6 +246,8 @@ def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.
                 found, total = _merge_counts([found, *keys], [total, *counts])
                 keys, counts, pending = [], [], 0
     found, total = _merge_counts([found, *keys], [total, *counts])
+    if n <= _PACKED_MAX_N:
+        return ((found[:, None] >> _NIBBLE_SHIFT) & np.uint64(15)).astype(dtype), total
     return found.view(dtype).reshape(-1, 16), total
 
 

@@ -7,13 +7,15 @@ about every vector of ring^n, so the two can be compared as sets.
 the generator's shape: the reference for the standard-form fast path.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
-arithmetic term by term.
+arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
+evaluation per candidate, no isometry orbits.
 """
 
 from itertools import product
 
 import numpy as np
 
+from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET
 from z4u.scalars import GaussianInt, GaussianRational
 
@@ -105,3 +107,18 @@ def cwe_value(terms, point):
                 prod = prod * v
         out = out + prod.scale(coeff)
     return out
+
+
+def search_unreduced(kind, n, alphabet=None, budget=DEFAULT_BUDGET, threshold=0,
+                     sample_count=2000):
+    """`construct.search` evaluating every candidate on its own."""
+    alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
+    cands = list(construct._dc_candidates(n, alpha) if kind == "dc"
+                 else construct._bdc_candidates(n, alpha))
+    ev = construct._Evaluate(budget, sample_count)
+    evaluated = [ev(s) for s in cands]
+    best = max(r.distance.value for r in evaluated)
+    return construct.SearchOutcome(
+        kind, tuple(r for r in evaluated if r.distance.value >= threshold), best,
+        next(r.spec for r in evaluated if r.distance.value == best),
+        exhaustive=(alpha == tuple(range(16))), candidates=len(cands))

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from z4u import ring
-from z4u.code import LinearCode, identity, lee_weight_vector
+from oracles import search_unreduced
+from z4u import construct, ring
+from z4u.code import DEFAULT_BUDGET, LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
-                           _certify_isodual, bordered_code, circulant,
+                           _carry, _certify_isodual, _Evaluate, _Move, _moves,
+                           _orbit, bordered_code, circulant,
                            double_circulant_code, maps_dual_into, search,
                            shift_anchored_upper_bound, symmetric_code,
                            table_specs, verify_tables)
@@ -159,7 +161,8 @@ class _SerialPool:
 
 
 def test_worker_pools_capped_at_their_work(monkeypatch):
-    # a Z4 code with k = 11 sweeps in 4 shards; 16 dc candidates for n = 1
+    # a Z4 code with k = 11 sweeps in 4 shards; the 16 dc candidates for
+    # n = 1 fall into 10 negation orbits, one evaluation each
     import multiprocessing
 
     from z4u.code import LinearCode, identity
@@ -175,7 +178,88 @@ def test_worker_pools_capped_at_their_work(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Context())
     assert c.min_lee_distance(threads=64) == expected[0]
     assert search("dc", 1, threshold=2, threads=64) == expected[1]
-    assert sizes == [4, 16]
+    assert sizes == [4, 10]
+
+
+# ---------------------------------------------------------------------------
+# Isometry orbits against the per-candidate search
+# ---------------------------------------------------------------------------
+
+UNITS = sorted(ring.UNITS)
+
+ORBIT_CASES = [
+    ("dc", 1, None), ("dc", 2, None), ("dc", 3, None),
+    # alphabets that negation does not close
+    ("dc", 3, [ring.ZERO, R("12")]), ("dc", 4, [ring.ZERO, R("12")]),
+    ("dc", 4, [R("11"), R("31")]),
+    ("bdc", 2, None),
+    # 11 and 33 are each other's negatives; -12 is outside, so is gamma = -12
+    ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")]),
+]
+
+
+@pytest.mark.parametrize("kind,n,alphabet", ORBIT_CASES,
+                         ids=[f"{k}{n}-{'all' if a is None else len(a)}"
+                              for k, n, a in ORBIT_CASES])
+def test_orbit_search_matches_unreduced(kind, n, alphabet):
+    want = search_unreduced(kind, n, alphabet)
+    for threads in (1, 2):
+        got = search(kind, n, alphabet, threads=threads)
+        assert (got.kind, got.candidates, got.best_distance, got.best_spec, got.exhaustive) == \
+            (want.kind, want.candidates, want.best_distance, want.best_spec, want.exhaustive)
+        assert [(r.spec, r.distance.value, r.distance.exact, r.fsd) for r in got.results] == \
+            [(r.spec, r.distance.value, r.distance.exact, r.fsd) for r in want.results]
+        for r in got.results:
+            assert lee_weight_vector(r.spec.build().encode(r.distance.witness_message)) == \
+                r.distance.value
+
+
+def test_one_sweep_and_certificate_per_orbit(monkeypatch):
+    # the benchmark's n = 3 search: 8^3 first rows in 60 orbits
+    calls = {"sweep": 0, "certificate": 0}
+    min_lee_distance, map_check = LinearCode.min_lee_distance, construct.maps_dual_into
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LinearCode, "min_lee_distance", counted("sweep", min_lee_distance))
+    monkeypatch.setattr(construct, "maps_dual_into", counted("certificate", map_check))
+    out = search("dc", 3, UNITS, threshold=6)
+    assert out.candidates == 512 and len(out.results) == 144
+    assert calls == {"sweep": 60, "certificate": 60}
+    assert all(r.distance.exact and r.fsd == "verified" for r in out.results)
+
+
+def test_orbit_moves_send_block_to_image():
+    for spec in (CirculantSpec((R("10"), R("21"), R("03"), R("20"))),
+                 BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("13")),
+                 BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))):
+        images = list(_orbit(spec))
+        assert images[0][0] == spec
+        assert len(images) == 4 * len(spec.first_row)
+        for image, move in images:
+            assert np.array_equal(move.block(spec.block()), image.block())
+
+
+def test_corrupted_orbit_move_raises():
+    spec = BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))
+    rep = _Evaluate(DEFAULT_BUDGET, 0)(spec)
+    reversed_spec = BorderSpec((R("02"), R("33"), R("10")), R("31"), R("31"), R("13"))
+    move = dict(_orbit(spec))[reversed_spec]
+    good = _carry(rep, spec.block(), reversed_spec, move).distance
+    assert good.value == rep.distance.value and good.exact
+    assert lee_weight_vector(reversed_spec.build().encode(good.witness_message)) == good.value
+    # the same reversal without the sign on the border coordinate
+    unsigned = next(move for rev, perm, negated, move in _moves(3, True, False)
+                    if rev and not negated and perm.tolist() == [0, 2, 1])
+    swapped = move.take.copy()
+    swapped[1, [1, 2]] = swapped[1, [2, 1]]
+    for bad in (unsigned, _Move(move.rows, move.row_neg, swapped)):
+        with pytest.raises(AssertionError, match="orbit"):
+            _carry(rep, spec.block(), reversed_spec, bad)
 
 
 def test_search_alphabet_restriction():

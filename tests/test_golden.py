@@ -2,9 +2,12 @@
 
 The files under tests/golden/ hold the full stdout of each command as the
 CLI printed it before the deduplicated codeword store was replaced by
-counts over all messages.  Counting may change how results are computed,
-never what is printed; a change that means to alter stdout updates the
-files on purpose.
+counts over all messages.  The two search files were recorded from the
+per-candidate search, before it evaluated one candidate per isometry
+orbit: every result line, and the best witness, must come out the same
+when members carry their representative's result.  Faster paths may change
+how results are computed, never what is printed; a change that means to
+alter stdout updates the files on purpose.
 """
 
 import os
@@ -21,6 +24,8 @@ LIFT16 = ("--ring-gen", gen_path("lift16_r.gen"), "--z4-gen", gen_path("lift16_z
 CASES = [(f"{cmd}_u", (cmd, "--gen", gen_path("u.gen")))
          for cmd in ("analyze", "dual", "macwilliams", "gray", "project")]
 CASES.append(("lift_check_lift16", ("lift-check",) + LIFT16))
+CASES.append(("search_dc3", ("search", "--kind", "dc", "--n", "3", "--threshold", "6")))
+CASES.append(("search_bdc2", ("search", "--kind", "bdc", "--n", "2", "--threshold", "4")))
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

@@ -51,6 +51,25 @@ def test_cwe_counts_past_255_do_not_wrap():
                                               (0, 300) + (0,) * 14: 1}
 
 
+@pytest.mark.parametrize("n", [1, 7, 15])
+def test_packed_composition_keys_match_byte_keys(n, monkeypatch):
+    # words of length <= 15 take one uint64 key each; forcing the 16-byte
+    # keys must give the same compositions, counts and order, also when
+    # small passes make the stream merge many times
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 16, size=(3000, n), dtype=np.uint8)
+    words[:16] = np.arange(16, dtype=np.uint8)[:, None]  # count n of each element
+    monkeypatch.setattr(wenum, "_COMPOSITION_ROWS", 256)
+    monkeypatch.setattr(wenum, "_MERGE_KEYS", 512)
+    blocks = [words[:1000], words[1000:]]
+    packed = wenum._compositions(blocks, n)
+    monkeypatch.setattr(wenum, "_PACKED_MAX_N", 0)
+    byte_keys = wenum._compositions(blocks, n)
+    for got, want in zip(packed, byte_keys):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert packed[1].sum() == len(words)
+
+
 @pytest.mark.parametrize("table", [ring.Z4, ring.F2U])
 def test_cwe_rejects_rings_other_than_r(table):
     # the 16 CWE variables are R's elements: Z4 or F2+uF2 values would be
