@@ -35,21 +35,39 @@ digits are decoded from the flat odometer index only where they are
 reported: the witness and the kept dual vectors.  Work shards by the first
 message coordinate; shard results merge by an order-free minimum or sum, so
 thread count never changes any reported value or witness.  Explicit message
-lists (encoding, low-weight and sampled messages) go through `ring_matmul`.
+lists (encoding, generator rows and sampled messages) go through
+`ring_matmul`.
+
+The minimum distance of a standard-form code comes from the Lee-level
+kernel (Brouwer-Zimmermann) whenever its columns hold two disjoint
+information sets S1, S2 (`information_sets`, a matroid partition on the
+columns' unit patterns over F2).  On each set the generator is made
+systematic by Gauss-Jordan with unit pivots, so a message is the
+codeword's restriction to the set, and the messages are scanned by exact
+Lee weight t.  Under the double Gray map R -> F2^4 these are the t-subsets
+of the message's Gray bits, C(4k, t) of them; each is a high half's message
+of weight w joined with a low half's of weight t - w, their parity products
+held as packed Gray words (`ring.packed_add`, `ring.packed_weight`), in
+chunks of 2^16 pairs.  Once levels t1 and t2 are scanned, every codeword
+not yet seen weighs at least (t1 + 1) + (t2 + 1), and the kernel stops when
+its best word meets that bound.  `LinearCode.min_lee_distance` is the one
+routing point: the kernel when a partition exists, else the sweep while
+size^k fits the budget, else a sampled upper bound; every result carries a
+lower bound and the certificate that proves it.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, ZeroCode
-from .ring import R, RingTable, parse_matrix_text
+from .ring import R, RingTable, packed_add, packed_weight, parse_matrix_text
 
 #: Default enumeration budget (message count); the slow lane raises it 16x.
 DEFAULT_BUDGET = 16 ** 7
@@ -149,31 +167,6 @@ def _digits(index: np.ndarray, j: int, ring: RingTable = R) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def low_weight_messages(k: int, max_hamming: int = 2, ring: RingTable = R) -> np.ndarray:
-    """All messages of Hamming weight 1..max_hamming over ring^k, fixed order.
-
-    Cached per argument tuple; the array is read-only.
-    """
-    rows: list[np.ndarray] = []
-    nz = np.arange(1, ring.size, dtype=np.uint8)
-    for i in range(k):
-        m = np.zeros((nz.shape[0], k), dtype=np.uint8)
-        m[:, i] = nz
-        rows.append(m)
-    if max_hamming >= 2:
-        first, second = np.repeat(nz, len(nz)), np.tile(nz, len(nz))
-        for i in range(k):
-            for j in range(i + 1, k):
-                m = np.zeros((first.shape[0], k), dtype=np.uint8)
-                m[:, i] = first
-                m[:, j] = second
-                rows.append(m)
-    out = np.concatenate(rows, axis=0) if rows else np.zeros((0, k), dtype=np.uint8)
-    out.flags.writeable = False
-    return out
-
-
 def sampled_messages(k: int, count: int, seed: int = SAMPLE_SEED,
                      ring: RingTable = R) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
@@ -197,11 +190,22 @@ class SelfDuality(Enum):
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Minimum Lee distance, with an honest exact/upper-bound flag."""
+    """Minimum Lee distance d, with lower_bound <= d <= value.
+
+    The value is exact when the two bounds meet.  `certificate` names how
+    they were found: "sweep" (every message), "levels t1/t2" (the Lee
+    levels scanned on two information sets) or "sample" (explicit
+    messages; lower bound 1).
+    """
 
     value: int
-    exact: bool
+    lower_bound: int
     witness_message: tuple[int, ...]
+    certificate: str
+
+    @property
+    def exact(self) -> bool:
+        return self.lower_bound == self.value
 
     def label(self) -> str:
         return "exact" if self.exact else "upper-bound"
@@ -342,26 +346,36 @@ class LinearCode:
     def min_lee_distance(self, budget: int = DEFAULT_BUDGET,
                          sample_count: int = DEFAULT_SAMPLE_COUNT,
                          threads: int = 1) -> DistanceResult:
-        """Minimum Lee weight of a nonzero codeword.
+        """Minimum Lee weight of a nonzero codeword; the one routing point.
 
-        Exact when size^k fits the budget, otherwise an upper bound from all
-        Hamming-weight-<=2 messages plus `sample_count` seeded random
-        messages.
+        A standard-form code whose columns hold two disjoint information
+        sets goes to the Lee-level kernel, which enumerates at most
+        min(budget, size^k) messages.  Past that cap the kernel's best word
+        is an upper bound when size^k exceeds the budget; otherwise the
+        full size^k sweep, seeded with it, makes the value exact.  Any other
+        code is swept while size^k fits the budget, and beyond it gets an
+        upper bound from the generator rows and `sample_count` seeded
+        random messages.
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        best = best_in_block(self, low_weight_messages(self.k, ring=self.ring))
-        if best is None:
-            # every Hamming-weight-<=2 codeword is zero; fall back to max bound
-            best = self.ring.max_lee * self.n + 1, ()
-        if self.ring.size ** self.k <= budget:
+        total = self.ring.size ** self.k
+        best: _Best = (_BIG, ())
+        sets = information_sets(self.gen, self.ring) if self.standard_form else None
+        if sets is not None:
+            res = lee_levels(self, sets, min(budget, total))
+            if res.exact or total > budget:
+                return res
+            best = (res.value, res.witness_message)
+        if total <= budget:
             value, witness = _sweep(self, threads, best)
-            return DistanceResult(value, True, witness)
-        for blk in sampled_messages(self.k, sample_count, ring=self.ring):
+            return DistanceResult(value, value, witness, "sweep")
+        for blk in [identity(self.k, self.ring), *sampled_messages(self.k, sample_count,
+                                                                  ring=self.ring)]:
             cand = best_in_block(self, blk)
             if cand is not None and cand[0] < best[0]:
                 best = cand
-        return DistanceResult(best[0], False, best[1])
+        return DistanceResult(best[0], 1, best[1], "sample")
 
     # -- weight census -------------------------------------------------------
 
@@ -489,3 +503,244 @@ class _Shard:
                 index = (first + int(hi_i)) * len(tl) + i
                 best_msg = tuple(_digits(np.array([index]), k, ring)[0].tolist())
         return hist if census else (best_w, best_msg)
+
+
+# ---------------------------------------------------------------------------
+# Lee-level kernel: Brouwer-Zimmermann over two information sets
+# ---------------------------------------------------------------------------
+
+_CHUNK = 1 << 16  # message pairs joined per step
+
+
+def _independent(cols: Sequence[int]) -> bool:
+    """Are these F2 column vectors (ints, bit i = row i) independent?"""
+    basis: dict[int, int] = {}
+    for c in cols:
+        while c:
+            top = c.bit_length() - 1
+            if top not in basis:
+                basis[top] = c
+                break
+            c ^= basis[top]
+        else:
+            return False
+    return True
+
+
+def information_sets(gen: np.ndarray, ring: RingTable = R
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two disjoint sets of k columns of `gen`, each with an invertible
+    k x k block, or None when no such pair exists.
+
+    A block over these local rings is invertible iff its unit pattern is
+    invertible over F2, so this is matroid partition on the F2 columns:
+    columns join the two sets in order, each through a shortest exchange
+    path (Edmonds), so the two halves of [I | A] are taken whenever A is
+    invertible, and a column that finds no path proves that n = 2k columns
+    have no partition.
+    """
+    k, n = gen.shape
+    if n < 2 * k:
+        return None
+    unit = ring.INV[gen] != 0
+    vec = [sum(1 << i for i in range(k) if unit[i, j]) for j in range(n)]
+    if n == 2 * k and (0 in vec or max(map(vec.count, vec)) > 2):
+        # every column is needed, and a basis takes no zero column and at
+        # most one of equal columns (so no all-unit circulant with k >= 3)
+        return None
+    sets: tuple[list[int], list[int]] = ([], [])
+    owner: dict[int, int] = {}
+    for s in range(n):
+        parent: dict[int, tuple[int, int] | None] = {s: None}
+        queue, sink = [s], None
+        for y in queue:
+            sides = [i for i in (0, 1) if owner.get(y) != i]
+            sink = next(((y, i) for i in sides
+                         if _independent([vec[z] for z in sets[i]] + [vec[y]])), None)
+            if sink is not None:
+                break
+            for i in sides:
+                for x in sets[i]:
+                    if x not in parent and _independent(
+                            [vec[z] for z in sets[i] if z != x] + [vec[y]]):
+                        parent[x] = (y, i)
+                        queue.append(x)
+        if sink is None:
+            if n == 2 * k:
+                return None
+            continue
+        y, i = sink
+        while True:  # y joins set i; the column it displaced moves on
+            if y in owner:
+                sets[owner[y]].remove(y)
+            sets[i].append(y)
+            owner[y] = i
+            step = parent[y]
+            if step is None:
+                break
+            y, i = step
+        if len(sets[0]) == len(sets[1]) == k:
+            return tuple(sorted(sets[0])), tuple(sorted(sets[1]))
+    return None
+
+
+def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.ndarray:
+    """Gauss-Jordan with unit pivots: a generator of the same code whose
+    `cols` block is the identity (the block must be invertible)."""
+    g = gen.copy()
+    for i, j in enumerate(cols):
+        p = i + int(np.flatnonzero(ring.INV[g[i:, j]])[0])
+        g[[i, p]] = g[[p, i]]
+        g[i] = ring.MUL[ring.INV[g[i, j]], g[i]]
+        f = ring.NEG[g[:, j]]
+        f[i] = 0
+        g = ring.ADD[g, ring.MUL[f[:, None], g[i][None, :]]]
+    return g
+
+
+def pack_words(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
+    """(N, m) element vectors -> (W, N) uint64 words of their Gray images,
+    64 // bits elements per word."""
+    per = 64 // ring.bits
+    fields = np.zeros((v.shape[0], -(-v.shape[1] // per), per), dtype=np.uint64)
+    fields.reshape(v.shape[0], -1)[:, :v.shape[1]] = ring.PACK[v]
+    shifts = np.arange(0, 64, ring.bits, dtype=np.uint64)
+    return np.ascontiguousarray((fields << shifts).sum(axis=2, dtype=np.uint64).T)
+
+
+class _Half:
+    """Messages on a run of rows of a systematic generator, by exact Lee
+    weight, as the packed products with the parity block.  Built on demand,
+    one row at a time: the messages of weight w from row j on are an
+    element of weight l at row j followed by the messages of weight w - l
+    from row j + 1 on, in that order, so an entry's digits are decoded from
+    its index alone (`message`)."""
+
+    def __init__(self, parity: np.ndarray, ring: RingTable):
+        self.h = parity.shape[0]
+        self.low = ring.low_mask
+        self.words = -(-parity.shape[1] // (64 // ring.bits))
+        self.by_weight = [np.flatnonzero(ring.LEE == w).astype(np.uint8)
+                          for w in range(ring.max_lee + 1)]
+        # per row and element weight l, (W, count): the packed products
+        # e * row for the elements e of Lee weight l
+        self.mult = [[words[:, els, None] for els in self.by_weight]
+                     for words in (pack_words(ring.MUL[:, row], ring) for row in parity)]
+        self.memo: dict[tuple[int, int], np.ndarray] = {}
+
+    def level(self, w: int, j: int = 0) -> np.ndarray:
+        """Packed parities (W, N) of the messages of weight w from row j."""
+        key = (j, w)
+        if key not in self.memo:
+            if j == self.h:
+                out = np.zeros((self.words, int(w == 0)), np.uint64)
+            else:
+                parts = []
+                for lw, mult in enumerate(self.mult[j][:w + 1]):
+                    sub = self.level(w - lw, j + 1)
+                    if sub.shape[1]:
+                        parts.append(packed_add(mult, sub[:, None, :], self.low)
+                                     .reshape(self.words, -1))
+                out = np.concatenate(parts, axis=1) if parts \
+                    else np.zeros((self.words, 0), np.uint64)
+            self.memo[key] = out
+        return self.memo[key]
+
+    def message(self, w: int, i: int, j: int = 0) -> list[int]:
+        """Digits of entry i of level(w, j)."""
+        if j == self.h:
+            return []
+        for lw, els in enumerate(self.by_weight[:w + 1]):
+            count = self.level(w - lw, j + 1).shape[1]
+            if i < len(els) * count:
+                e, rest = divmod(i, count)
+                return [int(els[e])] + self.message(w - lw, rest, j + 1)
+            i -= len(els) * count
+        raise IndexError(i)
+
+
+class _InfoSet:
+    """The generator made systematic on one information set: its messages
+    of Lee weight t are a high half's messages of weight w joined with a
+    low half's of weight t - w."""
+
+    def __init__(self, gen: np.ndarray, cols: Sequence[int], ring: RingTable):
+        k = gen.shape[0]
+        self.gen = systematic(gen, cols, ring)
+        parity = self.gen[:, [j for j in range(gen.shape[1]) if j not in cols]]
+        self.halves = (_Half(parity[:k // 2], ring), _Half(parity[k // 2:], ring))
+        self.low = ring.low_mask
+        # messages of Lee weight t: the t-subsets of their bits * k Gray bits
+        self.counts = [comb(ring.bits * k, t) for t in range(ring.bits * k + 1)]
+
+    def scan(self, t: int, best: int, stop: int) -> tuple[int, np.ndarray] | None:
+        """(weight, message on the set) of the lightest codeword below
+        `best` among the messages of Lee weight t, or None; stops early at
+        a weight <= `stop`."""
+        hi, lo = self.halves
+        low, found = self.low, None
+        for wh in range(t + 1):
+            ph, pl = hi.level(wh), lo.level(t - wh)
+            if not ph.shape[1] or not pl.shape[1]:
+                continue
+            pl_low = pl & low
+            pl_high = pl ^ pl_low
+            rows = max(1, _CHUNK // pl.shape[1])
+            for a in range(0, ph.shape[1], rows):
+                blk = ph[:, a:a + rows]
+                blk_low = blk & low
+                blk_high = blk ^ blk_low
+                wt = None
+                for w in range(len(ph)):
+                    x = blk_low[w][:, None] + pl_low[w][None, :]
+                    x ^= blk_high[w][:, None]
+                    x ^= pl_high[w][None, :]
+                    c = packed_weight(x, low)
+                    wt = c if wt is None else wt + c.astype(np.uint16)
+                i = int(wt.argmin())
+                if t + int(wt.flat[i]) < best:
+                    best = t + int(wt.flat[i])
+                    r, q = divmod(i, pl.shape[1])
+                    found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
+                                           dtype=np.uint8)
+                    if best <= stop:
+                        return found
+        return found
+
+
+def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> DistanceResult:
+    """Minimum distance of a standard-form code by Lee levels on two
+    disjoint information sets S1, S2 (Brouwer-Zimmermann).
+
+    On an information set the message is the codeword's restriction to it,
+    so once levels t1 and t2 are scanned, every codeword not yet seen has
+    Lee weight at least (t1 + 1) + (t2 + 1).  Levels rise alternately,
+    lower set first, until the best word found meets that bound.  The
+    generator rows seed the best word.  A level runs only if its messages
+    still fit in `cap`; otherwise the result is an upper bound whose
+    lower_bound is t1 + t2 + 2.  Deterministic: no worker processes.
+    """
+    ring, k = code.ring, code.k
+    sides = [_InfoSet(code.gen, s, ring) for s in sets]
+    row_weights = ring.LEE[code.gen].sum(axis=1, dtype=np.int64)
+    i = int(row_weights.argmin())
+    best, where = int(row_weights[i]), code.gen[i, :k]
+    levels, spent, lower = [0, 0], 0, 2
+    while best > lower:
+        s = int(levels[1] < levels[0])
+        t = levels[s] + 1
+        if t == len(sides[s].counts):  # every message on S_s scanned: all seen
+            lower = best
+            break
+        if spent + sides[s].counts[t] > cap:
+            break
+        spent += sides[s].counts[t]
+        found = sides[s].scan(t, best, lower)
+        if found is not None:
+            best, msg = found
+            where = ring_matmul(msg[None, :], sides[s].gen, ring)[0, :k]
+        if best > lower:
+            levels[s] = t
+            lower = sum(levels) + 2
+    return DistanceResult(best, min(lower, best), tuple(int(v) for v in where),
+                          f"levels {levels[0]}/{levels[1]}")

@@ -101,16 +101,17 @@ def lift_bound_check(t: LiftTriple, budget: int = DEFAULT_BUDGET,
     An upper bound for d is enough to confirm the inequality holds (the
     true distance can only be smaller), but d' and d'' must be exact: an
     upper bound on them cannot confirm anything, so they raise
-    BudgetExceeded when their sweep does not fit the budget.
+    BudgetExceeded when their distance is not exact within the budget.
     """
     if t.z4.is_zero or t.f2u.is_zero:
         raise ZeroCode("lift bound needs nonzero projected codes")
+    exact = []
     for proj in (t.z4, t.f2u):
-        total = proj.ring.size ** proj.k
-        if total > budget:
-            raise BudgetExceeded(total, budget, f"exact {proj.ring.name} distance")
-    d_z4 = t.z4.min_lee_distance(budget, sample_count, threads)
-    d_f2u = t.f2u.min_lee_distance(budget, sample_count, threads)
+        exact.append(proj.min_lee_distance(budget, sample_count, threads))
+        if not exact[-1].exact:
+            raise BudgetExceeded(proj.ring.size ** proj.k, budget,
+                                 f"exact {proj.ring.name} distance")
+    d_z4, d_f2u = exact
     res = t.code.min_lee_distance(budget, sample_count, threads)
     holds = res.value <= 2 * d_z4.value and res.value <= 2 * d_f2u.value
     return LiftBoundReport(res, d_z4, d_f2u, holds)

@@ -20,7 +20,12 @@ square: type-1 units square to 1, type-2 units square to 1+2u, and every
 non-unit squares to 0.
 
 The Lee weight is pulled back through the Gray map: w(a+ub) is the Z4 Lee
-weight of the pair (b, a+b).
+weight of the pair (b, a+b).  Each ring record also carries that map as a
+packing: `PACK` sends an element to its Gray image, stored as 2-bit Z4
+fields (R, Z4) or single F2 bits (F2+uF2).  The packing is additive, so a
+vector packed into a uint64 adds field by field (`packed_add`), and its
+Lee weight is the popcount of the binary Gray code of its fields
+(`packed_weight`): the double Gray map R -> Z4^2 -> F2^4.
 
 The additive character x = a+ub -> i^(a+b) is nontrivial on every nonzero
 ideal (a generating character), which is what makes the MacWilliams
@@ -248,9 +253,14 @@ class RingTable:
     """A finite ring as lookup tables: what the code core needs to know.
 
     Elements are the ints 0..size-1, with 0 the zero element; ADD, MUL, NEG
-    and LEE are uint8 tables indexed by element values.  `name` is the
-    module-level name of the instance, so a record pickles by reference
-    (shard workers) and compares by identity.
+    and LEE are uint8 tables indexed by element values.  INV holds the
+    inverse of each unit and 0 for every non-unit: each ring here is local
+    with residue field F2, so a square matrix is invertible iff its unit
+    pattern is invertible over F2.  PACK is the Gray image of each element
+    in `bits` bits, and LOW marks the low bit of each 2-bit Z4 field in it
+    (0 when the image is F2 bits).  `name` is the module-level name of the
+    instance, so a record pickles by reference (shard workers) and compares
+    by identity.
     """
 
     name: str
@@ -260,6 +270,9 @@ class RingTable:
     MUL: np.ndarray
     NEG: np.ndarray
     LEE: np.ndarray
+    INV: np.ndarray
+    PACK: np.ndarray
+    LOW: int
     max_lee: int
     parse: Callable[[str], int]
     format: Callable[[int], str]
@@ -269,6 +282,11 @@ class RingTable:
         """Bits per element (every size here is a power of two)."""
         return self.size.bit_length() - 1
 
+    @property
+    def low_mask(self) -> np.uint64:
+        """LOW repeated over all 64 bits of a packed word."""
+        return np.uint64(sum(self.LOW << s for s in range(0, 64, self.bits)))
+
     def __reduce__(self) -> str:
         return self.name
 
@@ -276,20 +294,41 @@ class RingTable:
         return self.name
 
 
-def _ring_table(name, size, one, add_, mul_, neg_, lee, parse, fmt) -> RingTable:
+def _ring_table(name, size, one, add_, mul_, neg_, lee, pack, low, parse, fmt) -> RingTable:
     els = range(size)
     lee_np = np.array([lee(x) for x in els], dtype=np.uint8)
+    inv = np.array([next((y for y in els if mul_(x, y) == one), 0) for x in els], dtype=np.uint8)
     return RingTable(name, size, one,
                      np.array([[add_(x, y) for y in els] for x in els], dtype=np.uint8),
                      np.array([[mul_(x, y) for y in els] for x in els], dtype=np.uint8),
                      np.array([neg_(x) for x in els], dtype=np.uint8),
-                     lee_np, int(lee_np.max()), parse, fmt)
+                     lee_np, inv, np.array([pack(x) for x in els], dtype=np.uint8), low,
+                     int(lee_np.max()), parse, fmt)
 
 
-R = _ring_table("R", SIZE, ONE, add, mul, neg, lee_weight, parse_element, format_element)
-Z4 = _ring_table("Z4", 4, 1, z4_add, z4_mul, z4_neg, z4_lee_weight, z4_parse, str)
+# Gray images as packed bits: a + ub -> Z4 fields (b, a+b); Z4 is its own
+# field; F2+uF2 (a + 2b for a + ub) -> F2 bits (b, a+b).
+R = _ring_table("R", SIZE, ONE, add, mul, neg, lee_weight,
+                lambda x: (b_part(x) << 2) | ((a_part(x) + b_part(x)) & 3), 0b0101,
+                parse_element, format_element)
+Z4 = _ring_table("Z4", 4, 1, z4_add, z4_mul, z4_neg, z4_lee_weight, lambda x: x, 0b01,
+                 z4_parse, str)
 F2U = _ring_table("F2U", 4, 1, f2u_add, f2u_mul, f2u_neg, f2u_lee_weight,
+                  lambda x: ((x >> 1) << 1) | ((x ^ (x >> 1)) & 1), 0,
                   f2u_parse, f2u_format)
+
+
+def packed_add(x: np.ndarray, y: np.ndarray, low: np.uint64) -> np.ndarray:
+    """Field-wise sum of packed words: Z4 addition in each 2-bit field with
+    a low bit in `low` (its carry stays inside the field), XOR elsewhere."""
+    xl, yl = x & low, y & low
+    return (xl + yl) ^ (x ^ xl) ^ (y ^ yl)
+
+
+def packed_weight(x: np.ndarray, low: np.uint64) -> np.ndarray:
+    """Lee weight of each packed word: popcount of the binary Gray code
+    (z1, z1 ^ z0) of every Z4 field; F2 bits count as they are."""
+    return np.bitwise_count(x ^ ((x >> 1) & low))
 
 
 def parse_vector(text: str, ring: RingTable = R) -> tuple[int, ...]:

@@ -5,6 +5,9 @@
 about every vector of ring^n, so the two can be compared as sets.
 `sweep_contains` is membership by one sweep over every message, whatever
 the generator's shape: the reference for the standard-form fast path.
+`sweep_distance` is the minimum distance from the full size^k sweep,
+bypassing the routing of `min_lee_distance`: the reference for the
+Lee-level kernel.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
@@ -16,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import DEFAULT_BUDGET
+from z4u.code import _BIG, DEFAULT_BUDGET, _sweep
 from z4u.scalars import GaussianInt, GaussianRational
 
 
@@ -46,6 +49,11 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
         bv = np.ascontiguousarray(blk).view(key).ravel()
         found |= np.isin(qv, bv[np.isin(bv, qv)])
     return found
+
+
+def sweep_distance(code, threads=1):
+    """(minimum nonzero Lee weight, witness message) over all size^k messages."""
+    return _sweep(code, threads, (_BIG, ()))
 
 
 def is_linear(words, size, add, mul):

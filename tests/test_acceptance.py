@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion.  The 16^8-scale items (exact distances at length 16 and the
 exact lift distance) are marked slow; enable with --runslow or Z4U_SLOW=1.
+They run the full sweep, not the Lee-level kernel, as its oracle.
 """
 
 import time
@@ -12,7 +13,8 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import SLOW_BUDGET, LinearCode, lee_weight_vector
+from oracles import sweep_distance
+from z4u.code import LinearCode, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, CirculantSpec, BorderSpec,
                            search, symmetric_code, table_specs, verify_tables)
 from z4u.gray import gray_image, gray_map, gray_map_inverse
@@ -177,13 +179,13 @@ def test_criterion_06_lift_example():
         dp = proj.min_lee_distance()
         assert dp.exact and dp.value == 8
         assert lee_weight_vector(proj.encode(dp.witness_message), proj.ring) == 8
-    res = c.min_lee_distance()             # 16^8 messages: upper-bound path
-    assert not res.exact and res.value == 12
+    res = c.min_lee_distance()             # Lee levels 5/5, not 16^8 messages
+    assert res.exact and res.value == 12 and res.lower_bound == 12
     witness = c.encode(res.witness_message)
     assert lee_weight_vector(witness) == 12
     rep = lift_bound_check(LiftTriple(c, d, e))
     assert rep.holds and rep.d == res and rep.d_z4.value == 8 and rep.d_f2u.value == 8
-    _report(6, t0, "d(D)=8 and d(E)=8 exact, weight-12 codeword exhibited, "
+    _report(6, t0, "d(D)=8 and d(E)=8 exact, d=12 exact with a weight-12 codeword, "
                    "12 <= 16 bound holds")
 
 
@@ -191,48 +193,45 @@ def test_criterion_06_lift_example():
 def test_criterion_06_slow_exact_lift_distance():
     t0 = time.time()
     c = LinearCode.from_text(data_file("lift16_r.gen"))
-    res = c.min_lee_distance(budget=SLOW_BUDGET)
-    assert res.exact and res.value == 12
+    value, _ = sweep_distance(c, threads=2)
+    assert value == 12 == c.min_lee_distance().value
     _report(6, t0, "slow lane: lift distance 12 is exact over all 16^8 messages")
 
 
-def _check_table(num, table, expect_exact, expect_ub, t0):
+def _check_table(num, table, expect_exact, t0):
     reports = verify_tables(table, max_length=26)
     assert all(r.fsd is True for r in reports), [r.length for r in reports if r.fsd is not True]
     by_len = {r.length: r for r in reports}
+    assert sorted(by_len) == sorted(expect_exact)
     for length, d in expect_exact.items():
         r = by_len[length]
-        assert r.got.exact and r.got.value == d and r.ok, (length, r)
-    for length, d in expect_ub.items():
-        r = by_len[length]
-        assert (not r.got.exact) and r.got.value == d and r.ok, (length, r)
+        assert r.got.exact and r.got.lower_bound == r.got.value == d and r.ok, (length, r)
     _report(num, t0, f"table {table}: lengths {sorted(expect_exact)} exact, "
-                     f"{sorted(expect_ub)} upper-bound, all match recorded d; "
-                     "every row certified isodual")
+                     "all match recorded d; every row certified isodual")
 
 
 def test_criterion_07_table2_reproduction():
     t0 = time.time()
     _check_table(7, 2,
-                 expect_exact={4: 4, 6: 6, 8: 8, 10: 8, 12: 10, 14: 11},
-                 expect_ub={16: 12, 18: 12, 20: 14, 22: 14, 24: 14, 26: 15},
+                 expect_exact={4: 4, 6: 6, 8: 8, 10: 8, 12: 10, 14: 11,
+                               16: 12, 18: 12, 20: 14, 22: 14, 24: 14, 26: 15},
                  t0=t0)
 
 
 @pytest.mark.slow
 def test_criterion_07_slow_table2_length16():
     t0 = time.time()
-    spec = next(CirculantSpec(row) for ln, row, d in DC_TABLE if ln == 16)
-    res = spec.build().min_lee_distance(budget=SLOW_BUDGET)
-    assert res.exact and res.value == 12
+    c = next(CirculantSpec(row) for ln, row, d in DC_TABLE if ln == 16).build()
+    value, _ = sweep_distance(c, threads=2)
+    assert value == 12 == c.min_lee_distance().value
     _report(7, t0, "slow lane: table 2 length 16 exact d=12")
 
 
 def test_criterion_08_table3_reproduction():
     t0 = time.time()
     _check_table(8, 3,
-                 expect_exact={4: 4, 6: 6, 8: 8, 10: 8, 12: 10, 14: 10},
-                 expect_ub={16: 11, 18: 12, 20: 12, 22: 14, 24: 14},
+                 expect_exact={4: 4, 6: 6, 8: 8, 10: 8, 12: 10, 14: 10,
+                               16: 11, 18: 12, 20: 12, 22: 14, 24: 14},
                  t0=t0)
 
 
@@ -240,8 +239,9 @@ def test_criterion_08_table3_reproduction():
 def test_criterion_08_slow_table3_length16():
     t0 = time.time()
     length, row, abg, d = next(r for r in BDC_TABLE if r[0] == 16)
-    res = BorderSpec(row, *abg).build().min_lee_distance(budget=SLOW_BUDGET)
-    assert res.exact and res.value == 11
+    c = BorderSpec(row, *abg).build()
+    value, _ = sweep_distance(c, threads=2)
+    assert value == 11 == c.min_lee_distance().value
     _report(8, t0, "slow lane: table 3 length 16 exact d=11")
 
 

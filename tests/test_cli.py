@@ -44,7 +44,7 @@ def test_analyze_large_code_skips_enumerators():
     status, out = run_cli("analyze", "--gen", gen_path("lift16_r.gen"))
     assert status == 0
     assert "cardinality: 4294967296" in out
-    assert "(upper-bound)" in out
+    assert "min-lee-distance: 12 (exact)" in out
     assert "out of budget" in out
 
 
@@ -105,7 +105,7 @@ def test_lift_check_command():
     assert "projections match the prescribed codes: yes" in out
     assert "d' (Z4 code)    = 8 (exact)" in out
     assert "d'' (F2+uF2)    = 8 (exact)" in out
-    assert "d  (ring code)  = 12 (upper-bound)" in out
+    assert "d  (ring code)  = 12 (exact)" in out
     assert "holds" in out
     assert "witness codeword of weight 12:" in out
 

@@ -1,10 +1,12 @@
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import (LinearCode, SelfDuality, dual_of_standard_form, identity,
-                      inner, lee_weight_vector, low_weight_messages, ring_matmul,
-                      span_blocks)
+from z4u.code import (LinearCode, SelfDuality, _InfoSet, dual_of_standard_form, identity,
+                      inner, lee_weight_vector, pack_words, ring_matmul, span_blocks)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
@@ -219,15 +221,39 @@ def test_min_distance_zero_code():
 def test_min_distance_upper_bound_flag():
     gen = np.hstack([np.diag([ring.ONE] * 2).astype(np.uint8),
                      circulant([R("20"), R("12")])])
-    res = LinearCode(gen).min_lee_distance(budget=16)  # force the sampled path
+    # 8 messages: level 1 on the first information set only, so the lower
+    # bound stays at 1 + 0 + 2 = 3 (levels 1/1, 16 messages, certify d = 4)
+    res = LinearCode(gen).min_lee_distance(budget=8)
     assert not res.exact
-    assert res.value >= 4
+    assert res.value >= 4 and res.lower_bound == 3 and res.certificate == "levels 1/0"
+    # all-unit circulant: three equal unit columns, no two disjoint
+    # information sets, so over budget it takes the sampled path
+    unit_block = np.hstack([identity(3), circulant([R("10"), R("30"), R("12")])])
+    res = LinearCode(unit_block).min_lee_distance(budget=16, sample_count=100)
+    assert not res.exact and res.certificate == "sample" and res.lower_bound == 1
+    assert res.value >= LinearCode(unit_block).min_lee_distance().value
 
 
 def test_low_weight_message_count():
-    k = 5
-    msgs = low_weight_messages(k)
-    assert msgs.shape[0] == 15 * k + 225 * k * (k - 1) // 2
+    # messages of Lee weight t on an information set of k coordinates are
+    # the t-subsets of its Gray bits, and each half table lists exactly
+    # the messages of its weight (oracle: every message of ring^h)
+    for table, k in ((ring.R, 5), (Z4, 6), (F2U, 6)):
+        gen = np.hstack([identity(k, table),
+                         np.random.default_rng(k).integers(0, table.size, (k, k), np.uint8)])
+        info = _InfoSet(gen, range(k), table)
+        bits = table.bits * k
+        assert info.counts == [comb(bits, t) for t in range(bits + 1)]
+        for half, rows in zip(info.halves, (gen[:k // 2, k:], gen[k // 2:, k:])):
+            every = np.array(list(product(range(table.size), repeat=half.h)), np.uint8)
+            weights = table.LEE[every].sum(axis=1)
+            for t in range(table.max_lee * half.h + 1):
+                words = half.level(t)
+                digits = np.array([half.message(t, i) for i in range(words.shape[1])],
+                                  np.uint8).reshape(-1, half.h)
+                assert sorted(map(tuple, digits.tolist())) == \
+                    sorted(map(tuple, every[weights == t].tolist()))
+                assert (words == pack_words(ring_matmul(digits, rows, table), table)).all()
 
 
 def test_exact_kernel_crosses_block_split():
@@ -292,15 +318,6 @@ def test_generator_is_copied_not_frozen_in_place():
     LinearCode(a)
     a[0, 1] = 1
     assert a[0, 1] == 1
-
-
-def test_low_weight_messages_cached_read_only():
-    msgs = low_weight_messages(3, ring=Z4)
-    assert low_weight_messages(3, ring=Z4) is msgs
-    assert not msgs.flags.writeable
-    assert msgs.shape == (3 * 3 + 9 * 3, 3)
-    assert {tuple(r) for r in msgs.tolist()} == {
-        m for m in np.ndindex(4, 4, 4) if 1 <= sum(1 for v in m if v) <= 2}
 
 
 def all_messages(k, table):

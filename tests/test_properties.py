@@ -8,26 +8,32 @@ membership of random vectors and code equality under row permutation,
 row duplication and a changed row; the standard-form membership product
 against a sweep over every message; over R, the complete enumerator;
 |C| * |C-perp| = size^n; and the Lee MacWilliams transform against the
-brute-force dual's Lee census.
+brute-force dual's Lee census.  The Lee-level distance kernel is checked
+against the full sweep on standard-form codes with k <= 5: codes whose
+right half is singular but which hold two disjoint information sets, codes
+with none (which must take the sweep), and runs cut short by the budget;
+and the Gray packing it adds with against the ring tables.
 """
 
 from collections import Counter
 from functools import reduce
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from z4u import ring
-from z4u.code import LinearCode, lee_weight_vector
+from z4u.code import (LinearCode, _independent, identity, information_sets,
+                      lee_levels, lee_weight_vector, pack_words)
 from z4u.errors import ZeroCode
-from z4u.ring import F2U, R, Z4
+from z4u.ring import F2U, R, Z4, packed_add, packed_weight
 from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight,
                          z4_mul)
 from z4u.wenum import cwe, lee, macwilliams_lee
 
-from oracles import members, span, sweep_contains
+from oracles import members, span, sweep_contains, sweep_distance
 
 #: ring -> (table, add, mul, lee weight, max k, max n).  Over R the sizes stay
 #: at 16^3 messages and dual vectors so each example runs in milliseconds.
@@ -164,3 +170,113 @@ def test_dual_size_and_lee_transform(name, data):
     assert c.cardinality() * len(dual) == table.size ** n
     t = macwilliams_lee(lee(c), c.cardinality())
     assert list(t.coeffs) == census(oracle, lee_w, table.max_lee * n)
+
+
+# ---------------------------------------------------------------------------
+# Lee-level kernel against the full sweep
+# ---------------------------------------------------------------------------
+
+#: Largest k in the kernel tests; over R, 16^5 messages per sweep.
+KERNEL_KMAX = 5
+
+
+def _nonunits(table):
+    return [x for x in range(table.size) if table.INV[x] == 0]
+
+
+def _standard(table, a):
+    k = len(a)
+    return LinearCode(np.hstack([identity(k, table), np.array(a, dtype=np.uint8)]), table)
+
+
+def _residue_invertible(table, block):
+    cols = [sum(1 << i for i in range(block.shape[0]) if table.INV[block[i, j]])
+            for j in range(block.shape[1])]
+    return _independent(cols)
+
+
+def _check_against_sweep(c, res):
+    d, _ = sweep_distance(c)
+    assert lee_weight_vector(c.encode(res.witness_message), c.ring) == res.value
+    assert res.lower_bound <= d <= res.value
+    if res.exact:
+        assert res.value == d
+    return d
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_levels_match_sweep_with_singular_right_half(name, data):
+    table = SCALARS[name][0]
+    elem = st.integers(0, table.size - 1)
+    k = data.draw(st.integers(2, KERNEL_KMAX))
+    a = np.array(data.draw(st.lists(st.lists(elem, min_size=k, max_size=k),
+                                    min_size=k, max_size=k)), dtype=np.uint8)
+    # column 1 gets column 0's unit pattern, so A is singular over F2
+    shift = np.array(data.draw(st.lists(st.sampled_from(_nonunits(table)),
+                                        min_size=k, max_size=k)), dtype=np.uint8)
+    a[:, 1] = table.ADD[a[:, 0], shift]
+    c = _standard(table, a)
+    sets = information_sets(c.gen, table)
+    assume(sets is not None)
+    assert not _residue_invertible(table, a) and sets[0] != tuple(range(k))
+    res = lee_levels(c, sets, table.size ** k)
+    d = _check_against_sweep(c, res)
+    routed = c.min_lee_distance()
+    assert routed.exact and routed.value == d
+    assert lee_weight_vector(c.encode(routed.witness_message), table) == d
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_no_partition_takes_the_sweep(name, data):
+    table = SCALARS[name][0]
+    k = data.draw(st.integers(1, KERNEL_KMAX))
+    a = np.array(data.draw(st.lists(st.lists(st.integers(0, table.size - 1), min_size=k,
+                                             max_size=k), min_size=k, max_size=k)),
+                 dtype=np.uint8)
+    # a parity column of non-units is in no information set, and the other
+    # 2k - 1 columns cannot hold two disjoint ones
+    j = data.draw(st.integers(0, k - 1))
+    a[:, j] = data.draw(st.lists(st.sampled_from(_nonunits(table)), min_size=k, max_size=k))
+    c = _standard(table, a)
+    assert information_sets(c.gen, table) is None
+    res = c.min_lee_distance()
+    assert res.certificate == "sweep"
+    _check_against_sweep(c, res)
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_levels_on_random_codes_and_truncated_runs(name, data):
+    table = SCALARS[name][0]
+    k = data.draw(st.integers(1, KERNEL_KMAX))
+    extra = data.draw(st.integers(0, 2))
+    a = np.array(data.draw(st.lists(st.lists(st.integers(0, table.size - 1),
+                                             min_size=k + extra, max_size=k + extra),
+                                    min_size=k, max_size=k)), dtype=np.uint8)
+    c = _standard(table, a)
+    sets = information_sets(c.gen, table)
+    assume(sets is not None)
+    full = lee_levels(c, sets, table.size ** k)
+    d = _check_against_sweep(c, full)
+    cap = data.draw(st.integers(0, 4 * table.bits * k * k))
+    cut = lee_levels(c, sets, cap)
+    _check_against_sweep(c, cut)
+    if cap <= table.size ** k:  # fewer levels scanned: no better bounds
+        assert cut.lower_bound <= full.lower_bound and cut.value >= full.value
+
+
+@pytest.mark.parametrize("table", [R, Z4, F2U], ids=str)
+def test_packed_add_and_weight_match_tables(table):
+    rng = np.random.default_rng(table.size + table.LOW)
+    for m in (1, 7, 16, 33, 70):
+        x = rng.integers(0, table.size, size=(200, m), dtype=np.uint8)
+        y = rng.integers(0, table.size, size=(200, m), dtype=np.uint8)
+        px, py, low = pack_words(x, table), pack_words(y, table), table.low_mask
+        assert px.shape == (-(-m * table.bits // 64), 200)
+        assert (packed_add(px, py, low) == pack_words(table.ADD[x, y], table)).all()
+        assert (packed_weight(px, low).sum(axis=0) == table.LEE[x].sum(axis=1)).all()
