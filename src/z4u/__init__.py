@@ -7,7 +7,7 @@ double-circulant style constructions of formally self-dual codes with a
 minimum-distance search harness.
 """
 
-from .code import (DEFAULT_BUDGET, SLOW_BUDGET, DistanceResult, LinearCode,
+from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode,
                    SelfDuality, dual_of_standard_form, inner)
 from .construct import (BorderSpec, CirculantSpec, bordered_code,
                         double_circulant_code, search, symmetric_code,
@@ -23,7 +23,7 @@ from .wenum import (CWE, SWE, LeePoly, cwe, cwe_to_swe, is_formally_self_dual,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_BUDGET", "SLOW_BUDGET", "DistanceResult",
+    "DEFAULT_BUDGET", "DistanceResult",
     "LinearCode", "SelfDuality", "dual_of_standard_form", "inner",
     "BorderSpec", "CirculantSpec", "bordered_code", "double_circulant_code",
     "search", "symmetric_code", "verify_tables",

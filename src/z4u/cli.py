@@ -3,7 +3,7 @@
 Every command is non-interactive, reads files and flags, and writes a
 line-oriented report with stable field order to stdout, so runs are
 byte-for-byte reproducible (worker count included).  Budgets are given as
-exponents: --budget 7 means 16^7 enumerated messages; --slow forces 16^8.
+exponents: --budget 7 means 16^7 enumerated messages.
 
 Exit status: 0 on success, 1 on parse/budget problems, 2 when a
 verification verdict is FAIL.
@@ -32,8 +32,6 @@ class _Fail(Exception):
 
 
 def _budget_from(args) -> int:
-    if getattr(args, "slow", False):
-        return 16 ** 8
     return 16 ** args.budget
 
 
@@ -60,7 +58,7 @@ def cmd_analyze(args) -> None:
     print(f"standard-form: {'yes' if code.standard_form else 'no'}")
     card = code.cardinality(budget)
     print(f"cardinality: {card}")
-    res = code.min_lee_distance(budget, args.sample, args.threads)
+    res = code.min_lee_distance(budget, args.threads)
     print(f"min-lee-distance: {_dist_line(res)}")
     print(f"self-duality: {code.self_duality(budget).value}")
     if 16 ** code.k <= min(budget, _ENUM_PRINT_CAP):
@@ -90,7 +88,7 @@ def cmd_gray(args) -> None:
     print("z4-image generator:")
     for row in img.gen:
         print("  " + ring.format_vector(row, Z4))
-    res = code.min_lee_distance(budget, args.sample, args.threads)
+    res = code.min_lee_distance(budget, args.threads)
     print(f"z4-image min-lee-distance: {_dist_line(res)}  "
           f"(equals the source distance; the map is a Lee isometry)")
 
@@ -186,7 +184,7 @@ def cmd_lift_check(args) -> None:
     triple = project.LiftTriple(code, d, e)
     ok = triple.verify_projections(budget)
     print(f"projections match the prescribed codes: {'yes' if ok else 'NO'}")
-    report = project.lift_bound_check(triple, budget, args.sample, args.threads)
+    report = project.lift_bound_check(triple, budget, args.threads)
     for ln in report.format_lines():
         print(ln)
     witness = code.encode(report.d.witness_message)
@@ -200,7 +198,7 @@ def cmd_search(args) -> None:
     if args.alphabet:
         alphabet = [ring.parse_element(t) for t in args.alphabet.split(",")]
     out = construct.search(args.kind, args.n, alphabet, _budget_from(args),
-                           args.threshold, args.sample, args.threads)
+                           args.threshold, args.threads)
     print(f"kind: {out.kind}")
     print(f"candidates: {out.candidates}")
     print(f"exhaustive over full alphabet: {'yes' if out.exhaustive else 'no'}")
@@ -208,12 +206,12 @@ def cmd_search(args) -> None:
     print(f"best witness: {out.best_spec.describe()}")
     print(f"results with d >= {args.threshold}: {len(out.results)}")
     for r in out.results:
-        print(f"  d={r.distance.value} ({r.distance.label()}) fsd={r.fsd}  {r.spec.describe()}")
+        print(f"  d={r.distance.value} ({r.distance.label()}) fsd=verified  {r.spec.describe()}")
 
 
 def cmd_verify_tables(args) -> None:
     reports = construct.verify_tables(args.table, args.max_length,
-                                      _budget_from(args), args.sample, args.threads)
+                                      _budget_from(args), args.threads)
     bad = 0
     for rep in reports:
         print(rep.format_line())
@@ -290,12 +288,8 @@ def cmd_self_check(args) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=7,
                    help="enumeration budget exponent: 16^BUDGET messages (default 7)")
-    p.add_argument("--slow", action="store_true",
-                   help="raise the budget to 16^8")
     p.add_argument("--threads", type=int, default=1,
                    help="worker process cap (results are thread-count independent)")
-    p.add_argument("--sample", type=int, default=50_000,
-                   help="random messages for upper-bound scans (fixed seed)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Reject out-of-range numeric flags (exit 1, like any other bad input)."""
-    for flag, low in (("threads", 1), ("sample", 0), ("points", 0), ("budget", 0)):
+    for flag, low in (("threads", 1), ("points", 0), ("budget", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise ValueError(f"--{flag} must be >= {low}, got {value}")

@@ -35,25 +35,35 @@ digits are decoded from the flat odometer index only where they are
 reported: the witness and the kept dual vectors.  Work shards by the first
 message coordinate; shard results merge by an order-free minimum or sum, so
 thread count never changes any reported value or witness.  Explicit message
-lists (encoding, generator rows and sampled messages) go through
+lists (encoding, standard-form membership, the Gram matrix) go through
 `ring_matmul`.
 
-The minimum distance of a standard-form code comes from the Lee-level
-kernel (Brouwer-Zimmermann) whenever its columns hold two disjoint
-information sets S1, S2 (`information_sets`, a matroid partition on the
-columns' unit patterns over F2).  On each set the generator is made
-systematic by Gauss-Jordan with unit pivots, so a message is the
-codeword's restriction to the set, and the messages are scanned by exact
-Lee weight t.  Under the double Gray map R -> F2^4 these are the t-subsets
-of the message's Gray bits, C(4k, t) of them; each is a high half's message
-of weight w joined with a low half's of weight t - w, their parity products
+Past the sweep, the minimum distance comes from the Lee-level kernel
+(Brouwer-Zimmermann).  `information_sets` looks for information sets in
+the columns of any generator: sets of k columns whose k x k block is
+invertible, which holds iff its unit pattern is invertible over F2.  It
+returns two disjoint ones when a matroid partition finds them, else one
+(greedily; the identity columns in standard form), else None, and then
+the rows are no free basis.  On each set the generator is made systematic
+by Gauss-Jordan with unit pivots, so a message is the codeword's
+restriction to the set, and the messages are scanned by exact Lee weight
+t.  Under the double Gray map R -> F2^4 these are the t-subsets of the
+message's Gray bits, C(4k, t) of them; each is a high half's message of
+weight w joined with a low half's of weight t - w, their parity products
 held as packed Gray words (`ring.packed_add`, `ring.packed_weight`), in
-chunks of 2^16 pairs.  Once levels t1 and t2 are scanned, every codeword
-not yet seen weighs at least (t1 + 1) + (t2 + 1), and the kernel stops when
-its best word meets that bound.  `LinearCode.min_lee_distance` is the one
-routing point: the kernel when a partition exists, else the sweep while
-size^k fits the budget, else a sampled upper bound; every result carries a
-lower bound and the certificate that proves it.
+chunks of 2^16 pairs.  Once level t_i is scanned on each set S_i, every
+codeword not yet seen weighs at least the sum of the (t_i + 1), and the
+kernel stops when its best word meets that bound.  With no information set
+it scans the messages of G itself by Lee weight, skipping those that give
+the zero word; that proves no lower bound beyond 1.
+
+`LinearCode.min_lee_distance` is the one routing point.  While size^k fits
+the budget, a standard-form code with two disjoint information sets goes
+to the levels, then to the sweep seeded with their best word if they
+stop short; every other code goes to the sweep.  Past the budget every
+code goes to the levels on whatever sets its generator holds, capped at
+the budget.  Every result carries a lower bound and the certificate that
+proves it.
 """
 
 from __future__ import annotations
@@ -69,13 +79,8 @@ import numpy as np
 from .errors import BudgetExceeded, ZeroCode
 from .ring import R, RingTable, packed_add, packed_weight, parse_matrix_text
 
-#: Default enumeration budget (message count); the slow lane raises it 16x.
+#: Default enumeration budget (message count).
 DEFAULT_BUDGET = 16 ** 7
-SLOW_BUDGET = 16 ** 8
-
-#: Seed for sampled upper-bound messages; fixed so reports are replayable.
-SAMPLE_SEED = 0x5EED
-DEFAULT_SAMPLE_COUNT = 50_000
 
 _LO_DIGITS = 5              # low-block width over R: 16^5 rows per gather
 _LO_BITS = 4 * _LO_DIGITS   # other rings take as many digits as fill 2^20 rows
@@ -167,17 +172,6 @@ def _digits(index: np.ndarray, j: int, ring: RingTable = R) -> np.ndarray:
     return out
 
 
-def sampled_messages(k: int, count: int, seed: int = SAMPLE_SEED,
-                     ring: RingTable = R) -> Iterator[np.ndarray]:
-    rng = np.random.default_rng(seed)
-    done = 0
-    while done < count:
-        b = min(1 << 16, count - done)
-        x = rng.integers(0, ring.size, size=(b, k), dtype=np.uint8)
-        yield x[(x != 0).any(axis=1)]
-        done += b
-
-
 # ---------------------------------------------------------------------------
 # Results
 # ---------------------------------------------------------------------------
@@ -193,9 +187,10 @@ class DistanceResult:
     """Minimum Lee distance d, with lower_bound <= d <= value.
 
     The value is exact when the two bounds meet.  `certificate` names how
-    they were found: "sweep" (every message), "levels t1/t2" (the Lee
-    levels scanned on two information sets) or "sample" (explicit
-    messages; lower bound 1).
+    they were found: "sweep" (every message), "levels t1/t2" or "levels t1"
+    (the Lee levels scanned on two information sets or on one), or
+    "messages t" (every message of Lee weight <= t on a generator with no
+    information set; lower bound 1 unless that is every message).
     """
 
     value: int
@@ -343,39 +338,34 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def min_lee_distance(self, budget: int = DEFAULT_BUDGET,
-                         sample_count: int = DEFAULT_SAMPLE_COUNT,
-                         threads: int = 1) -> DistanceResult:
+    def min_lee_distance(self, budget: int = DEFAULT_BUDGET, threads: int = 1) -> DistanceResult:
         """Minimum Lee weight of a nonzero codeword; the one routing point.
 
-        A standard-form code whose columns hold two disjoint information
-        sets goes to the Lee-level kernel, which enumerates at most
-        min(budget, size^k) messages.  Past that cap the kernel's best word
-        is an upper bound when size^k exceeds the budget; otherwise the
-        full size^k sweep, seeded with it, makes the value exact.  Any other
-        code is swept while size^k fits the budget, and beyond it gets an
-        upper bound from the generator rows and `sample_count` seeded
-        random messages.
+        While size^k fits the budget, a standard-form code whose columns
+        hold two disjoint information sets goes to the Lee-level kernel,
+        and when that stops short of the value, to the full sweep seeded
+        with its best word; any other code goes straight to the sweep.
+        Either way the value is exact.  Past the budget every code goes to
+        the Lee-level kernel on the information sets of its generator (two,
+        one or none), capped at `budget` messages: the result is exact when
+        its levels meet the best word, else an upper bound with the lower
+        bound those levels prove.
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
         total = self.ring.size ** self.k
+        if total > budget:
+            return lee_levels(self, information_sets(self.gen, self.ring) or (), budget)
         best: _Best = (_BIG, ())
-        sets = information_sets(self.gen, self.ring) if self.standard_form else None
-        if sets is not None:
-            res = lee_levels(self, sets, min(budget, total))
-            if res.exact or total > budget:
+        pair = _partition(_unit_columns(self.gen, self.ring), self.k) \
+            if self.standard_form else None
+        if pair is not None:
+            res = lee_levels(self, pair, total)
+            if res.exact:
                 return res
             best = (res.value, res.witness_message)
-        if total <= budget:
-            value, witness = _sweep(self, threads, best)
-            return DistanceResult(value, value, witness, "sweep")
-        for blk in [identity(self.k, self.ring), *sampled_messages(self.k, sample_count,
-                                                                  ring=self.ring)]:
-            cand = best_in_block(self, blk)
-            if cand is not None and cand[0] < best[0]:
-                best = cand
-        return DistanceResult(best[0], 1, best[1], "sample")
+        value, witness = _sweep(self, threads, best)
+        return DistanceResult(value, value, witness, "sweep")
 
     # -- weight census -------------------------------------------------------
 
@@ -411,24 +401,6 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 _Best = tuple[int, tuple[int, ...]]  # (weight, witness message)
-
-
-def best_in_block(code: LinearCode, blk: np.ndarray) -> _Best | None:
-    """Min (nonzero codeword weight, first witness message) over a uint8
-    block of explicit messages; None when every codeword is zero."""
-    if blk.shape[0] == 0:
-        return None
-    ring, k = code.ring, code.k
-    if code.standard_form:
-        w = ring.LEE[blk].sum(axis=1, dtype=np.int64) + \
-            ring.LEE[ring_matmul(blk, code.gen[:, k:], ring)].sum(axis=1, dtype=np.int64)
-    else:
-        w = ring.LEE[ring_matmul(blk, code.gen, ring)].sum(axis=1, dtype=np.int64)
-    w[w == 0] = _BIG
-    i = int(w.argmin())
-    if w[i] >= _BIG:
-        return None
-    return int(w[i]), tuple(int(v) for v in blk[i])
 
 
 def _sweep(code: LinearCode, threads: int = 1, seed: _Best | None = None):
@@ -527,23 +499,48 @@ def _independent(cols: Sequence[int]) -> bool:
     return True
 
 
-def information_sets(gen: np.ndarray, ring: RingTable = R
-                     ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two disjoint sets of k columns of `gen`, each with an invertible
-    k x k block, or None when no such pair exists.
+def information_sets(gen: np.ndarray, ring: RingTable = R) -> tuple[tuple[int, ...], ...] | None:
+    """Disjoint sets of k columns of `gen`, each with an invertible k x k
+    block: two when the columns hold such a pair, else one, else None.
 
     A block over these local rings is invertible iff its unit pattern is
-    invertible over F2, so this is matroid partition on the F2 columns:
-    columns join the two sets in order, each through a shortest exchange
+    invertible over F2, so this is matroid partition on the F2 columns.
+    A non-None answer proves the rows a free basis.  None means the unit
+    pattern has F2 rank below k: some 0/1 message x has xG in the maximal
+    ideal, and s.x, for s a nonzero socle element (2, u or 2u), is a
+    nonzero message that encodes to the zero word.
+    """
+    k = gen.shape[0]
+    vec = _unit_columns(gen, ring)
+    pair = _partition(vec, k)
+    if pair is not None:
+        return pair
+    one: list[int] = []
+    for j in range(len(vec)):  # greedy: the identity columns in standard form
+        if _independent([vec[z] for z in one] + [vec[j]]):
+            one.append(j)
+            if len(one) == k:
+                return (tuple(one),)
+    return None
+
+
+def _unit_columns(gen: np.ndarray, ring: RingTable) -> list[int]:
+    """Each column's unit pattern over F2 as an int, bit i = row i."""
+    unit = ring.INV[gen] != 0
+    return [sum(1 << i for i in range(gen.shape[0]) if unit[i, j]) for j in range(gen.shape[1])]
+
+
+def _partition(vec: list[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two disjoint bases among the F2 columns `vec`, or None.
+
+    Columns join the two sets in order, each through a shortest exchange
     path (Edmonds), so the two halves of [I | A] are taken whenever A is
     invertible, and a column that finds no path proves that n = 2k columns
     have no partition.
     """
-    k, n = gen.shape
+    n = len(vec)
     if n < 2 * k:
         return None
-    unit = ring.INV[gen] != 0
-    vec = [sum(1 << i for i in range(k) if unit[i, j]) for j in range(n)]
     if n == 2 * k and (0 in vec or max(map(vec.count, vec)) > 2):
         # every column is needed, and a basis takes no zero column and at
         # most one of equal columns (so no all-unit circulant with k >= 3)
@@ -662,23 +659,31 @@ class _Half:
 class _InfoSet:
     """The generator made systematic on one information set: its messages
     of Lee weight t are a high half's messages of weight w joined with a
-    low half's of weight t - w."""
+    low half's of weight t - w.  With no set (`cols` empty) the messages
+    are those of G itself, and a message's weight is not the weight of its
+    codeword's restriction to any columns.
+
+    Gauss-Jordan runs on [G | I_k], so the row operations T come out in the
+    appended block: message x on the systematic generator T.G is message
+    x.T on G (`to_caller`)."""
 
     def __init__(self, gen: np.ndarray, cols: Sequence[int], ring: RingTable):
-        k = gen.shape[0]
-        self.gen = systematic(gen, cols, ring)
-        parity = self.gen[:, [j for j in range(gen.shape[1]) if j not in cols]]
+        k, n = gen.shape
+        both = systematic(np.hstack([gen, identity(k, ring)]), cols, ring)
+        self.cols, self.to_caller = tuple(cols), both[:, n:]
+        parity = both[:, [j for j in range(n) if j not in self.cols]]
         self.halves = (_Half(parity[:k // 2], ring), _Half(parity[k // 2:], ring))
         self.low = ring.low_mask
         # messages of Lee weight t: the t-subsets of their bits * k Gray bits
         self.counts = [comb(ring.bits * k, t) for t in range(ring.bits * k + 1)]
 
     def scan(self, t: int, best: int, stop: int) -> tuple[int, np.ndarray] | None:
-        """(weight, message on the set) of the lightest codeword below
-        `best` among the messages of Lee weight t, or None; stops early at
-        a weight <= `stop`."""
+        """(weight, message on the set) of the lightest nonzero codeword
+        below `best` among the messages of Lee weight t, or None; stops
+        early at a weight <= `stop`."""
         hi, lo = self.halves
         low, found = self.low, None
+        base = t if self.cols else 0  # the message is part of the codeword
         for wh in range(t + 1):
             ph, pl = hi.level(wh), lo.level(t - wh)
             if not ph.shape[1] or not pl.shape[1]:
@@ -697,9 +702,11 @@ class _InfoSet:
                     x ^= pl_high[w][None, :]
                     c = packed_weight(x, low)
                     wt = c if wt is None else wt + c.astype(np.uint16)
+                if not self.cols:  # a message may encode to the zero word
+                    wt = np.where(wt == 0, np.int64(_BIG), wt)
                 i = int(wt.argmin())
-                if t + int(wt.flat[i]) < best:
-                    best = t + int(wt.flat[i])
+                if base + int(wt.flat[i]) < best:
+                    best = base + int(wt.flat[i])
                     r, q = divmod(i, pl.shape[1])
                     found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
                                            dtype=np.uint8)
@@ -709,25 +716,30 @@ class _InfoSet:
 
 
 def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> DistanceResult:
-    """Minimum distance of a standard-form code by Lee levels on two
-    disjoint information sets S1, S2 (Brouwer-Zimmermann).
+    """Minimum distance by Lee levels on disjoint information sets S_i of
+    the generator (Brouwer-Zimmermann), or on the messages of G itself
+    when `sets` is empty.
 
     On an information set the message is the codeword's restriction to it,
-    so once levels t1 and t2 are scanned, every codeword not yet seen has
-    Lee weight at least (t1 + 1) + (t2 + 1).  Levels rise alternately,
-    lower set first, until the best word found meets that bound.  The
-    generator rows seed the best word.  A level runs only if its messages
-    still fit in `cap`; otherwise the result is an upper bound whose
-    lower_bound is t1 + t2 + 2.  Deterministic: no worker processes.
+    so once level t_i is scanned on every S_i, every codeword not yet seen
+    has Lee weight at least the sum of the (t_i + 1): t1 + t2 + 2 on two
+    sets, t1 + 1 on one.  With no set the bound stays 1.  The lowest level
+    rises next, first set first on a tie, until the best word found meets
+    the bound.  The lightest nonzero generator row seeds the best word.  A
+    level runs only if its messages still fit in `cap`; otherwise the
+    result is an upper bound.  Scanning every message on a set makes it
+    exact.  Deterministic: no worker processes.
     """
     ring, k = code.ring, code.k
-    sides = [_InfoSet(code.gen, s, ring) for s in sets]
+    sides = [_InfoSet(code.gen, s, ring) for s in sets] or [_InfoSet(code.gen, (), ring)]
     row_weights = ring.LEE[code.gen].sum(axis=1, dtype=np.int64)
+    row_weights[row_weights == 0] = _BIG
     i = int(row_weights.argmin())
-    best, where = int(row_weights[i]), code.gen[i, :k]
-    levels, spent, lower = [0, 0], 0, 2
+    best, where = int(row_weights[i]), identity(k, ring)[i]
+    levels, spent = [0] * len(sides), 0
+    lower = len(sets) or 1
     while best > lower:
-        s = int(levels[1] < levels[0])
+        s = levels.index(min(levels))
         t = levels[s] + 1
         if t == len(sides[s].counts):  # every message on S_s scanned: all seen
             lower = best
@@ -738,9 +750,11 @@ def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> Dis
         found = sides[s].scan(t, best, lower)
         if found is not None:
             best, msg = found
-            where = ring_matmul(msg[None, :], sides[s].gen, ring)[0, :k]
+            where = ring_matmul(msg[None, :], sides[s].to_caller, ring)[0]
         if best > lower:
             levels[s] = t
-            lower = sum(levels) + 2
+            if sets:
+                lower = sum(levels) + len(sets)
+    scanned = "/".join(map(str, levels))
     return DistanceResult(best, min(lower, best), tuple(int(v) for v in where),
-                          f"levels {levels[0]}/{levels[1]}")
+                          f"levels {scanned}" if sets else f"messages {scanned}")

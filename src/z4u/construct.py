@@ -30,8 +30,8 @@ member of each orbit in candidate order is evaluated, and every other
 member carries its result.  Each member is checked, not assumed: the
 orbit element is a signed permutation of rows and columns, and applied to
 the representative's block it must give the member's block, or the search
-raises AssertionError.  A member keeps the representative's distance, its
-exact flag and fsd; its witness is the representative's mapped by the
+raises AssertionError.  A member keeps the representative's distance and
+its exact flag; its witness is the representative's mapped by the
 element (x -> xQ under reversal, unchanged under shift and negation).
 Results come back in candidate order, so they do not depend on worker
 count.
@@ -233,7 +233,6 @@ def table_specs(table: int) -> list[tuple[int, "CirculantSpec | BorderSpec", int
 class SearchResult:
     spec: "CirculantSpec | BorderSpec"
     distance: DistanceResult
-    fsd: str  # "verified": the spec's isodual map checked out
 
 
 @dataclass(frozen=True)
@@ -265,15 +264,14 @@ def _bdc_candidates(n: int, alphabet: tuple[int, ...]) -> Iterator[BorderSpec]:
 class _Evaluate:
     """Picklable candidate evaluator for the search pool."""
 
-    def __init__(self, budget: int, sample_count: int):
+    def __init__(self, budget: int):
         self.budget = budget
-        self.sample_count = sample_count
 
     def __call__(self, spec) -> SearchResult:
         codeobj = spec.build()
-        dist = codeobj.min_lee_distance(self.budget, self.sample_count)
+        dist = codeobj.min_lee_distance(self.budget)
         _certify_isodual(spec, codeobj)
-        return SearchResult(spec, dist, "verified")
+        return SearchResult(spec, dist)
 
 
 @dataclass(frozen=True)
@@ -373,18 +371,18 @@ def _carry(rep: SearchResult, rep_block: np.ndarray, spec, move: _Move) -> Searc
     if not (move.block(rep_block) == spec.block()).all():
         raise AssertionError(f"orbit move does not send {rep.spec.describe()} to {spec.describe()}")
     d = rep.distance
-    return SearchResult(spec, replace(d, witness_message=move.message(d.witness_message)),
-                        rep.fsd)
+    return SearchResult(spec, replace(d, witness_message=move.message(d.witness_message)))
 
 
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
            budget: int = DEFAULT_BUDGET, threshold: int = 0,
-           sample_count: int = 2000, threads: int = 1) -> SearchOutcome:
+           threads: int = 1) -> SearchOutcome:
     """Sweep dc/bdc codes of length 2n; keep candidates with d >= threshold.
 
     Only one candidate per isometry orbit is evaluated, by the worker pool;
     every result is then carried back out in candidate order, so the
-    outcome is worker-count independent.
+    outcome is worker-count independent.  Every result passed the spec's
+    isodual check (`_certify_isodual` raises otherwise).
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -395,7 +393,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     owners = _orbit_owners(cands)
     rep_index = [i for i, (owner, _) in enumerate(owners) if owner == i]
     reps = [cands[i] for i in rep_index]
-    ev = _Evaluate(budget, sample_count)
+    ev = _Evaluate(budget)
     workers = min(threads, len(reps))
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
@@ -423,26 +421,24 @@ class RowReport:
     recorded_d: int
     got: DistanceResult
     ok: bool
-    fsd: bool  # True: the spec's isodual map checked out
 
     def format_line(self) -> str:
+        """fsd=yes: the spec's isodual map checked out, as it must for the
+        row to exist (`_certify_isodual` raises otherwise)."""
         verdict = "PASS" if self.ok else "FAIL"
-        fsd = "fsd=yes" if self.fsd else "fsd=NO"
         return (f"length {self.length:>2}  d={self.got.value:>2} ({self.got.label()})"
-                f"  recorded {self.recorded_d:>2}  {verdict}  {fsd}  {self.spec.describe()}")
+                f"  recorded {self.recorded_d:>2}  {verdict}  fsd=yes  {self.spec.describe()}")
 
 
 def verify_tables(table: int, max_length: int = 26,
-                  budget: int = DEFAULT_BUDGET, sample_count: int = 50_000,
-                  threads: int = 1) -> list[RowReport]:
+                  budget: int = DEFAULT_BUDGET, threads: int = 1) -> list[RowReport]:
     """Rebuild catalogued codes and compare distances with recorded values."""
     reports = []
     for length, spec, recorded in table_specs(table):
         if length > max_length:
             continue
         codeobj = spec.build()
-        got = codeobj.min_lee_distance(budget, sample_count, threads)
+        got = codeobj.min_lee_distance(budget, threads)
         _certify_isodual(spec, codeobj)
-        reports.append(RowReport(length, spec, recorded, got,
-                                 ok=(got.value == recorded), fsd=True))
+        reports.append(RowReport(length, spec, recorded, got, ok=(got.value == recorded)))
     return reports

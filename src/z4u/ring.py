@@ -82,10 +82,6 @@ def neg(x: int) -> int:
     return make(-a_part(x), -b_part(x))
 
 
-def sub(x: int, y: int) -> int:
-    return add(x, neg(y))
-
-
 def mul(x: int, y: int) -> int:
     a1, b1 = a_part(x), b_part(x)
     a2, b2 = a_part(y), b_part(y)
@@ -233,15 +229,6 @@ def parse_element(token: str) -> int:
 
 def format_element(x: int) -> str:
     return f"{a_part(x)}{b_part(x)}"
-
-
-def format_element_pretty(x: int) -> str:
-    """Human form like '1+2u' (used in table-facing reports)."""
-    a, b = a_part(x), b_part(x)
-    if b == 0:
-        return str(a)
-    ustr = "u" if b == 1 else f"{b}u"
-    return ustr if a == 0 else f"{a}+{ustr}"
 
 
 # ---------------------------------------------------------------------------

@@ -133,7 +133,6 @@ class GaussianInt:
         return f"{self.re}{sign}{istr}"
 
 
-GI_ZERO = GaussianInt(0, 0)
 GI_ONE = GaussianInt(1, 0)
 GI_I = GaussianInt(0, 1)
 
@@ -194,5 +193,3 @@ class GaussianRational:
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
-
-GR_ZERO = GaussianRational(Fraction(0), Fraction(0))

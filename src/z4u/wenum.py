@@ -178,12 +178,6 @@ class LeePoly:
     def total(self) -> int:
         return sum(self.coeffs)
 
-    def min_nonzero_weight(self) -> int | None:
-        for w in range(1, len(self.coeffs)):
-            if self.coeffs[w]:
-                return w
-        return None
-
     def format_lines(self) -> list[str]:
         n4 = self.degree
         return [f"{n4 - w},{w} : {c}" for w, c in enumerate(self.coeffs) if c]

@@ -117,13 +117,12 @@ def cwe_value(terms, point):
     return out
 
 
-def search_unreduced(kind, n, alphabet=None, budget=DEFAULT_BUDGET, threshold=0,
-                     sample_count=2000):
+def search_unreduced(kind, n, alphabet=None, budget=DEFAULT_BUDGET, threshold=0):
     """`construct.search` evaluating every candidate on its own."""
     alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
     cands = list(construct._dc_candidates(n, alpha) if kind == "dc"
                  else construct._bdc_candidates(n, alpha))
-    ev = construct._Evaluate(budget, sample_count)
+    ev = construct._Evaluate(budget)
     evaluated = [ev(s) for s in cands]
     best = max(r.distance.value for r in evaluated)
     return construct.SearchOutcome(

@@ -169,7 +169,6 @@ def test_verify_tables_fail_exit_code(monkeypatch):
 def test_bad_numeric_flags_exit_1():
     u = gen_path("u.gen")
     for argv in (("analyze", "--gen", u, "--threads", "0"),
-                 ("analyze", "--gen", u, "--sample", "-5"),
                  ("analyze", "--gen", u, "--budget", "-1"),
                  ("macwilliams", "--gen", u, "--points", "-1"),
                  ("search", "--kind", "dc", "--n", "1", "--threads", "-2"),
@@ -180,8 +179,7 @@ def test_bad_numeric_flags_exit_1():
 
 
 def test_numeric_flags_at_their_bounds_accepted():
-    status, out = run_cli("analyze", "--gen", gen_path("u.gen"), "--threads", "1",
-                          "--sample", "0")
+    status, out = run_cli("analyze", "--gen", gen_path("u.gen"), "--threads", "1")
     assert status == 0
     assert "min-lee-distance: 2 (exact)" in out
     assert run_cli("self-check", "--budget", "0")[0] == 0

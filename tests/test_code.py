@@ -227,11 +227,24 @@ def test_min_distance_upper_bound_flag():
     assert not res.exact
     assert res.value >= 4 and res.lower_bound == 3 and res.certificate == "levels 1/0"
     # all-unit circulant: three equal unit columns, no two disjoint
-    # information sets, so over budget it takes the sampled path
+    # information sets, so over budget it takes the levels on the identity
+    # columns alone: 16 messages scan level 1 (12 messages), lower bound 2
     unit_block = np.hstack([identity(3), circulant([R("10"), R("30"), R("12")])])
-    res = LinearCode(unit_block).min_lee_distance(budget=16, sample_count=100)
-    assert not res.exact and res.certificate == "sample" and res.lower_bound == 1
+    res = LinearCode(unit_block).min_lee_distance(budget=16)
+    assert not res.exact and res.certificate == "levels 1" and res.lower_bound == 2
     assert res.value >= LinearCode(unit_block).min_lee_distance().value
+
+
+def test_all_unit_double_circulant_past_budget_is_exact():
+    # k = 8: 16^8 messages exceed the default budget, and the eight equal
+    # all-unit columns leave no two disjoint information sets, so the levels
+    # run on the identity columns alone; level 7 meets the weight-8 word
+    # (random messages had only found weight 14)
+    row = np.random.default_rng(1008).choice(sorted(ring.UNITS), size=8).astype(np.uint8)
+    c = LinearCode(np.hstack([identity(8), circulant(row)]))
+    res = c.min_lee_distance()
+    assert res.exact and res.value == 8 and res.certificate == "levels 7"
+    assert lee_weight_vector(c.encode(res.witness_message)) == 8
 
 
 def test_low_weight_message_count():

@@ -122,8 +122,8 @@ def test_search_dc_n2_recovers_table():
             oracle_best = spec
             break
     assert out.best_spec == oracle_best
-    # every retained dc result is formally self-dual (fsd verified at n=2)
-    assert all(r.fsd == "verified" for r in out.results)
+    # every retained dc result is formally self-dual (the enumerator oracle)
+    assert all(is_formally_self_dual(r.spec.build()) for r in out.results)
 
 
 def test_search_bdc_n2():
@@ -206,8 +206,8 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet):
         got = search(kind, n, alphabet, threads=threads)
         assert (got.kind, got.candidates, got.best_distance, got.best_spec, got.exhaustive) == \
             (want.kind, want.candidates, want.best_distance, want.best_spec, want.exhaustive)
-        assert [(r.spec, r.distance.value, r.distance.exact, r.fsd) for r in got.results] == \
-            [(r.spec, r.distance.value, r.distance.exact, r.fsd) for r in want.results]
+        assert [(r.spec, r.distance.value, r.distance.exact) for r in got.results] == \
+            [(r.spec, r.distance.value, r.distance.exact) for r in want.results]
         for r in got.results:
             assert lee_weight_vector(r.spec.build().encode(r.distance.witness_message)) == \
                 r.distance.value
@@ -229,7 +229,7 @@ def test_one_sweep_and_certificate_per_orbit(monkeypatch):
     out = search("dc", 3, UNITS, threshold=6)
     assert out.candidates == 512 and len(out.results) == 144
     assert calls == {"sweep": 60, "certificate": 60}
-    assert all(r.distance.exact and r.fsd == "verified" for r in out.results)
+    assert all(r.distance.exact for r in out.results)
 
 
 def test_orbit_moves_send_block_to_image():
@@ -245,7 +245,7 @@ def test_orbit_moves_send_block_to_image():
 
 def test_corrupted_orbit_move_raises():
     spec = BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))
-    rep = _Evaluate(DEFAULT_BUDGET, 0)(spec)
+    rep = _Evaluate(DEFAULT_BUDGET)(spec)
     reversed_spec = BorderSpec((R("02"), R("33"), R("10")), R("31"), R("31"), R("13"))
     move = dict(_orbit(spec))[reversed_spec]
     good = _carry(rep, spec.block(), reversed_spec, move).distance
@@ -272,7 +272,6 @@ def test_verify_tables_small():
         reports = verify_tables(table, max_length=8)
         assert len(reports) == 3
         assert all(r.ok and r.got.exact for r in reports)
-        assert all(r.fsd for r in reports)
 
 
 def test_verify_tables_upper_bound_rows():
@@ -286,7 +285,6 @@ def test_verify_tables_upper_bound_rows():
     got = by_len[26].got
     assert by_len[26].ok and not got.exact
     assert got.value == 15 and got.lower_bound < 15
-    assert by_len[26].fsd is True  # certified by the isodual map, no census
 
 
 def test_table_data_shapes():

@@ -12,7 +12,9 @@ brute-force dual's Lee census.  The Lee-level distance kernel is checked
 against the full sweep on standard-form codes with k <= 5: codes whose
 right half is singular but which hold two disjoint information sets, codes
 with none (which must take the sweep), and runs cut short by the budget;
-and the Gray packing it adds with against the ring tables.
+past the budget, on codes with one information set, non-standard free
+generators T.[I | A] with permuted columns, and generators with none; and
+the Gray packing it adds with against the ring tables.
 """
 
 from collections import Counter
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 
 from z4u import ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
-                      lee_levels, lee_weight_vector, pack_words)
+                      lee_levels, lee_weight_vector, pack_words, ring_matmul)
 from z4u.errors import ZeroCode
 from z4u.ring import F2U, R, Z4, packed_add, packed_weight
 from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight,
@@ -219,7 +221,7 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
     a[:, 1] = table.ADD[a[:, 0], shift]
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    assume(sets is not None)
+    assume(sets is not None and len(sets) == 2)
     assert not _residue_invertible(table, a) and sets[0] != tuple(range(k))
     res = lee_levels(c, sets, table.size ** k)
     d = _check_against_sweep(c, res)
@@ -238,11 +240,11 @@ def test_no_partition_takes_the_sweep(name, data):
                                              max_size=k), min_size=k, max_size=k)),
                  dtype=np.uint8)
     # a parity column of non-units is in no information set, and the other
-    # 2k - 1 columns cannot hold two disjoint ones
+    # 2k - 1 columns cannot hold two disjoint ones: one set, the identity
     j = data.draw(st.integers(0, k - 1))
     a[:, j] = data.draw(st.lists(st.sampled_from(_nonunits(table)), min_size=k, max_size=k))
     c = _standard(table, a)
-    assert information_sets(c.gen, table) is None
+    assert information_sets(c.gen, table) == (tuple(range(k)),)
     res = c.min_lee_distance()
     assert res.certificate == "sweep"
     _check_against_sweep(c, res)
@@ -268,6 +270,67 @@ def test_levels_on_random_codes_and_truncated_runs(name, data):
     _check_against_sweep(c, cut)
     if cap <= table.size ** k:  # fewer levels scanned: no better bounds
         assert cut.lower_bound <= full.lower_bound and cut.value >= full.value
+
+
+def _invertible(data, table, k):
+    """L.U with unit diagonals: an invertible k x k matrix."""
+    elem, unit = st.integers(0, table.size - 1), st.sampled_from(
+        [x for x in range(table.size) if table.INV[x]])
+    tri = []
+    for lower in (True, False):
+        m = np.zeros((k, k), dtype=np.uint8)
+        for i in range(k):
+            for j in range(k):
+                if i == j or (i > j) == lower:
+                    m[i, j] = data.draw(unit if i == j else elem)
+        tri.append(m)
+    return ring_matmul(tri[0], tri[1], table)
+
+
+@pytest.mark.parametrize("kind", ["one-set", "non-standard", "no-set"])
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_over_budget_routes_match_sweep(name, kind, data):
+    table = SCALARS[name][0]
+    elem = st.integers(0, table.size - 1)
+    k = data.draw(st.integers(1, KERNEL_KMAX))
+    extra = 0 if kind == "one-set" else data.draw(st.integers(0, 2))
+    a = np.array(data.draw(st.lists(st.lists(elem, min_size=k + extra, max_size=k + extra),
+                                    min_size=k, max_size=k)), dtype=np.uint8)
+    if kind == "one-set":  # a parity column of non-units, as in the test above
+        a[:, 0] = data.draw(st.lists(st.sampled_from(_nonunits(table)), min_size=k,
+                                     max_size=k))
+    gen = np.hstack([identity(k, table), a])
+    if kind == "non-standard":  # T.[I | A], columns permuted
+        gen = ring_matmul(_invertible(data, table, k), gen, table)
+    elif kind == "no-set":  # a row scaled by a nonzero non-unit, or a repeated row
+        i = data.draw(st.integers(0, k - 1))
+        if k > 1 and data.draw(st.booleans()):
+            gen[i] = gen[(i + 1) % k]
+        else:
+            scale = data.draw(st.sampled_from([x for x in _nonunits(table) if x]))
+            gen[i] = table.MUL[scale, gen[i]]
+    if kind != "one-set":
+        gen = gen[:, data.draw(st.permutations(range(gen.shape[1])))]
+    c = LinearCode(gen, table)
+    sets = information_sets(c.gen, table)
+    if kind == "one-set":
+        assert sets == (tuple(range(k)),)
+    assert (sets is None) == (kind == "no-set")
+    budget = data.draw(st.integers(0, table.size ** k - 1))
+    res = c.min_lee_distance(budget)
+    d, _ = sweep_distance(c)
+    word = c.encode(res.witness_message)
+    assert any(word) and lee_weight_vector(word, table) == res.value
+    assert res.lower_bound <= d <= res.value
+    if sets is None:  # no bound beyond 1 until every nonzero message is scanned
+        assert res.certificate.startswith("messages ")
+        assert res.exact or res.lower_bound == 1
+    else:
+        assert res.certificate.startswith("levels ")
+        if budget >= table.bits * k:  # level 1 on the first set fits
+            assert res.exact or res.lower_bound >= 2
 
 
 @pytest.mark.parametrize("table", [R, Z4, F2U], ids=str)
