@@ -58,7 +58,7 @@ def cmd_analyze(args) -> None:
     print(f"standard-form: {'yes' if code.standard_form else 'no'}")
     card = code.cardinality(budget)
     print(f"cardinality: {card}")
-    res = code.min_lee_distance(budget, args.threads)
+    res = code.min_lee_distance(budget)
     print(f"min-lee-distance: {_dist_line(res)}")
     print(f"self-duality: {code.self_duality(budget).value}")
     if 16 ** code.k <= min(budget, _ENUM_PRINT_CAP):
@@ -88,7 +88,7 @@ def cmd_gray(args) -> None:
     print("z4-image generator:")
     for row in img.gen:
         print("  " + ring.format_vector(row, Z4))
-    res = code.min_lee_distance(budget, args.threads)
+    res = code.min_lee_distance(budget)
     print(f"z4-image min-lee-distance: {_dist_line(res)}  "
           f"(equals the source distance; the map is a Lee isometry)")
 
@@ -184,7 +184,7 @@ def cmd_lift_check(args) -> None:
     triple = project.LiftTriple(code, d, e)
     ok = triple.verify_projections(budget)
     print(f"projections match the prescribed codes: {'yes' if ok else 'NO'}")
-    report = project.lift_bound_check(triple, budget, args.threads)
+    report = project.lift_bound_check(triple, budget)
     for ln in report.format_lines():
         print(ln)
     witness = code.encode(report.d.witness_message)
@@ -211,7 +211,7 @@ def cmd_search(args) -> None:
 
 def cmd_verify_tables(args) -> None:
     reports = construct.verify_tables(args.table, args.max_length,
-                                      _budget_from(args), args.threads)
+                                      _budget_from(args))
     bad = 0
     for rep in reports:
         print(rep.format_line())
@@ -289,7 +289,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=int, default=7,
                    help="enumeration budget exponent: 16^BUDGET messages (default 7)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker process cap (results are thread-count independent)")
+                   help="worker processes for `search` (results are thread-count independent)")
 
 
 def build_parser() -> argparse.ArgumentParser:

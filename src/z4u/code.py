@@ -4,8 +4,10 @@ A linear code is the row span of a generator matrix G (a k x n uint8 array
 of element values) over one of the ring records of `ring`: R = Z4+uZ4 (the
 default), or Z4 and F2+uF2, where the Gray images and projections live.
 R is not a chain ring, so there is no standard generating form in general;
-for every ring, cardinality is size^k only when G is literally [I_k | A].
-Every other count over C comes from all size^k messages.  The encoding map
+for every ring, cardinality is size^k when the columns of G hold an
+information set (a k x k block that is invertible, as in [I_k | A]), which
+proves the rows a free basis; otherwise it comes from the census.  Every
+other count over C comes from all size^k messages.  The encoding map
 x -> xG is a module homomorphism, so every codeword has exactly |K|
 preimages, K = {x : xG = 0}: a count over all messages, divided by the
 number of messages that give the zero word, is the count over C.  So no
@@ -26,44 +28,41 @@ is one ADD of the two.  Membership, the complete enumerator and the
 brute-force dual (the span of G^T, keeping the indices whose product is
 zero) all run on it.
 
-The sweep kernel uses the same layout: a low-digit table of parity products
-and information weights, and an outer loop over the high-digit prefixes, so
-each step is one fancy-indexed gather plus a row sum over a (2^20, n-k)
-array.  One kernel serves two reducers: the minimum nonzero weight (with
-information-weight pruning in standard form) and the Lee census.  Message
-digits are decoded from the flat odometer index only where they are
-reported: the witness and the kept dual vectors.  Work shards by the first
-message coordinate; shard results merge by an order-free minimum or sum, so
-thread count never changes any reported value or witness.  Explicit message
-lists (encoding, standard-form membership, the Gram matrix) go through
-`ring_matmul`.
+The Lee census uses the same layout: a low-digit table of parity products
+and information weights, and an outer loop over the high-digit prefixes,
+so each step is one fancy-indexed gather plus a row sum over a (2^20, n-k)
+array; in standard form only the parity block is gathered.  Message digits
+are decoded from the flat odometer index only where they are reported: the
+kept dual vectors.  Census work shards by the first message coordinate, and
+shard counts are summed, so thread count never changes a count.  Explicit
+message lists (encoding, standard-form membership, the Gram matrix) go
+through `ring_matmul`.
 
-Past the sweep, the minimum distance comes from the Lee-level kernel
-(Brouwer-Zimmermann).  `information_sets` looks for information sets in
-the columns of any generator: sets of k columns whose k x k block is
-invertible, which holds iff its unit pattern is invertible over F2.  It
-returns two disjoint ones when a matroid partition finds them, else one
-(greedily; the identity columns in standard form), else None, and then
-the rows are no free basis.  On each set the generator is made systematic
-by Gauss-Jordan with unit pivots, so a message is the codeword's
-restriction to the set, and the messages are scanned by exact Lee weight
-t.  Under the double Gray map R -> F2^4 these are the t-subsets of the
-message's Gray bits, C(4k, t) of them; each is a high half's message of
-weight w joined with a low half's of weight t - w, their parity products
-held as packed Gray words (`ring.packed_add`, `ring.packed_weight`), in
-chunks of 2^16 pairs.  Once level t_i is scanned on each set S_i, every
-codeword not yet seen weighs at least the sum of the (t_i + 1), and the
-kernel stops when its best word meets that bound.  With no information set
-it scans the messages of G itself by Lee weight, skipping those that give
-the zero word; that proves no lower bound beyond 1.
+The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
+alone.  `information_sets` looks for information sets in the columns of
+any generator: sets of k columns whose k x k block is invertible, which
+holds iff its unit pattern is invertible over F2.  It returns two disjoint
+ones when a matroid partition finds them, else one (greedily; the identity
+columns in standard form), else None, and then the rows are no free basis.
+On each set the generator is made systematic by Gauss-Jordan with unit
+pivots, so a message is the codeword's restriction to the set, and the
+messages are scanned by exact Lee weight t.  Under the double Gray map
+R -> F2^4 these are the t-subsets of the message's Gray bits, C(4k, t) of
+them; each is a high half's message of weight w joined with a low half's
+of weight t - w, their parity products held as packed Gray words
+(`ring.packed_add`, `ring.packed_weight`), in chunks of 2^16 pairs.  Once
+level t_i is scanned on each set S_i, every codeword not yet seen weighs
+at least the sum of the (t_i + 1), and the kernel stops when its best word
+meets that bound.  With no information set it scans the messages of G
+itself by Lee weight, skipping those that give the zero word; that proves
+no lower bound beyond 1.
 
-`LinearCode.min_lee_distance` is the one routing point.  While size^k fits
-the budget, a standard-form code with two disjoint information sets goes
-to the levels, then to the sweep seeded with their best word if they
-stop short; every other code goes to the sweep.  Past the budget every
-code goes to the levels on whatever sets its generator holds, capped at
-the budget.  Every result carries a lower bound and the certificate that
-proves it.
+`LinearCode.min_lee_distance` sends every code to the levels, on whatever
+sets its generator holds, with the budget as the cap on the messages
+scanned on each set.  The levels of one set add up to size^k messages, so
+a code whose size^k fits the budget is always exact; past the budget the
+result is exact when the levels meet the best word, else an upper bound.
+Every result carries a lower bound and the certificate that proves it.
 """
 
 from __future__ import annotations
@@ -187,10 +186,10 @@ class DistanceResult:
     """Minimum Lee distance d, with lower_bound <= d <= value.
 
     The value is exact when the two bounds meet.  `certificate` names how
-    they were found: "sweep" (every message), "levels t1/t2" or "levels t1"
-    (the Lee levels scanned on two information sets or on one), or
-    "messages t" (every message of Lee weight <= t on a generator with no
-    information set; lower bound 1 unless that is every message).
+    they were found: "levels t1/t2" or "levels t1" (the Lee levels scanned
+    on two information sets or on one), or "messages t" (every message of
+    Lee weight <= t on a generator with no information set; lower bound 1
+    unless that is every message).
     """
 
     value: int
@@ -294,9 +293,10 @@ class LinearCode:
                 and bool(self.contains(other.gen, budget).all()))
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact |C|: size^k in standard form, else from the Lee census."""
+        """Exact |C|: size^k when the generator holds an information set
+        (standard form included), else from the Lee census."""
         if self._cardinality is None:
-            if self.standard_form:
+            if self.standard_form or information_sets(self.gen, self.ring) is not None:
                 self._cardinality = self.ring.size ** self.k
             else:
                 self.lee_census(budget)
@@ -338,34 +338,19 @@ class LinearCode:
 
     # -- minimum distance --------------------------------------------------
 
-    def min_lee_distance(self, budget: int = DEFAULT_BUDGET, threads: int = 1) -> DistanceResult:
-        """Minimum Lee weight of a nonzero codeword; the one routing point.
+    def min_lee_distance(self, budget: int = DEFAULT_BUDGET) -> DistanceResult:
+        """Minimum Lee weight of a nonzero codeword, by the Lee-level kernel
+        on the information sets of the generator (two, one or none), each
+        set capped at `budget` messages.
 
-        While size^k fits the budget, a standard-form code whose columns
-        hold two disjoint information sets goes to the Lee-level kernel,
-        and when that stops short of the value, to the full sweep seeded
-        with its best word; any other code goes straight to the sweep.
-        Either way the value is exact.  Past the budget every code goes to
-        the Lee-level kernel on the information sets of its generator (two,
-        one or none), capped at `budget` messages: the result is exact when
-        its levels meet the best word, else an upper bound with the lower
-        bound those levels prove.
+        Each set's levels sum to size^k messages, so while size^k fits the
+        budget one set is always scanned through and the value is exact.
+        Past it the result is exact when the levels meet the best word,
+        else an upper bound with the lower bound those levels prove.
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        total = self.ring.size ** self.k
-        if total > budget:
-            return lee_levels(self, information_sets(self.gen, self.ring) or (), budget)
-        best: _Best = (_BIG, ())
-        pair = _partition(_unit_columns(self.gen, self.ring), self.k) \
-            if self.standard_form else None
-        if pair is not None:
-            res = lee_levels(self, pair, total)
-            if res.exact:
-                return res
-            best = (res.value, res.witness_message)
-        value, witness = _sweep(self, threads, best)
-        return DistanceResult(value, value, witness, "sweep")
+        return lee_levels(self, information_sets(self.gen, self.ring) or (), budget)
 
     # -- weight census -------------------------------------------------------
 
@@ -374,11 +359,19 @@ class LinearCode:
 
         The sweep counts messages; only the zero word has weight 0, so
         hist[0] = |K| divides every count exactly.  Records |C| as well.
+        Shards run in up to `threads` worker processes and are summed, so
+        the counts do not depend on the worker count.
         """
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
-        hist = _sweep(self, threads)
+        shard = _Shard(self.gen, self.ring, self.standard_form)
+        shards = range(self.ring.size if shard.khi else 1)
+        if threads > 1 and len(shards) > 1:
+            with multiprocessing.get_context("fork").Pool(min(threads, len(shards))) as pool:
+                hist = np.sum(pool.map(shard, shards), axis=0)
+        else:
+            hist = np.sum([shard(s) for s in shards], axis=0)
         self._cardinality = total // int(hist[0])
         return hist // hist[0]
 
@@ -397,34 +390,18 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 
 
 # ---------------------------------------------------------------------------
-# Distance and census kernel
+# Lee census kernel
 # ---------------------------------------------------------------------------
 
-_Best = tuple[int, tuple[int, ...]]  # (weight, witness message)
-
-
-def _sweep(code: LinearCode, threads: int = 1, seed: _Best | None = None):
-    """Full size^k sweep: the minimum reducer when seeded, else the census."""
-    shard = _Shard(code.gen, code.ring, code.standard_form)
-    shards = [(s, seed) for s in range(code.ring.size if shard.khi else 1)]
-    if threads > 1 and len(shards) > 1:
-        with multiprocessing.get_context("fork").Pool(min(threads, len(shards))) as pool:
-            results = pool.starmap(shard, shards)
-    else:
-        results = [shard(s, b) for s, b in shards]
-    return np.sum(results, axis=0) if seed is None else min(results)
-
-
 class _Shard:
-    """Picklable sweep worker: messages whose first coordinate is fixed.
+    """Picklable census worker: messages whose first coordinate is fixed.
 
     The last `klo` message digits form a low span table of products and
     information weights; the loop runs over this shard's high-digit
     prefixes, whose products and weights come from a small span table.
     With no high digits there is one shard and the low table is the whole
-    message space.  The reducer is the Lee census when no seed is given,
-    else the minimum nonzero weight, improving on the seed (weight,
-    witness) and pruned by information weight in standard form.
+    message space.  In standard form only the parity block is gathered and
+    the message's own weight is added.
     """
 
     def __init__(self, gen: np.ndarray, ring: RingTable, standard: bool):
@@ -433,7 +410,7 @@ class _Shard:
         self.standard = standard
         self.khi = _high_digits(gen.shape[0], ring)
 
-    def __call__(self, shard: int, seed: _Best | None):
+    def __call__(self, shard: int) -> np.ndarray:
         gen, ring, standard, khi = self.gen, self.ring, self.standard, self.khi
         k, n = gen.shape
         rows, m = (gen[:, k:], n - k) if standard else (gen, n)
@@ -445,36 +422,18 @@ class _Shard:
         first = shard * per_shard
         tails_hi = span_table(rows[:khi], ring)[first:first + per_shard]
         whis = _info_weights(khi, ring)[first:first + per_shard]
-        order = np.argsort(whis, kind="stable") if standard else np.arange(len(whis))
 
         hist = np.zeros(ring.max_lee * n + 1, dtype=np.int64)
-        census = seed is None
-        best_w, best_msg = (_BIG, ()) if census else seed
-        for hi_i in order:
-            whi = int(whis[hi_i])
-            if standard and not census and whi >= best_w:
-                break
+        for tail, whi in zip(tails_hi, whis):
             if khi:
-                lflat = ring.LEE[ring.ADD[:, tails_hi[hi_i]]].ravel()
+                lflat = ring.LEE[ring.ADD[:, tail]].ravel()
                 w = lflat[idx].sum(axis=1, dtype=np.int64)
             else:
                 w = ring.LEE[tl].sum(axis=1, dtype=np.int64)
             if standard:
                 w += wlo + whi
-            if census:
-                hist += np.bincount(w, minlength=hist.shape[0])
-                continue
-            if standard:
-                if whi == 0:
-                    w[0] = _BIG  # the all-zero message
-            else:
-                w[w == 0] = _BIG  # any message mapping to the zero word
-            i = int(w.argmin())
-            if w[i] < best_w:
-                best_w = int(w[i])
-                index = (first + int(hi_i)) * len(tl) + i
-                best_msg = tuple(_digits(np.array([index]), k, ring)[0].tolist())
-        return hist if census else (best_w, best_msg)
+            hist += np.bincount(w, minlength=hist.shape[0])
+        return hist
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +544,8 @@ def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.
     """Gauss-Jordan with unit pivots: a generator of the same code whose
     `cols` block is the identity (the block must be invertible)."""
     g = gen.copy()
+    if np.array_equal(g[:, cols], identity(len(cols), ring)):
+        return g
     for i, j in enumerate(cols):
         p = i + int(np.flatnonzero(ring.INV[g[i:, j]])[0])
         g[[i, p]] = g[[p, i]]
@@ -617,13 +578,25 @@ class _Half:
         self.h = parity.shape[0]
         self.low = ring.low_mask
         self.words = -(-parity.shape[1] // (64 // ring.bits))
-        self.by_weight = [np.flatnonzero(ring.LEE == w).astype(np.uint8)
-                          for w in range(ring.max_lee + 1)]
+        self.by_weight = ring.by_lee
         # per row and element weight l, (W, count): the packed products
         # e * row for the elements e of Lee weight l
         self.mult = [[words[:, els, None] for els in self.by_weight]
                      for words in (pack_words(ring.MUL[:, row], ring) for row in parity)]
         self.memo: dict[tuple[int, int], np.ndarray] = {}
+        self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def split(self, w: int) -> tuple[np.ndarray, np.ndarray]:
+        """level(w) as its low-bit and other-bit parts, the two terms of
+        `packed_add`: a level of one half joins many levels of the other,
+        so it is split once.  Nothing else reads the first row's levels,
+        so they are kept in this form alone."""
+        if w not in self.splits:
+            words = self.level(w)
+            del self.memo[(0, w)]
+            low = words & self.low
+            self.splits[w] = low, words ^ low
+        return self.splits[w]
 
     def level(self, w: int, j: int = 0) -> np.ndarray:
         """Packed parities (W, N) of the messages of weight w from row j."""
@@ -635,9 +608,11 @@ class _Half:
                 parts = []
                 for lw, mult in enumerate(self.mult[j][:w + 1]):
                     sub = self.level(w - lw, j + 1)
-                    if sub.shape[1]:
+                    if sub.shape[1] and j + 1 == self.h:  # sub is the zero word
+                        parts.append(mult[:, :, 0])
+                    elif sub.shape[1]:
                         parts.append(packed_add(mult, sub[:, None, :], self.low)
-                                     .reshape(self.words, -1))
+                                     .reshape(self.words, mult.shape[1] * sub.shape[1]))
                 out = np.concatenate(parts, axis=1) if parts \
                     else np.zeros((self.words, 0), np.uint64)
             self.memo[key] = out
@@ -685,29 +660,27 @@ class _InfoSet:
         low, found = self.low, None
         base = t if self.cols else 0  # the message is part of the codeword
         for wh in range(t + 1):
-            ph, pl = hi.level(wh), lo.level(t - wh)
-            if not ph.shape[1] or not pl.shape[1]:
+            (ph_low, ph_high), (pl_low, pl_high) = hi.split(wh), lo.split(t - wh)
+            if not ph_low.shape[1] or not pl_low.shape[1]:
                 continue
-            pl_low = pl & low
-            pl_high = pl ^ pl_low
-            rows = max(1, _CHUNK // pl.shape[1])
-            for a in range(0, ph.shape[1], rows):
-                blk = ph[:, a:a + rows]
-                blk_low = blk & low
-                blk_high = blk ^ blk_low
+            rows = max(1, _CHUNK // pl_low.shape[1])
+            for a in range(0, ph_low.shape[1], rows):
+                blk_low, blk_high = ph_low[:, a:a + rows], ph_high[:, a:a + rows]
                 wt = None
-                for w in range(len(ph)):
+                for w in range(len(ph_low)):
                     x = blk_low[w][:, None] + pl_low[w][None, :]
                     x ^= blk_high[w][:, None]
                     x ^= pl_high[w][None, :]
                     c = packed_weight(x, low)
                     wt = c if wt is None else wt + c.astype(np.uint16)
+                if wt is None:  # no parity columns: the codeword is the message
+                    wt = np.zeros((blk_low.shape[1], pl_low.shape[1]), np.uint16)
                 if not self.cols:  # a message may encode to the zero word
                     wt = np.where(wt == 0, np.int64(_BIG), wt)
                 i = int(wt.argmin())
                 if base + int(wt.flat[i]) < best:
                     best = base + int(wt.flat[i])
-                    r, q = divmod(i, pl.shape[1])
+                    r, q = divmod(i, pl_low.shape[1])
                     found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
                                            dtype=np.uint8)
                     if best <= stop:
@@ -726,9 +699,10 @@ def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> Dis
     sets, t1 + 1 on one.  With no set the bound stays 1.  The lowest level
     rises next, first set first on a tie, until the best word found meets
     the bound.  The lightest nonzero generator row seeds the best word.  A
-    level runs only if its messages still fit in `cap`; otherwise the
-    result is an upper bound.  Scanning every message on a set makes it
-    exact.  Deterministic: no worker processes.
+    level runs only if the messages scanned on its set, itself included,
+    still fit in `cap`; otherwise the result is an upper bound.  Scanning
+    every message on a set makes it exact, so a cap of size^k always does.
+    Deterministic: no worker processes.
     """
     ring, k = code.ring, code.k
     sides = [_InfoSet(code.gen, s, ring) for s in sets] or [_InfoSet(code.gen, (), ring)]
@@ -736,7 +710,7 @@ def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> Dis
     row_weights[row_weights == 0] = _BIG
     i = int(row_weights.argmin())
     best, where = int(row_weights[i]), identity(k, ring)[i]
-    levels, spent = [0] * len(sides), 0
+    levels, spent = [0] * len(sides), [0] * len(sides)
     lower = len(sets) or 1
     while best > lower:
         s = levels.index(min(levels))
@@ -744,9 +718,9 @@ def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> Dis
         if t == len(sides[s].counts):  # every message on S_s scanned: all seen
             lower = best
             break
-        if spent + sides[s].counts[t] > cap:
+        if spent[s] + sides[s].counts[t] > cap:
             break
-        spent += sides[s].counts[t]
+        spent[s] += sides[s].counts[t]
         found = sides[s].scan(t, best, lower)
         if found is not None:
             best, msg = found

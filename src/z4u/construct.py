@@ -38,10 +38,11 @@ count.
 
 `verify_tables` rebuilds each catalogued code and compares its minimum
 distance against the recorded value.  Both it and `search` take the
-distance from `LinearCode.min_lee_distance`, which picks the method: every
-catalogued row holds two disjoint information sets, so the Lee-level kernel
-makes each row exact at the default budget (table 2 at length 26 by levels
-7/6, 1.8e8 messages).
+distance from `LinearCode.min_lee_distance`, the Lee-level kernel on the
+information sets of the generator: every catalogued row holds two disjoint
+ones, so each row is exact at the default budget (table 2 at length 26 by
+levels 7/6, 1.8e8 messages).  A search candidate with fewer sets still
+comes back exact while its 16^k messages fit the budget.
 """
 
 from __future__ import annotations
@@ -431,14 +432,14 @@ class RowReport:
 
 
 def verify_tables(table: int, max_length: int = 26,
-                  budget: int = DEFAULT_BUDGET, threads: int = 1) -> list[RowReport]:
+                  budget: int = DEFAULT_BUDGET) -> list[RowReport]:
     """Rebuild catalogued codes and compare distances with recorded values."""
     reports = []
     for length, spec, recorded in table_specs(table):
         if length > max_length:
             continue
         codeobj = spec.build()
-        got = codeobj.min_lee_distance(budget, threads)
+        got = codeobj.min_lee_distance(budget)
         _certify_isodual(spec, codeobj)
         reports.append(RowReport(length, spec, recorded, got, ok=(got.value == recorded)))
     return reports

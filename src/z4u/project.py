@@ -94,8 +94,7 @@ class LiftBoundReport:
         ]
 
 
-def lift_bound_check(t: LiftTriple, budget: int = DEFAULT_BUDGET,
-                     threads: int = 1) -> LiftBoundReport:
+def lift_bound_check(t: LiftTriple, budget: int = DEFAULT_BUDGET) -> LiftBoundReport:
     """Check d <= 2d' and d <= 2d'' on a lift triple.
 
     An upper bound for d is enough to confirm the inequality holds (the
@@ -107,12 +106,12 @@ def lift_bound_check(t: LiftTriple, budget: int = DEFAULT_BUDGET,
         raise ZeroCode("lift bound needs nonzero projected codes")
     exact = []
     for proj in (t.z4, t.f2u):
-        exact.append(proj.min_lee_distance(budget, threads))
+        exact.append(proj.min_lee_distance(budget))
         if not exact[-1].exact:
             raise BudgetExceeded(proj.ring.size ** proj.k, budget,
                                  f"exact {proj.ring.name} distance")
     d_z4, d_f2u = exact
-    res = t.code.min_lee_distance(budget, threads)
+    res = t.code.min_lee_distance(budget)
     holds = res.value <= 2 * d_z4.value and res.value <= 2 * d_f2u.value
     return LiftBoundReport(res, d_z4, d_f2u, holds)
 

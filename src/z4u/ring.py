@@ -269,10 +269,16 @@ class RingTable:
         """Bits per element (every size here is a power of two)."""
         return self.size.bit_length() - 1
 
-    @property
+    @functools.cached_property
     def low_mask(self) -> np.uint64:
         """LOW repeated over all 64 bits of a packed word."""
         return np.uint64(sum(self.LOW << s for s in range(0, 64, self.bits)))
+
+    @functools.cached_property
+    def by_lee(self) -> tuple[np.ndarray, ...]:
+        """The elements of each Lee weight 0..max_lee, ascending (uint8)."""
+        return tuple(np.flatnonzero(self.LEE == w).astype(np.uint8)
+                     for w in range(self.max_lee + 1))
 
     def __reduce__(self) -> str:
         return self.name

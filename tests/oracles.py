@@ -5,9 +5,9 @@
 about every vector of ring^n, so the two can be compared as sets.
 `sweep_contains` is membership by one sweep over every message, whatever
 the generator's shape: the reference for the standard-form fast path.
-`sweep_distance` is the minimum distance from the full size^k sweep,
-bypassing the routing of `min_lee_distance`: the reference for the
-Lee-level kernel.
+`sweep_distance` is the minimum distance read off the Lee census of all
+size^k messages, which shares no code with the Lee-level kernel of
+`min_lee_distance`: its reference.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import _BIG, DEFAULT_BUDGET, _sweep
+from z4u.code import DEFAULT_BUDGET
 from z4u.scalars import GaussianInt, GaussianRational
 
 
@@ -52,8 +52,10 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
 
 
 def sweep_distance(code, threads=1):
-    """(minimum nonzero Lee weight, witness message) over all size^k messages."""
-    return _sweep(code, threads, (_BIG, ()))
+    """Minimum nonzero Lee weight: the smallest nonzero weight with a
+    nonzero count in the census of all size^k messages."""
+    hist = code.lee_census(code.ring.size ** code.k, threads)
+    return int(np.flatnonzero(hist[1:])[0]) + 1
 
 
 def is_linear(words, size, add, mul):

@@ -3,7 +3,8 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion.  The 16^8-scale items (exact distances at length 16 and the
 exact lift distance) are marked slow; enable with --runslow or Z4U_SLOW=1.
-They run the full sweep, not the Lee-level kernel, as its oracle.
+They read the distance off the full Lee census, not the Lee-level kernel,
+as its oracle.
 """
 
 import time
@@ -175,7 +176,7 @@ def test_criterion_06_lift_example():
     c = LinearCode.from_text(data_file("lift16_r.gen"))
     d = LinearCode.from_text(data_file("lift16_z4.gen"), Z4)
     e = LinearCode.from_text(data_file("lift16_f2u.gen"), F2U)
-    for proj in (d, e):                    # full 4^8 sweeps
+    for proj in (d, e):                    # Lee levels, within 4^8 messages
         dp = proj.min_lee_distance()
         assert dp.exact and dp.value == 8
         assert lee_weight_vector(proj.encode(dp.witness_message), proj.ring) == 8
@@ -193,7 +194,7 @@ def test_criterion_06_lift_example():
 def test_criterion_06_slow_exact_lift_distance():
     t0 = time.time()
     c = LinearCode.from_text(data_file("lift16_r.gen"))
-    value, _ = sweep_distance(c, threads=2)
+    value = sweep_distance(c, threads=2)
     assert value == 12 == c.min_lee_distance().value
     _report(6, t0, "slow lane: lift distance 12 is exact over all 16^8 messages")
 
@@ -221,7 +222,7 @@ def test_criterion_07_table2_reproduction():
 def test_criterion_07_slow_table2_length16():
     t0 = time.time()
     c = next(CirculantSpec(row) for ln, row, d in DC_TABLE if ln == 16).build()
-    value, _ = sweep_distance(c, threads=2)
+    value = sweep_distance(c, threads=2)
     assert value == 12 == c.min_lee_distance().value
     _report(7, t0, "slow lane: table 2 length 16 exact d=12")
 
@@ -239,7 +240,7 @@ def test_criterion_08_slow_table3_length16():
     t0 = time.time()
     length, row, abg, d = next(r for r in BDC_TABLE if r[0] == 16)
     c = BorderSpec(row, *abg).build()
-    value, _ = sweep_distance(c, threads=2)
+    value = sweep_distance(c, threads=2)
     assert value == 11 == c.min_lee_distance().value
     _report(8, t0, "slow lane: table 3 length 16 exact d=11")
 

@@ -2,9 +2,11 @@ import importlib.resources as res
 import io
 import sys
 
+import numpy as np
+
 from z4u import ring
 from z4u.cli import main
-from z4u.code import LinearCode
+from z4u.code import LinearCode, identity, ring_matmul
 
 DATA = res.files("z4u") / "data"
 
@@ -46,6 +48,25 @@ def test_analyze_large_code_skips_enumerators():
     assert "cardinality: 4294967296" in out
     assert "min-lee-distance: 12 (exact)" in out
     assert "out of budget" in out
+
+
+def test_free_nonstandard_generator_past_budget(tmp_path):
+    # T.[I_8 | A] with T invertible (unit triangular factors) and columns
+    # permuted: 16^8 messages exceed the default budget, so |C| = 16^8
+    # comes from the information set the columns hold, not from a census
+    rng = np.random.default_rng(2024)
+    k = 8
+    lower = np.tril(rng.integers(0, 16, (k, k)), -1).astype(np.uint8) + identity(k)
+    upper = np.triu(rng.integers(0, 16, (k, k)), 1).astype(np.uint8) + identity(k)
+    gen = ring_matmul(ring_matmul(lower, upper), np.hstack(
+        [identity(k), rng.integers(0, 16, (k, k), dtype=np.uint8)]))[:, rng.permutation(2 * k)]
+    path = tmp_path / "free.gen"
+    path.write_text(ring.format_matrix(gen) + "\n")
+    assert not LinearCode(gen).standard_form
+    for command in ("analyze", "gray"):
+        status, out = run_cli(command, "--gen", str(path))
+        assert status == 0
+        assert "cardinality: 4294967296" in out
 
 
 def test_analyze_missing_file():

@@ -221,11 +221,20 @@ def test_min_distance_zero_code():
 def test_min_distance_upper_bound_flag():
     gen = np.hstack([np.diag([ring.ONE] * 2).astype(np.uint8),
                      circulant([R("20"), R("12")])])
-    # 8 messages: level 1 on the first information set only, so the lower
-    # bound stays at 1 + 0 + 2 = 3 (levels 1/1, 16 messages, certify d = 4)
+    # level 1 holds 8 messages on each of the two information sets: at
+    # budget 7 neither runs, so the bound stays at 0 + 0 + 2 and the best
+    # word is the lighter generator row (weight 6)
+    res = LinearCode(gen).min_lee_distance(budget=7)
+    assert not res.exact
+    assert res.value == 6 and res.lower_bound == 2 and res.certificate == "levels 0/0"
+    # the cap counts each set on its own: at budget 8 both sets scan level
+    # 1, lower bound 4 (a cap on the total stopped at levels 1/0, bound 3)
     res = LinearCode(gen).min_lee_distance(budget=8)
     assert not res.exact
-    assert res.value >= 4 and res.lower_bound == 3 and res.certificate == "levels 1/0"
+    assert res.value == 6 and res.lower_bound == 4 and res.certificate == "levels 1/1"
+    # level 2 (28 more messages on the first set) finds the weight-4 word
+    res = LinearCode(gen).min_lee_distance(budget=36)
+    assert res.exact and res.value == 4
     # all-unit circulant: three equal unit columns, no two disjoint
     # information sets, so over budget it takes the levels on the identity
     # columns alone: 16 messages scan level 1 (12 messages), lower bound 2
@@ -233,6 +242,18 @@ def test_min_distance_upper_bound_flag():
     res = LinearCode(unit_block).min_lee_distance(budget=16)
     assert not res.exact and res.certificate == "levels 1" and res.lower_bound == 2
     assert res.value >= LinearCode(unit_block).min_lee_distance().value
+
+
+def test_budget_of_size_k_is_exact_per_information_set():
+    # the repetition code of length 10: 16 messages, and budget 16.  Each
+    # set's levels 1..4 hold 4 + 6 + 4 + 1 = 15 of them, so levels 4/4 meet
+    # d = 10 (30 in total, which a cap on the total would refuse)
+    res = LinearCode([[ring.ONE] * 10]).min_lee_distance(budget=16)
+    assert res.exact and res.value == 10 and res.certificate == "levels 4/4"
+    # the Z4 code [1 1 1 2]: the levels alone make d = 5 exact, with no
+    # second pass over the message space
+    res = LinearCode([[1, 1, 1, 2]], Z4).min_lee_distance()
+    assert res.exact and res.value == 5 and res.certificate == "levels 2/1"
 
 
 def test_all_unit_double_circulant_past_budget_is_exact():
@@ -270,14 +291,13 @@ def test_low_weight_message_count():
 
 
 def test_exact_kernel_crosses_block_split():
-    # k = 6 exercises the sharded two-level kernel against the flat oracle
+    # k = 6: the census runs in 16 shards of the two-level layout, and its
+    # least nonzero weight is the oracle for the Lee levels
     rng = np.random.default_rng(3)
     row = rng.integers(0, 16, size=6, dtype=np.uint8)
     gen = np.hstack([np.diag([ring.ONE] * 6).astype(np.uint8), circulant(row)])
     c = LinearCode(gen)
     res = c.min_lee_distance()
-    # oracle: direct weight minimum over a restricted but guaranteed subset
-    # is an upper bound; full check via the census minimum
     hist = c.lee_census()
     first = next(w for w in range(1, len(hist)) if hist[w])
     assert res.value == first
@@ -291,13 +311,14 @@ def test_census_total_and_zero_bin():
     assert hist[0] == 1
 
 
-def test_min_distance_deterministic_across_threads():
+def test_census_deterministic_across_threads():
+    # k = 6 over R: 16 shards, summed in one process or in two workers
     rng = np.random.default_rng(5)
     row = rng.integers(0, 16, size=6, dtype=np.uint8)
     gen = np.hstack([np.diag([ring.ONE] * 6).astype(np.uint8), circulant(row)])
-    r1 = LinearCode(gen).min_lee_distance(threads=1)
-    r2 = LinearCode(gen).min_lee_distance(threads=2)
-    assert r1 == r2
+    h1 = LinearCode(gen).lee_census(threads=1)
+    h2 = LinearCode(gen).lee_census(threads=2)
+    assert h1.tolist() == h2.tolist() and h1.sum() == 16 ** 6
 
 
 def test_codeword_set_linearity():
@@ -307,7 +328,7 @@ def test_codeword_set_linearity():
 
 def test_sharded_kernel_over_z4():
     # k = 11 exceeds the 10 low digits of a 4-element ring: four shards of
-    # the Z4 sweep, checked against a plain sweep over all 4^11 messages
+    # the Z4 census, checked against a plain sweep over all 4^11 messages
     k = 11
     a = np.random.default_rng(17).integers(0, 4, size=(k, 2), dtype=np.uint8)
     c = LinearCode(np.hstack([identity(k, Z4), a]), Z4)
@@ -319,11 +340,25 @@ def test_sharded_kernel_over_z4():
         weights += Z4.LEE[digit]
         tails = (tails + digit[:, None] * a[i]) & 3
     weights += Z4.LEE[tails].sum(axis=1, dtype=np.int64)
-    assert c.lee_census().tolist() == np.bincount(weights, minlength=2 * c.n + 1).tolist()
-    r1 = c.min_lee_distance(threads=1)
-    assert r1.exact and r1.value == int(weights[1:].min())
-    assert lee_weight_vector(c.encode(r1.witness_message), Z4) == r1.value
-    assert c.min_lee_distance(threads=2) == r1
+    expected = np.bincount(weights, minlength=2 * c.n + 1).tolist()
+    assert c.lee_census().tolist() == expected
+    assert c.lee_census(threads=2).tolist() == expected
+    res = c.min_lee_distance()
+    assert res.exact and res.value == int(weights[1:].min())
+    assert lee_weight_vector(c.encode(res.witness_message), Z4) == res.value
+
+
+@pytest.mark.parametrize("table", [ring.R, Z4, F2U], ids=str)
+def test_square_free_generator_has_no_parity_columns(table):
+    # n = k and not the identity: the information set is every column, so
+    # the levels join messages with no parity words.  x is nilpotent, so
+    # [[1, x], [x, 1]] is invertible and the code is ring^2
+    x = next(x for x in range(1, table.size) if not table.INV[x])
+    c = LinearCode([[table.ONE, x], [x, table.ONE]], table)
+    assert not c.standard_form
+    res = c.min_lee_distance(budget=2 * table.bits)
+    assert res.exact and res.value == 1
+    assert lee_weight_vector(c.encode(res.witness_message), table) == 1
 
 
 def test_generator_is_copied_not_frozen_in_place():

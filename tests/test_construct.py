@@ -160,8 +160,8 @@ class _SerialPool:
 
 
 def test_worker_pools_capped_at_their_work(monkeypatch):
-    # a Z4 code with k = 11 sweeps in 4 shards; the 16 dc candidates for
-    # n = 1 fall into 10 negation orbits, one evaluation each
+    # a Z4 code with k = 11 takes its census in 4 shards; the 16 dc
+    # candidates for n = 1 fall into 10 negation orbits, one evaluation each
     import multiprocessing
 
     from z4u.code import LinearCode, identity
@@ -173,9 +173,9 @@ def test_worker_pools_capped_at_their_work(monkeypatch):
 
     c = LinearCode(np.hstack([identity(11, ring.Z4),
                               np.ones((11, 1), dtype=np.uint8)]), ring.Z4)
-    expected = c.min_lee_distance(threads=1), search("dc", 1, threshold=2, threads=1)
+    expected = c.lee_census(threads=1).tolist(), search("dc", 1, threshold=2, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Context())
-    assert c.min_lee_distance(threads=64) == expected[0]
+    assert c.lee_census(threads=64).tolist() == expected[0]
     assert search("dc", 1, threshold=2, threads=64) == expected[1]
     assert sizes == [4, 10]
 
@@ -215,7 +215,7 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet):
 
 def test_one_sweep_and_certificate_per_orbit(monkeypatch):
     # the benchmark's n = 3 search: 8^3 first rows in 60 orbits
-    calls = {"sweep": 0, "certificate": 0}
+    calls = {"distance": 0, "certificate": 0}
     min_lee_distance, map_check = LinearCode.min_lee_distance, construct.maps_dual_into
 
     def counted(name, fn):
@@ -224,11 +224,11 @@ def test_one_sweep_and_certificate_per_orbit(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(LinearCode, "min_lee_distance", counted("sweep", min_lee_distance))
+    monkeypatch.setattr(LinearCode, "min_lee_distance", counted("distance", min_lee_distance))
     monkeypatch.setattr(construct, "maps_dual_into", counted("certificate", map_check))
     out = search("dc", 3, UNITS, threshold=6)
     assert out.candidates == 512 and len(out.results) == 144
-    assert calls == {"sweep": 60, "certificate": 60}
+    assert calls == {"distance": 60, "certificate": 60}
     assert all(r.distance.exact for r in out.results)
 
 

@@ -131,9 +131,11 @@ def test_lift_bound_needs_exact_projection_distances():
     c = LinearCode.from_text((data / "lift16_r.gen").read_text())
     d = LinearCode.from_text((data / "lift16_z4.gen").read_text(), Z4)
     e = LinearCode.from_text((data / "lift16_f2u.gen").read_text(), F2U)
-    # 4^5 messages reach levels 3/2 on the Z4 code: d' = 8 needs 3/3
+    # 4^4 messages per information set reach levels 2/2 on the Z4 code
+    # (16 + 120 each), lower bound 6: d' = 8 needs 3/3 (696 each)
+    assert d.min_lee_distance(4 ** 4).certificate == "levels 2/2"
     with pytest.raises(BudgetExceeded):
-        lift_bound_check(LiftTriple(c, d, e), budget=4 ** 5)
+        lift_bound_check(LiftTriple(c, d, e), budget=4 ** 4)
 
 
 def test_lift_bound_zero_projection_rejected():

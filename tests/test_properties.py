@@ -9,11 +9,11 @@ row duplication and a changed row; the standard-form membership product
 against a sweep over every message; over R, the complete enumerator;
 |C| * |C-perp| = size^n; and the Lee MacWilliams transform against the
 brute-force dual's Lee census.  The Lee-level distance kernel is checked
-against the full sweep on standard-form codes with k <= 5: codes whose
-right half is singular but which hold two disjoint information sets, codes
-with none (which must take the sweep), and runs cut short by the budget;
-past the budget, on codes with one information set, non-standard free
-generators T.[I | A] with permuted columns, and generators with none; and
+against the minimum of the full Lee census on codes with k <= 5: standard
+form codes whose right half is singular but which hold two disjoint
+information sets, codes with one, and runs cut short by the budget; on
+standard, non-standard free (T.[I | A] with permuted columns) and non-free
+generators, exact whenever size^k fits the budget, and bounded past it; and
 the Gray packing it adds with against the ring tables.
 """
 
@@ -175,10 +175,10 @@ def test_dual_size_and_lee_transform(name, data):
 
 
 # ---------------------------------------------------------------------------
-# Lee-level kernel against the full sweep
+# Lee-level kernel against the census minimum
 # ---------------------------------------------------------------------------
 
-#: Largest k in the kernel tests; over R, 16^5 messages per sweep.
+#: Largest k in the kernel tests; over R, 16^5 messages per census.
 KERNEL_KMAX = 5
 
 
@@ -198,7 +198,7 @@ def _residue_invertible(table, block):
 
 
 def _check_against_sweep(c, res):
-    d, _ = sweep_distance(c)
+    d = sweep_distance(c)
     assert lee_weight_vector(c.encode(res.witness_message), c.ring) == res.value
     assert res.lower_bound <= d <= res.value
     if res.exact:
@@ -233,7 +233,7 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
 @pytest.mark.parametrize("name", RINGS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
-def test_no_partition_takes_the_sweep(name, data):
+def test_no_partition_takes_one_set(name, data):
     table = SCALARS[name][0]
     k = data.draw(st.integers(1, KERNEL_KMAX))
     a = np.array(data.draw(st.lists(st.lists(st.integers(0, table.size - 1), min_size=k,
@@ -246,7 +246,7 @@ def test_no_partition_takes_the_sweep(name, data):
     c = _standard(table, a)
     assert information_sets(c.gen, table) == (tuple(range(k)),)
     res = c.min_lee_distance()
-    assert res.certificate == "sweep"
+    assert res.exact and res.certificate.startswith("levels ") and "/" not in res.certificate
     _check_against_sweep(c, res)
 
 
@@ -287,18 +287,17 @@ def _invertible(data, table, k):
     return ring_matmul(tri[0], tri[1], table)
 
 
-@pytest.mark.parametrize("kind", ["one-set", "non-standard", "no-set"])
-@pytest.mark.parametrize("name", RINGS)
-@settings(max_examples=20, deadline=None)
-@given(data=st.data())
-def test_over_budget_routes_match_sweep(name, kind, data):
-    table = SCALARS[name][0]
+def _routed_generator(data, table, kind):
+    """A generator over `table` with k <= KERNEL_KMAX of one of four kinds:
+    [I | A] ("standard"), [I | A] with a parity column of non-units, so one
+    information set ("one-set"), T.[I | A] with permuted columns
+    ("non-standard"), or one with no information set ("no-set")."""
     elem = st.integers(0, table.size - 1)
     k = data.draw(st.integers(1, KERNEL_KMAX))
     extra = 0 if kind == "one-set" else data.draw(st.integers(0, 2))
     a = np.array(data.draw(st.lists(st.lists(elem, min_size=k + extra, max_size=k + extra),
                                     min_size=k, max_size=k)), dtype=np.uint8)
-    if kind == "one-set":  # a parity column of non-units, as in the test above
+    if kind == "one-set":  # as in test_no_partition_takes_one_set
         a[:, 0] = data.draw(st.lists(st.sampled_from(_nonunits(table)), min_size=k,
                                      max_size=k))
     gen = np.hstack([identity(k, table), a])
@@ -311,16 +310,26 @@ def test_over_budget_routes_match_sweep(name, kind, data):
         else:
             scale = data.draw(st.sampled_from([x for x in _nonunits(table) if x]))
             gen[i] = table.MUL[scale, gen[i]]
-    if kind != "one-set":
+    if kind in ("non-standard", "no-set"):
         gen = gen[:, data.draw(st.permutations(range(gen.shape[1])))]
     c = LinearCode(gen, table)
     sets = information_sets(c.gen, table)
     if kind == "one-set":
         assert sets == (tuple(range(k)),)
     assert (sets is None) == (kind == "no-set")
-    budget = data.draw(st.integers(0, table.size ** k - 1))
+    return c, sets
+
+
+@pytest.mark.parametrize("kind", ["one-set", "non-standard", "no-set"])
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_over_budget_routes_match_sweep(name, kind, data):
+    table = SCALARS[name][0]
+    c, sets = _routed_generator(data, table, kind)
+    budget = data.draw(st.integers(0, table.size ** c.k - 1))
     res = c.min_lee_distance(budget)
-    d, _ = sweep_distance(c)
+    d = sweep_distance(c)
     word = c.encode(res.witness_message)
     assert any(word) and lee_weight_vector(word, table) == res.value
     assert res.lower_bound <= d <= res.value
@@ -329,8 +338,26 @@ def test_over_budget_routes_match_sweep(name, kind, data):
         assert res.exact or res.lower_bound == 1
     else:
         assert res.certificate.startswith("levels ")
-        if budget >= table.bits * k:  # level 1 on the first set fits
+        if budget >= table.bits * c.k:  # level 1 on the first set fits
             assert res.exact or res.lower_bound >= 2
+
+
+@pytest.mark.parametrize("kind", ["standard", "non-standard", "no-set"])
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_fitting_budget_is_exact(name, kind, data):
+    # once size^k messages fit the budget, the levels of one set always
+    # run to the end, whatever the sets: the value is the census minimum
+    table = SCALARS[name][0]
+    c, sets = _routed_generator(data, table, kind)
+    total = table.size ** c.k
+    budget = data.draw(st.integers(total, 2 * total))
+    res = c.min_lee_distance(budget)
+    assert res.exact and res.value == sweep_distance(c)
+    word = c.encode(res.witness_message)
+    assert any(word) and lee_weight_vector(word, table) == res.value
+    assert res.certificate.startswith("messages " if sets is None else "levels ")
 
 
 @pytest.mark.parametrize("table", [R, Z4, F2U], ids=str)
