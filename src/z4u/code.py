@@ -11,7 +11,7 @@ other count over C comes from all size^k messages.  The encoding map
 x -> xG is a module homomorphism, so every codeword has exactly |K|
 preimages, K = {x : xG = 0}: a count over all messages, divided by the
 number of messages that give the zero word, is the count over C.  So no
-codeword store exists: |C| and the Lee census come from the census sweep
+codeword store exists: |C| and the Lee census come from the census join
 (hist[0] = |K|), the complete enumerator from compositions counted over
 all messages, and membership from one pass over the message space (in
 standard form, from one product: the message is the first k coordinates).
@@ -24,19 +24,12 @@ table for j digits costs about size/(size-1) gathers of its own size.
 `span_blocks` splits a large space into blocks of at most 2^20 rows (5
 digits over R, 10 over a 4-element ring): the low-digit table is built
 once, each high prefix comes from a second, small span table, and a block
-is one ADD of the two.  Membership, the complete enumerator and the
-brute-force dual (the span of G^T, keeping the indices whose product is
-zero) all run on it.
-
-The Lee census uses the same layout: a low-digit table of parity products
-and information weights, and an outer loop over the high-digit prefixes,
-so each step is one fancy-indexed gather plus a row sum over a (2^20, n-k)
-array; in standard form only the parity block is gathered.  Message digits
-are decoded from the flat odometer index only where they are reported: the
-kept dual vectors.  Census work shards by the first message coordinate, and
-shard counts are summed, so thread count never changes a count.  Explicit
-message lists (encoding, standard-form membership, the Gram matrix) go
-through `ring_matmul`.
+is one ADD of the two.  Membership, the complete enumerator and the dual
+(the span of G^T, keeping the indices whose product is zero) all run on
+it.  Message digits are decoded from the flat odometer index only where
+they are reported: the kept dual vectors.  Explicit message lists
+(encoding, standard-form membership, the Gram matrix) go through
+`ring_matmul`.
 
 The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
 alone.  `information_sets` looks for information sets in the columns of
@@ -57,6 +50,13 @@ meets that bound.  With no information set it scans the messages of G
 itself by Lee weight, skipping those that give the zero word; that proves
 no lower bound beyond 1.
 
+The Lee census runs on the same tables.  Row operations keep the code, so
+on the first information set (or on G itself when it has none) the census
+is the full join of the two halves' tables of all messages, every level of
+one half against every level of the other, counted with `np.bincount`.
+The scan and the census read one chunked join (`_InfoSet.join`); the scan
+reduces each block by argmin, the census by bincount.
+
 `LinearCode.min_lee_distance` sends every code to the levels, on whatever
 sets its generator holds, with the budget as the cap on the messages
 scanned on each set.  The levels of one set add up to size^k messages, so
@@ -67,7 +67,6 @@ Every result carries a lower bound and the certificate that proves it.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from enum import Enum
 from math import comb
@@ -81,8 +80,9 @@ from .ring import R, RingTable, packed_add, packed_weight, parse_matrix_text
 #: Default enumeration budget (message count).
 DEFAULT_BUDGET = 16 ** 7
 
-_LO_DIGITS = 5              # low-block width over R: 16^5 rows per gather
-_LO_BITS = 4 * _LO_DIGITS   # other rings take as many digits as fill 2^20 rows
+#: A span block holds at most 2^_LO_BITS rows: 5 digits over R, 10 over a
+#: 4-element ring.
+_LO_BITS = 20
 _BIG = 1 << 30
 
 
@@ -141,22 +141,9 @@ def span_table(rows: np.ndarray, ring: RingTable = R) -> np.ndarray:
     return t
 
 
-def _info_weights(j: int, ring: RingTable = R) -> np.ndarray:
-    """Lee weight of every message in ring^j, odometer order (int64)."""
-    w = np.zeros(1, dtype=np.int64)
-    for _ in range(j):
-        w = (w[:, None] + ring.LEE[None, :]).ravel()
-    return w
-
-
-def _high_digits(j: int, ring: RingTable) -> int:
-    """Digits left over when the low digits fill at most 2^20 rows."""
-    return max(0, j - _LO_BITS // ring.bits)
-
-
 def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np.ndarray]]:
     """The span table of `rows` in (first index, products) blocks of <= 2^20 rows."""
-    khi = _high_digits(rows.shape[0], ring)
+    khi = max(0, rows.shape[0] - _LO_BITS // ring.bits)  # the digits past the block
     tl = span_table(rows[khi:], ring)
     for h, prefix in enumerate(span_table(rows[:khi], ring)):
         yield h * len(tl), ring.ADD[tl, prefix]
@@ -213,7 +200,7 @@ class LinearCode:
     """Row span of a generator matrix over a ring table (default R = Z4+uZ4).
 
     `cardinality`, when given, is the caller's exact |C| (for instance the
-    size of a code whose isometric image this is); it saves the census sweep.
+    size of a code whose isometric image this is); it saves the census join.
     """
 
     def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R,
@@ -323,12 +310,6 @@ class LinearCode:
         return (_digits(start + np.flatnonzero(~blk.any(axis=1)), self.n, self.ring)
                 for start, blk in span_blocks(self.gen.T, self.ring))
 
-    def dual_bruteforce(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-        """Every `dual_blocks` vector in one read-only, sorted (N, n) array."""
-        vectors = np.concatenate(list(self.dual_blocks(budget)))
-        vectors.flags.writeable = False
-        return vectors
-
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
         if not self.is_self_orthogonal():
             return SelfDuality.NEITHER
@@ -354,24 +335,20 @@ class LinearCode:
 
     # -- weight census -------------------------------------------------------
 
-    def lee_census(self, budget: int = DEFAULT_BUDGET, threads: int = 1) -> np.ndarray:
+    def lee_census(self, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """Counts of codewords per Lee weight 0..max_lee*n (each codeword once).
 
-        The sweep counts messages; only the zero word has weight 0, so
+        Row operations keep the code, so the count runs on the generator
+        made systematic on its first information set, or on G itself when
+        it has none: the full join of all size^k messages (`_InfoSet.census`).
+        The join counts messages; only the zero word has weight 0, so
         hist[0] = |K| divides every count exactly.  Records |C| as well.
-        Shards run in up to `threads` worker processes and are summed, so
-        the counts do not depend on the worker count.
         """
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
-        shard = _Shard(self.gen, self.ring, self.standard_form)
-        shards = range(self.ring.size if shard.khi else 1)
-        if threads > 1 and len(shards) > 1:
-            with multiprocessing.get_context("fork").Pool(min(threads, len(shards))) as pool:
-                hist = np.sum(pool.map(shard, shards), axis=0)
-        else:
-            hist = np.sum([shard(s) for s in shards], axis=0)
+        sets = information_sets(self.gen, self.ring)
+        hist = _InfoSet(self.gen, sets[0] if sets else (), self.ring).census()
         self._cardinality = total // int(hist[0])
         return hist // hist[0]
 
@@ -387,53 +364,6 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
         raise ValueError("dual_of_standard_form needs a [I_k | A] generator with n = 2k")
     neg_at = code.ring.NEG[code.gen[:, k:].T]
     return LinearCode(np.hstack([neg_at, identity(k, code.ring)]), code.ring)
-
-
-# ---------------------------------------------------------------------------
-# Lee census kernel
-# ---------------------------------------------------------------------------
-
-class _Shard:
-    """Picklable census worker: messages whose first coordinate is fixed.
-
-    The last `klo` message digits form a low span table of products and
-    information weights; the loop runs over this shard's high-digit
-    prefixes, whose products and weights come from a small span table.
-    With no high digits there is one shard and the low table is the whole
-    message space.  In standard form only the parity block is gathered and
-    the message's own weight is added.
-    """
-
-    def __init__(self, gen: np.ndarray, ring: RingTable, standard: bool):
-        self.gen = gen
-        self.ring = ring
-        self.standard = standard
-        self.khi = _high_digits(gen.shape[0], ring)
-
-    def __call__(self, shard: int) -> np.ndarray:
-        gen, ring, standard, khi = self.gen, self.ring, self.standard, self.khi
-        k, n = gen.shape
-        rows, m = (gen[:, k:], n - k) if standard else (gen, n)
-        tl = span_table(rows[khi:], ring)
-        wlo = _info_weights(k - khi, ring) if standard else 0
-        if khi:
-            idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
-        per_shard = ring.size ** (khi - 1) if khi else 1
-        first = shard * per_shard
-        tails_hi = span_table(rows[:khi], ring)[first:first + per_shard]
-        whis = _info_weights(khi, ring)[first:first + per_shard]
-
-        hist = np.zeros(ring.max_lee * n + 1, dtype=np.int64)
-        for tail, whi in zip(tails_hi, whis):
-            if khi:
-                lflat = ring.LEE[ring.ADD[:, tail]].ravel()
-                w = lflat[idx].sum(axis=1, dtype=np.int64)
-            else:
-                w = ring.LEE[tl].sum(axis=1, dtype=np.int64)
-            if standard:
-                w += wlo + whi
-            hist += np.bincount(w, minlength=hist.shape[0])
-        return hist
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +506,7 @@ class _Half:
 
     def __init__(self, parity: np.ndarray, ring: RingTable):
         self.h = parity.shape[0]
+        self.top = ring.max_lee * self.h  # the heaviest message's weight
         self.low = ring.low_mask
         self.words = -(-parity.shape[1] // (64 // ring.bits))
         self.by_weight = ring.by_lee
@@ -649,43 +580,66 @@ class _InfoSet:
         parity = both[:, [j for j in range(n) if j not in self.cols]]
         self.halves = (_Half(parity[:k // 2], ring), _Half(parity[k // 2:], ring))
         self.low = ring.low_mask
+        self.bins = ring.max_lee * n + 1  # codeword Lee weights 0..max_lee*n
         # messages of Lee weight t: the t-subsets of their bits * k Gray bits
         self.counts = [comb(ring.bits * k, t) for t in range(ring.bits * k + 1)]
+
+    def join(self, wh: int, wl: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Lee weights of the parity words of the high half's messages of
+        weight wh joined with the low half's of weight wl, in blocks of at
+        most _CHUNK pairs (one high message when its row alone is more).
+        Yields (a, weights): weights[r, q] is the pair (a + r, q)."""
+        (ph_low, ph_high), (pl_low, pl_high) = self.halves[0].split(wh), self.halves[1].split(wl)
+        if not pl_low.shape[1]:
+            return
+        low = self.low
+        rows = max(1, _CHUNK // pl_low.shape[1])
+        for a in range(0, ph_low.shape[1], rows):
+            blk_low, blk_high = ph_low[:, a:a + rows], ph_high[:, a:a + rows]
+            wt = None
+            for w in range(len(ph_low)):
+                x = blk_low[w][:, None] + pl_low[w][None, :]
+                x ^= blk_high[w][:, None]
+                x ^= pl_high[w][None, :]
+                c = packed_weight(x, low)
+                wt = c if wt is None else wt + c.astype(np.uint16)
+            if wt is None:  # no parity columns: the codeword is the message
+                wt = np.zeros((blk_low.shape[1], pl_low.shape[1]), np.uint16)
+            yield a, wt
 
     def scan(self, t: int, best: int, stop: int) -> tuple[int, np.ndarray] | None:
         """(weight, message on the set) of the lightest nonzero codeword
         below `best` among the messages of Lee weight t, or None; stops
         early at a weight <= `stop`."""
         hi, lo = self.halves
-        low, found = self.low, None
+        found = None
         base = t if self.cols else 0  # the message is part of the codeword
         for wh in range(t + 1):
-            (ph_low, ph_high), (pl_low, pl_high) = hi.split(wh), lo.split(t - wh)
-            if not ph_low.shape[1] or not pl_low.shape[1]:
-                continue
-            rows = max(1, _CHUNK // pl_low.shape[1])
-            for a in range(0, ph_low.shape[1], rows):
-                blk_low, blk_high = ph_low[:, a:a + rows], ph_high[:, a:a + rows]
-                wt = None
-                for w in range(len(ph_low)):
-                    x = blk_low[w][:, None] + pl_low[w][None, :]
-                    x ^= blk_high[w][:, None]
-                    x ^= pl_high[w][None, :]
-                    c = packed_weight(x, low)
-                    wt = c if wt is None else wt + c.astype(np.uint16)
-                if wt is None:  # no parity columns: the codeword is the message
-                    wt = np.zeros((blk_low.shape[1], pl_low.shape[1]), np.uint16)
+            for a, wt in self.join(wh, t - wh):
                 if not self.cols:  # a message may encode to the zero word
                     wt = np.where(wt == 0, np.int64(_BIG), wt)
                 i = int(wt.argmin())
                 if base + int(wt.flat[i]) < best:
                     best = base + int(wt.flat[i])
-                    r, q = divmod(i, pl_low.shape[1])
+                    r, q = divmod(i, wt.shape[1])
                     found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
                                            dtype=np.uint8)
                     if best <= stop:
                         return found
         return found
+
+    def census(self) -> np.ndarray:
+        """Messages per codeword Lee weight, over all size^k messages: every
+        level of one half joined with every level of the other.  On a set
+        a codeword weighs its parity word plus its message, wh + wl."""
+        hist = np.zeros(self.bins, dtype=np.int64)
+        hi, lo = self.halves
+        for wh in range(hi.top + 1):
+            for wl in range(lo.top + 1):
+                base = wh + wl if self.cols else 0
+                for _, wt in self.join(wh, wl):
+                    hist[base:] += np.bincount(wt.ravel(), minlength=self.bins - base)
+        return hist
 
 
 def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> DistanceResult:

@@ -246,7 +246,7 @@ class RingTable:
     pattern is invertible over F2.  PACK is the Gray image of each element
     in `bits` bits, and LOW marks the low bit of each 2-bit Z4 field in it
     (0 when the image is F2 bits).  `name` is the module-level name of the
-    instance, so a record pickles by reference (shard workers) and compares
+    instance, so a record pickles by reference (pool workers) and compares
     by identity.
     """
 

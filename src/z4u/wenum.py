@@ -290,9 +290,9 @@ def swe_to_lee(e: SWE) -> LeePoly:
     return LeePoly(e.length, tuple(coeffs))
 
 
-def lee(code: LinearCode, budget: int = DEFAULT_BUDGET, threads: int = 1) -> LeePoly:
+def lee(code: LinearCode, budget: int = DEFAULT_BUDGET) -> LeePoly:
     """Lee enumerator straight from the weight census kernel."""
-    hist = code.lee_census(budget, threads)
+    hist = code.lee_census(budget)
     return LeePoly(code.n, tuple(int(c) for c in hist), code.ring)
 
 
@@ -460,12 +460,11 @@ def macwilliams_lee(p: LeePoly, size: int) -> LeePoly:
     return LeePoly(p.length, tuple(coeffs), p.ring)
 
 
-def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                          threads: int = 1) -> bool:
+def is_formally_self_dual(code: LinearCode, budget: int = DEFAULT_BUDGET) -> bool:
     """Lee enumerator equals its own dual transform (Lee-level equality).
 
     This is the Lee-enumerator notion; CWE/SWE-level equality is strictly
     stronger and not what the dual-transform fixed point asks for here.
     """
-    p = lee(code, budget, threads)
+    p = lee(code, budget)
     return macwilliams_lee(p, code.cardinality(budget)) == p

@@ -5,21 +5,27 @@
 about every vector of ring^n, so the two can be compared as sets.
 `sweep_contains` is membership by one sweep over every message, whatever
 the generator's shape: the reference for the standard-form fast path.
-`sweep_distance` is the minimum distance read off the Lee census of all
-size^k messages, which shares no code with the Lee-level kernel of
-`min_lee_distance`: its reference.
+`sweep_census` is the Lee census of all size^k messages by gathering byte
+tables from a span table and summing rows, in shards over the first
+message coordinate, optionally in worker processes; it shares no code with
+the packed join of `lee_census` and `min_lee_distance`, and is the
+reference for both: `sweep_distance` reads the minimum distance off it.
+`dual_bruteforce` is every `dual_blocks` vector in one sorted array.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
 evaluation per candidate, no isometry orbits.
 """
 
+import multiprocessing
 from itertools import product
 
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import DEFAULT_BUDGET
+from z4u.code import DEFAULT_BUDGET, span_table
+from z4u.errors import BudgetExceeded
+from z4u.ring import RingTable
 from z4u.scalars import GaussianInt, GaussianRational
 
 
@@ -51,11 +57,92 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
     return found
 
 
+_LO_BITS = 20  # the low span table holds at most 2^20 rows
+
+
+def _info_weights(j: int, ring: RingTable) -> np.ndarray:
+    """Lee weight of every message in ring^j, odometer order (int64)."""
+    w = np.zeros(1, dtype=np.int64)
+    for _ in range(j):
+        w = (w[:, None] + ring.LEE[None, :]).ravel()
+    return w
+
+
+def _high_digits(j: int, ring: RingTable) -> int:
+    """Digits left over when the low digits fill at most 2^20 rows."""
+    return max(0, j - _LO_BITS // ring.bits)
+
+
+class _Shard:
+    """Picklable census worker: messages whose first coordinate is fixed.
+
+    The last `klo` message digits form a low span table of products and
+    information weights; the loop runs over this shard's high-digit
+    prefixes, whose products and weights come from a small span table.
+    With no high digits there is one shard and the low table is the whole
+    message space.  In standard form only the parity block is gathered and
+    the message's own weight is added.
+    """
+
+    def __init__(self, gen: np.ndarray, ring: RingTable, standard: bool):
+        self.gen = gen
+        self.ring = ring
+        self.standard = standard
+        self.khi = _high_digits(gen.shape[0], ring)
+
+    def __call__(self, shard: int) -> np.ndarray:
+        gen, ring, standard, khi = self.gen, self.ring, self.standard, self.khi
+        k, n = gen.shape
+        rows, m = (gen[:, k:], n - k) if standard else (gen, n)
+        tl = span_table(rows[khi:], ring)
+        wlo = _info_weights(k - khi, ring) if standard else 0
+        if khi:
+            idx = tl.astype(np.int32) * m + np.arange(m, dtype=np.int32)[None, :]
+        per_shard = ring.size ** (khi - 1) if khi else 1
+        first = shard * per_shard
+        tails_hi = span_table(rows[:khi], ring)[first:first + per_shard]
+        whis = _info_weights(khi, ring)[first:first + per_shard]
+
+        hist = np.zeros(ring.max_lee * n + 1, dtype=np.int64)
+        for tail, whi in zip(tails_hi, whis):
+            if khi:
+                lflat = ring.LEE[ring.ADD[:, tail]].ravel()
+                w = lflat[idx].sum(axis=1, dtype=np.int64)
+            else:
+                w = ring.LEE[tl].sum(axis=1, dtype=np.int64)
+            if standard:
+                w += wlo + whi
+            hist += np.bincount(w, minlength=hist.shape[0])
+        return hist
+
+
+def sweep_census(code, budget=DEFAULT_BUDGET, threads=1):
+    """Messages per codeword Lee weight over all size^k messages, so
+    hist[0] = |K| and hist // hist[0] is the census of C.  Shards run in
+    up to `threads` worker processes and are summed."""
+    total = code.ring.size ** code.k
+    if total > budget:
+        raise BudgetExceeded(total, budget, "weight census")
+    shard = _Shard(code.gen, code.ring, code.standard_form)
+    shards = range(code.ring.size if shard.khi else 1)
+    if threads > 1 and len(shards) > 1:
+        with multiprocessing.get_context("fork").Pool(min(threads, len(shards))) as pool:
+            return np.sum(pool.map(shard, shards), axis=0)
+    return np.sum([shard(s) for s in shards], axis=0)
+
+
 def sweep_distance(code, threads=1):
     """Minimum nonzero Lee weight: the smallest nonzero weight with a
     nonzero count in the census of all size^k messages."""
-    hist = code.lee_census(code.ring.size ** code.k, threads)
+    hist = sweep_census(code, code.ring.size ** code.k, threads)
     return int(np.flatnonzero(hist[1:])[0]) + 1
+
+
+def dual_bruteforce(code, budget=DEFAULT_BUDGET):
+    """Every `dual_blocks` vector in one read-only, sorted (N, n) array."""
+    vectors = np.concatenate(list(code.dual_blocks(budget)))
+    vectors.flags.writeable = False
+    return vectors
 
 
 def is_linear(words, size, add, mul):

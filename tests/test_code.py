@@ -6,12 +6,13 @@ import pytest
 
 from z4u import ring
 from z4u.code import (LinearCode, SelfDuality, _InfoSet, dual_of_standard_form, identity,
-                      inner, lee_weight_vector, pack_words, ring_matmul, span_blocks)
+                      information_sets, inner, lee_weight_vector, pack_words, ring_matmul,
+                      span_blocks)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
 
-from oracles import is_linear, members
+from oracles import dual_bruteforce, is_linear, members, sweep_census
 
 
 def R(tok):
@@ -96,19 +97,19 @@ def test_inner_product():
 
 def test_dual_bruteforce_u():
     c = LinearCode([[ring.U]])
-    d = c.dual_bruteforce()
+    d = dual_bruteforce(c)
     assert d.tolist() == [[0], [1], [2], [3]]
     assert is_linear(set(map(tuple, d.tolist())), 16, ring.add, ring.mul)
 
 
 def test_dual_of_zero_row_is_everything():
     c = LinearCode([[ring.ZERO]])
-    assert c.dual_bruteforce().tolist() == [[x] for x in ring.ELEMENTS]
+    assert dual_bruteforce(c).tolist() == [[x] for x in ring.ELEMENTS]
 
 
 def test_dual_bruteforce_two_zero():
     c = LinearCode([[R("20"), ring.ZERO]])
-    d = c.dual_bruteforce()
+    d = dual_bruteforce(c)
     assert len(d) == 64
     assert c.cardinality() * len(d) == 16 ** 2
     for x, y in d.tolist():
@@ -120,7 +121,7 @@ def test_size_product_on_random_codes():
     for _ in range(20):
         gen = rng.integers(0, 16, size=(2, 2), dtype=np.uint8)
         c = LinearCode(gen)
-        d = c.dual_bruteforce()
+        d = dual_bruteforce(c)
         assert c.cardinality() * len(d) == 16 ** 2
 
 
@@ -129,9 +130,9 @@ def test_double_dual_contains_code():
     for _ in range(10):
         gen = rng.integers(0, 16, size=(1, 2), dtype=np.uint8)
         c = LinearCode(gen)
-        dual = c.dual_bruteforce()
+        dual = dual_bruteforce(c)
         dual_rows = dual[dual.any(axis=1)] if dual.any() else dual
-        ddual = LinearCode(dual_rows).dual_bruteforce()
+        ddual = dual_bruteforce(LinearCode(dual_rows))
         assert direct_span(gen.tolist()) <= set(map(tuple, ddual.tolist()))
         assert len(ddual) == c.cardinality()
 
@@ -142,7 +143,7 @@ def test_dual_standard_form():
     assert d.gen.tolist() == [[ring.neg(ring.U), ring.ONE]]
     assert ring.neg(ring.U) == R("03")
     # matches brute force as a codeword set
-    assert members(d) == set(map(tuple, c.dual_bruteforce().tolist()))
+    assert members(d) == set(map(tuple, dual_bruteforce(c).tolist()))
 
 
 def test_dual_standard_vs_bruteforce_small_circulants():
@@ -153,7 +154,7 @@ def test_dual_standard_vs_bruteforce_small_circulants():
             gen = np.hstack([np.diag([ring.ONE] * n).astype(np.uint8), a])
             c = LinearCode(gen)
             d = dual_of_standard_form(c)
-            dual = c.dual_bruteforce()
+            dual = dual_bruteforce(c)
             assert direct_span(d.gen.tolist()) == set(map(tuple, dual.tolist()))
             assert d.contains(dual).all() and d.cardinality() == len(dual)
 
@@ -291,14 +292,14 @@ def test_low_weight_message_count():
 
 
 def test_exact_kernel_crosses_block_split():
-    # k = 6: the census runs in 16 shards of the two-level layout, and its
-    # least nonzero weight is the oracle for the Lee levels
+    # k = 6: the oracle census runs in 16 shards of the two-level layout,
+    # and its least nonzero weight is the oracle for the Lee levels
     rng = np.random.default_rng(3)
     row = rng.integers(0, 16, size=6, dtype=np.uint8)
     gen = np.hstack([np.diag([ring.ONE] * 6).astype(np.uint8), circulant(row)])
     c = LinearCode(gen)
     res = c.min_lee_distance()
-    hist = c.lee_census()
+    hist = sweep_census(c)
     first = next(w for w in range(1, len(hist)) if hist[w])
     assert res.value == first
 
@@ -311,14 +312,49 @@ def test_census_total_and_zero_bin():
     assert hist[0] == 1
 
 
-def test_census_deterministic_across_threads():
-    # k = 6 over R: 16 shards, summed in one process or in two workers
-    rng = np.random.default_rng(5)
-    row = rng.integers(0, 16, size=6, dtype=np.uint8)
-    gen = np.hstack([np.diag([ring.ONE] * 6).astype(np.uint8), circulant(row)])
-    h1 = LinearCode(gen).lee_census(threads=1)
-    h2 = LinearCode(gen).lee_census(threads=2)
-    assert h1.tolist() == h2.tolist() and h1.sum() == 16 ** 6
+def _scaled_rows(table, k, n, seed):
+    """A random k x n generator with rows 0 and 1 times nonzero non-units
+    (2 and u over R): no information set, so the rows are no free basis."""
+    gen = np.random.default_rng(seed).integers(0, table.size, size=(k, n), dtype=np.uint8)
+    non_units = [x for x in range(1, table.size) if not table.INV[x]]
+    scale = (R("20"), R("01")) if table is ring.R else (non_units[0], non_units[-1])
+    gen[0], gen[1] = table.MUL[scale[0], gen[0]], table.MUL[scale[1], gen[1]]
+    return gen
+
+
+def _dc6():
+    row = np.random.default_rng(5).integers(0, 16, size=6, dtype=np.uint8)
+    return np.hstack([identity(6), circulant(row)])
+
+
+CENSUS_CASES = {
+    # two information sets; 16^6 message pairs are 256 joins of _CHUNK pairs
+    "R-dc-k6": (ring.R, _dc6, 2, None),
+    # rows scaled by 2 and by u: no information set and |K| > 1
+    "R-nonfree-k6-n8": (ring.R, lambda: _scaled_rows(ring.R, 6, 8, 11), 0, None),
+    "F2U-nonfree-k5-n6": (F2U, lambda: _scaled_rows(F2U, 5, 6, 12), 0, None),
+    # not in standard form; 38 parity columns fill two packed words
+    "Z4-free-k5-n43": (Z4, lambda: np.random.default_rng(13).integers(
+        0, 4, size=(5, 43), dtype=np.uint8), 2, None),
+    # 16^6 messages past a budget of 16^6 - 1
+    "R-over-budget": (ring.R, _dc6, 2, 16 ** 6 - 1),
+}
+
+
+@pytest.mark.parametrize("case", CENSUS_CASES)
+def test_census_matches_oracle(case):
+    table, make, n_sets, budget = CENSUS_CASES[case]
+    c = LinearCode(make(), table)
+    assert len(information_sets(c.gen, table) or ()) == n_sets
+    if budget is not None:
+        with pytest.raises(BudgetExceeded):
+            c.lee_census(budget)
+        return
+    messages = sweep_census(c)
+    kernel = int(messages[0])
+    assert (kernel > 1) == (n_sets == 0)
+    assert c.lee_census().tolist() == (messages // kernel).tolist()
+    assert LinearCode(c.gen, table).cardinality() == table.size ** c.k // kernel
 
 
 def test_codeword_set_linearity():
@@ -327,8 +363,8 @@ def test_codeword_set_linearity():
 
 
 def test_sharded_kernel_over_z4():
-    # k = 11 exceeds the 10 low digits of a 4-element ring: four shards of
-    # the Z4 census, checked against a plain sweep over all 4^11 messages
+    # k = 11 exceeds the 10 low digits of a 4-element ring: the Z4 census
+    # and distance, checked against a plain sweep over all 4^11 messages
     k = 11
     a = np.random.default_rng(17).integers(0, 4, size=(k, 2), dtype=np.uint8)
     c = LinearCode(np.hstack([identity(k, Z4), a]), Z4)
@@ -342,7 +378,6 @@ def test_sharded_kernel_over_z4():
     weights += Z4.LEE[tails].sum(axis=1, dtype=np.int64)
     expected = np.bincount(weights, minlength=2 * c.n + 1).tolist()
     assert c.lee_census().tolist() == expected
-    assert c.lee_census(threads=2).tolist() == expected
     res = c.min_lee_distance()
     assert res.exact and res.value == int(weights[1:].min())
     assert lee_weight_vector(c.encode(res.witness_message), Z4) == res.value
@@ -403,4 +438,4 @@ def test_identity_code_has_empty_parity_block(table, k):
     res = c.min_lee_distance()
     assert res.exact and res.value == 1
     assert lee_weight_vector(c.encode(res.witness_message), table) == 1
-    assert c.dual_bruteforce().tolist() == [[0] * k]
+    assert dual_bruteforce(c).tolist() == [[0] * k]

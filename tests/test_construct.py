@@ -152,32 +152,25 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def starmap(self, fn, args):
-        return [fn(*a) for a in args]
-
     def map(self, fn, items, chunksize=1):
         return [fn(x) for x in items]
 
 
 def test_worker_pools_capped_at_their_work(monkeypatch):
-    # a Z4 code with k = 11 takes its census in 4 shards; the 16 dc
-    # candidates for n = 1 fall into 10 negation orbits, one evaluation each
+    # the 16 dc candidates for n = 1 fall into 10 negation orbits, one
+    # evaluation each
     import multiprocessing
 
-    from z4u.code import LinearCode, identity
     sizes = []
 
     class _Context:
         def Pool(self, processes):
             return _SerialPool(sizes, processes)
 
-    c = LinearCode(np.hstack([identity(11, ring.Z4),
-                              np.ones((11, 1), dtype=np.uint8)]), ring.Z4)
-    expected = c.lee_census(threads=1).tolist(), search("dc", 1, threshold=2, threads=1)
+    expected = search("dc", 1, threshold=2, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Context())
-    assert c.lee_census(threads=64).tolist() == expected[0]
-    assert search("dc", 1, threshold=2, threads=64) == expected[1]
-    assert sizes == [4, 10]
+    assert search("dc", 1, threshold=2, threads=64) == expected
+    assert sizes == [10]
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from z4u.project import (LiftTriple, lift_bound_check, project_constant,
 from z4u.ring import F2U, Z4
 from z4u.scalars import f2u_parse
 
-from oracles import members, span
+from oracles import dual_bruteforce, members, span
 
 
 def R(tok):
@@ -88,7 +88,7 @@ def test_f2u_code_basics():
     assert e.cardinality() == 2
     res = e.min_lee_distance()
     assert res.value == 2 and res.exact
-    dual = e.dual_bruteforce()
+    dual = dual_bruteforce(e)
     assert e.cardinality() * len(dual) == 4
     assert e.is_self_orthogonal()
 

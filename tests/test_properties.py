@@ -35,7 +35,7 @@ from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight
                          z4_mul)
 from z4u.wenum import cwe, lee, macwilliams_lee
 
-from oracles import members, span, sweep_contains, sweep_distance
+from oracles import dual_bruteforce, members, span, sweep_contains, sweep_distance
 
 #: ring -> (table, add, mul, lee weight, max k, max n).  Over R the sizes stay
 #: at 16^3 messages and dual vectors so each example runs in milliseconds.
@@ -164,7 +164,7 @@ def test_dual_size_and_lee_transform(name, data):
     rows = data.draw(generators(name))
     c = LinearCode(rows, table)
     n = c.n
-    dual = c.dual_bruteforce()
+    dual = dual_bruteforce(c)
     oracle = {v for v in product(range(table.size), repeat=n)
               if all(dot(v, r, add, mul) == 0 for r in rows)}
     assert dual.tolist() == sorted(map(list, oracle))
