@@ -82,7 +82,7 @@ def cmd_analyze(args) -> None:
 def cmd_gray(args) -> None:
     code = _load_code(args.gen)
     budget = _budget_from(args)
-    img = gray.gray_image(code, budget)
+    img = gray.gray_image(code)
     print(f"z4-image length: {img.n}")
     print(f"z4-image cardinality: {img.cardinality(budget)}")
     print("z4-image generator:")
@@ -195,7 +195,7 @@ def cmd_lift_check(args) -> None:
 
 def cmd_search(args) -> None:
     alphabet = None
-    if args.alphabet:
+    if args.alphabet is not None:
         alphabet = [ring.parse_element(t) for t in args.alphabet.split(",")]
     out = construct.search(args.kind, args.n, alphabet, _budget_from(args),
                            args.threshold, args.threads)

@@ -3,18 +3,17 @@
 A linear code is the row span of a generator matrix G (a k x n uint8 array
 of element values) over one of the ring records of `ring`: R = Z4+uZ4 (the
 default), or Z4 and F2+uF2, where the Gray images and projections live.
-R is not a chain ring, so there is no standard generating form in general;
-for every ring, cardinality is size^k when the columns of G hold an
-information set (a k x k block that is invertible, as in [I_k | A]), which
-proves the rows a free basis; otherwise it comes from the census.  Every
-other count over C comes from all size^k messages.  The encoding map
-x -> xG is a module homomorphism, so every codeword has exactly |K|
-preimages, K = {x : xG = 0}: a count over all messages, divided by the
-number of messages that give the zero word, is the count over C.  So no
-codeword store exists: |C| and the Lee census come from the census join
-(hist[0] = |K|), the complete enumerator from compositions counted over
-all messages, and membership from one pass over the message space (in
-standard form, from one product: the message is the first k coordinates).
+R is not a chain ring, so the rows need not be a free basis: |C| is
+size^r |T| on an information set of r columns (below), T the span of the
+torsion rows.  Every other count over C comes from all size^k messages.
+The encoding map x -> xG is a module homomorphism, so every codeword has
+exactly |K| preimages, K = {x : xG = 0}: a count over all messages,
+divided by the number of messages that give the zero word, is the count
+over C.  So no codeword store exists: |T| and the Lee census come from the
+census join (hist[0] = |K|), the complete enumerator from compositions
+counted over all messages, and membership from one pass over the message
+space (in standard form, from one product: the message is the first k
+coordinates).
 
 Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
 odometer order (last coordinate fastest), and a whole message space is
@@ -32,37 +31,24 @@ they are reported: the kept dual vectors.  Explicit message lists
 `ring_matmul`.
 
 The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
-alone.  `information_sets` looks for information sets in the columns of
-any generator: sets of k columns whose k x k block is invertible, which
-holds iff its unit pattern is invertible over F2.  It returns two disjoint
-ones when a matroid partition finds them, else one (greedily; the identity
-columns in standard form), else None, and then the rows are no free basis.
-On each set the generator is made systematic by Gauss-Jordan with unit
-pivots, so a message is the codeword's restriction to the set, and the
-messages are scanned by exact Lee weight t.  Under the double Gray map
-R -> F2^4 these are the t-subsets of the message's Gray bits, C(4k, t) of
-them; each is a high half's message of weight w joined with a low half's
-of weight t - w, their parity products held as packed Gray words
+alone.  `information_sets` finds one or two disjoint sets of r columns
+whose unit patterns are independent over F2, r the F2 rank of G's unit
+pattern (partial sets, after White and Grassl, when r < k).  On each set,
+Gauss-Jordan with unit pivots gives r free rows, the identity there, and
+k - r torsion rows, zero there: a codeword's restriction to the set is
+the free part x of its message.  The messages are scanned by the Lee
+weight t of x, C(4r, t) Gray bit patterns over R, each with every torsion
+message; each is a high half's message of weight w joined with a low
+half's of weight t - w, their parity products held as packed Gray words
 (`ring.packed_add`, `ring.packed_weight`), in chunks of 2^16 pairs.  Once
 level t_i is scanned on each set S_i, every codeword not yet seen weighs
-at least the sum of the (t_i + 1), and the kernel stops when its best word
-meets that bound.  With no information set it scans the messages of G
-itself by Lee weight, skipping those that give the zero word; that proves
-no lower bound beyond 1.
-
-The Lee census runs on the same tables.  Row operations keep the code, so
-on the first information set (or on G itself when it has none) the census
-is the full join of the two halves' tables of all messages, every level of
-one half against every level of the other, counted with `np.bincount`.
-The scan and the census read one chunked join (`_InfoSet.join`); the scan
-reduces each block by argmin, the census by bincount.
-
-`LinearCode.min_lee_distance` sends every code to the levels, on whatever
-sets its generator holds, with the budget as the cap on the messages
-scanned on each set.  The levels of one set add up to size^k messages, so
-a code whose size^k fits the budget is always exact; past the budget the
-result is exact when the levels meet the best word, else an upper bound.
-Every result carries a lower bound and the certificate that proves it.
+at least the sum of the (t_i + 1), and the kernel stops when its best
+word meets that bound.  The budget caps the messages scanned on each set;
+one set's levels add up to size^k, so a code whose size^k fits the budget
+is always exact.  The Lee census is the full join on the first set, every
+level of one half against every level of the other: one chunked join
+(`_InfoSet.join`), reduced by argmin for the scan and by bincount for the
+census.
 """
 
 from __future__ import annotations
@@ -172,11 +158,11 @@ class SelfDuality(Enum):
 class DistanceResult:
     """Minimum Lee distance d, with lower_bound <= d <= value.
 
-    The value is exact when the two bounds meet.  `certificate` names how
-    they were found: "levels t1/t2" or "levels t1" (the Lee levels scanned
-    on two information sets or on one), or "messages t" (every message of
-    Lee weight <= t on a generator with no information set; lower bound 1
-    unless that is every message).
+    The value is exact when the two bounds meet.  `certificate` names the
+    Lee levels scanned: "levels t1/t2" on two information sets or
+    "levels t1" on one, with lower bound the sum of the (t_i + 1), and at
+    least 1.  A partial set (rows no free basis) starts at level -1, below
+    its torsion code.
     """
 
     value: int
@@ -197,20 +183,14 @@ class DistanceResult:
 # ---------------------------------------------------------------------------
 
 class LinearCode:
-    """Row span of a generator matrix over a ring table (default R = Z4+uZ4).
+    """Row span of a generator matrix over a ring table (default R = Z4+uZ4)."""
 
-    `cardinality`, when given, is the caller's exact |C| (for instance the
-    size of a code whose isometric image this is); it saves the census join.
-    """
-
-    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R,
-                 cardinality: int | None = None):
+    def __init__(self, gen: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R):
         self.ring = ring
         self.gen = as_matrix(gen, ring)
         self.gen.flags.writeable = False
         k, n = self.gen.shape
         self.standard_form = n >= k and bool(np.array_equal(self.gen[:, :k], identity(k, ring)))
-        self._cardinality = cardinality
 
     @classmethod
     def from_text(cls, text: str, ring: RingTable = R) -> "LinearCode":
@@ -280,15 +260,20 @@ class LinearCode:
                 and bool(self.contains(other.gen, budget).all()))
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact |C|: size^k when the generator holds an information set
-        (standard form included), else from the Lee census."""
-        if self._cardinality is None:
-            if self.standard_form or information_sets(self.gen, self.ring) is not None:
-                self._cardinality = self.ring.size ** self.k
-            else:
-                self.lee_census(budget)
-        assert self._cardinality is not None
-        return self._cardinality
+        """Exact |C| = size^r |T| on the first information set P, of size r.
+
+        Restriction to P maps C onto ring^r, and its kernel is T, the span
+        of the k - r torsion rows; |T| is size^(k-r) over the number of
+        their messages that give the zero word (`_InfoSet.kernel`).  A set
+        of size k (standard form included) leaves nothing to count.
+        """
+        cols = range(self.k) if self.standard_form else information_sets(self.gen, self.ring)[0]
+        torsion = self.ring.size ** (self.k - len(cols))
+        if torsion == 1:
+            return self.ring.size ** self.k
+        if torsion > budget:
+            raise BudgetExceeded(torsion, budget, "torsion census")
+        return self.ring.size ** self.k // _InfoSet(self.gen, cols, self.ring).kernel()
 
     # -- duality ----------------------------------------------------------
 
@@ -321,8 +306,8 @@ class LinearCode:
 
     def min_lee_distance(self, budget: int = DEFAULT_BUDGET) -> DistanceResult:
         """Minimum Lee weight of a nonzero codeword, by the Lee-level kernel
-        on the information sets of the generator (two, one or none), each
-        set capped at `budget` messages.
+        on the information sets of the generator (two or one), each set
+        capped at `budget` messages.
 
         Each set's levels sum to size^k messages, so while size^k fits the
         budget one set is always scanned through and the value is exact.
@@ -331,7 +316,7 @@ class LinearCode:
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        return lee_levels(self, information_sets(self.gen, self.ring) or (), budget)
+        return lee_levels(self, information_sets(self.gen, self.ring), budget)
 
     # -- weight census -------------------------------------------------------
 
@@ -339,17 +324,15 @@ class LinearCode:
         """Counts of codewords per Lee weight 0..max_lee*n (each codeword once).
 
         Row operations keep the code, so the count runs on the generator
-        made systematic on its first information set, or on G itself when
-        it has none: the full join of all size^k messages (`_InfoSet.census`).
-        The join counts messages; only the zero word has weight 0, so
-        hist[0] = |K| divides every count exactly.  Records |C| as well.
+        made systematic on its first information set: the full join of all
+        size^k messages (`_InfoSet.census`).  The join counts messages; only
+        the zero word has weight 0, so hist[0] = |K| divides every count
+        exactly.
         """
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
-        sets = information_sets(self.gen, self.ring)
-        hist = _InfoSet(self.gen, sets[0] if sets else (), self.ring).census()
-        self._cardinality = total // int(hist[0])
+        hist = _InfoSet(self.gen, information_sets(self.gen, self.ring)[0], self.ring).census()
         return hist // hist[0]
 
     def __repr__(self) -> str:
@@ -373,8 +356,8 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 _CHUNK = 1 << 16  # message pairs joined per step
 
 
-def _independent(cols: Sequence[int]) -> bool:
-    """Are these F2 column vectors (ints, bit i = row i) independent?"""
+def _rank(cols: Sequence[int]) -> int:
+    """F2 rank of column vectors (ints, bit i = row i)."""
     basis: dict[int, int] = {}
     for c in cols:
         while c:
@@ -383,34 +366,31 @@ def _independent(cols: Sequence[int]) -> bool:
                 basis[top] = c
                 break
             c ^= basis[top]
-        else:
-            return False
-    return True
+    return len(basis)
 
 
-def information_sets(gen: np.ndarray, ring: RingTable = R) -> tuple[tuple[int, ...], ...] | None:
-    """Disjoint sets of k columns of `gen`, each with an invertible k x k
-    block: two when the columns hold such a pair, else one, else None.
+def _independent(cols: Sequence[int]) -> bool:
+    """Are these F2 column vectors (ints, bit i = row i) independent?"""
+    return _rank(cols) == len(cols)
 
-    A block over these local rings is invertible iff its unit pattern is
-    invertible over F2, so this is matroid partition on the F2 columns.
-    A non-None answer proves the rows a free basis.  None means the unit
-    pattern has F2 rank below k: some 0/1 message x has xG in the maximal
-    ideal, and s.x, for s a nonzero socle element (2, u or 2u), is a
-    nonzero message that encodes to the zero word.
+
+def information_sets(gen: np.ndarray, ring: RingTable = R) -> tuple[tuple[int, ...], ...]:
+    """Disjoint sets of r columns of `gen` with unit patterns independent
+    over F2, r the rank of G's unit pattern (G modulo the maximal ideal):
+    two when the columns hold such a pair, else one (greedy: the identity
+    columns in standard form).  r = k proves the rows a free basis; below
+    it `systematic` leaves k - r torsion rows in the maximal ideal.
     """
-    k = gen.shape[0]
     vec = _unit_columns(gen, ring)
-    pair = _partition(vec, k)
+    r = _rank(vec)
+    pair = _partition(vec, r)
     if pair is not None:
         return pair
     one: list[int] = []
-    for j in range(len(vec)):  # greedy: the identity columns in standard form
-        if _independent([vec[z] for z in one] + [vec[j]]):
+    for j in range(len(vec)):
+        if len(one) < r and _independent([vec[z] for z in one] + [vec[j]]):
             one.append(j)
-            if len(one) == k:
-                return (tuple(one),)
-    return None
+    return (tuple(one),)
 
 
 def _unit_columns(gen: np.ndarray, ring: RingTable) -> list[int]:
@@ -419,18 +399,18 @@ def _unit_columns(gen: np.ndarray, ring: RingTable) -> list[int]:
     return [sum(1 << i for i in range(gen.shape[0]) if unit[i, j]) for j in range(gen.shape[1])]
 
 
-def _partition(vec: list[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
-    """Two disjoint bases among the F2 columns `vec`, or None.
+def _partition(vec: list[int], r: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """Two disjoint bases among the F2 columns `vec` of rank r, or None.
 
     Columns join the two sets in order, each through a shortest exchange
     path (Edmonds), so the two halves of [I | A] are taken whenever A is
-    invertible, and a column that finds no path proves that n = 2k columns
+    invertible, and a column that finds no path proves that n = 2r columns
     have no partition.
     """
     n = len(vec)
-    if n < 2 * k:
+    if n < 2 * r:
         return None
-    if n == 2 * k and (0 in vec or max(map(vec.count, vec)) > 2):
+    if n == 2 * r and (0 in vec or max(map(vec.count, vec)) > 2):
         # every column is needed, and a basis takes no zero column and at
         # most one of equal columns (so no all-unit circulant with k >= 3)
         return None
@@ -452,7 +432,7 @@ def _partition(vec: list[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]
                         parent[x] = (y, i)
                         queue.append(x)
         if sink is None:
-            if n == 2 * k:
+            if n == 2 * r:
                 return None
             continue
         y, i = sink
@@ -465,14 +445,15 @@ def _partition(vec: list[int], k: int) -> tuple[tuple[int, ...], tuple[int, ...]
             if step is None:
                 break
             y, i = step
-        if len(sets[0]) == len(sets[1]) == k:
+        if len(sets[0]) == len(sets[1]) == r:
             return tuple(sorted(sets[0])), tuple(sorted(sets[1]))
     return None
 
 
 def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.ndarray:
     """Gauss-Jordan with unit pivots: a generator of the same code whose
-    `cols` block is the identity (the block must be invertible)."""
+    `cols` block is the identity over zero rows (the columns' unit patterns
+    must be independent over F2)."""
     g = gen.copy()
     if np.array_equal(g[:, cols], identity(len(cols), ring)):
         return g
@@ -497,23 +478,25 @@ def pack_words(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
 
 
 class _Half:
-    """Messages on a run of rows of a systematic generator, by exact Lee
-    weight, as the packed products with the parity block.  Built on demand,
-    one row at a time: the messages of weight w from row j on are an
-    element of weight l at row j followed by the messages of weight w - l
-    from row j + 1 on, in that order, so an entry's digits are decoded from
-    its index alone (`message`)."""
+    """Messages on a run of rows of a systematic generator, by the weight
+    of their restriction to the set (a torsion row's elements add 0), as
+    the packed products with the parity block.  Built on demand, one row at
+    a time: the messages of weight w from row j on are an element of weight
+    l at row j followed by the messages of weight w - l from row j + 1 on,
+    in that order, so an entry's digits are decoded from its index alone
+    (`message`)."""
 
-    def __init__(self, parity: np.ndarray, ring: RingTable):
+    def __init__(self, parity: np.ndarray, free: Sequence[bool], ring: RingTable):
         self.h = parity.shape[0]
-        self.top = ring.max_lee * self.h  # the heaviest message's weight
+        self.top = ring.max_lee * sum(free)  # the heaviest message's weight
         self.low = ring.low_mask
         self.words = -(-parity.shape[1] // (64 // ring.bits))
-        self.by_weight = ring.by_lee
-        # per row and element weight l, (W, count): the packed products
-        # e * row for the elements e of Lee weight l
-        self.mult = [[words[:, els, None] for els in self.by_weight]
-                     for words in (pack_words(ring.MUL[:, row], ring) for row in parity)]
+        # per row and weight l, its elements e of weight l and, (W, count),
+        # the packed products e * row
+        self.classes = [ring.by_lee if f else (np.arange(ring.size, dtype=np.uint8),)
+                        for f in free]
+        self.mult = [[words[:, els, None] for els in classes] for words, classes in
+                     zip((pack_words(ring.MUL[:, row], ring) for row in parity), self.classes)]
         self.memo: dict[tuple[int, int], np.ndarray] = {}
         self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -553,7 +536,7 @@ class _Half:
         """Digits of entry i of level(w, j)."""
         if j == self.h:
             return []
-        for lw, els in enumerate(self.by_weight[:w + 1]):
+        for lw, els in enumerate(self.classes[j][:w + 1]):
             count = self.level(w - lw, j + 1).shape[1]
             if i < len(els) * count:
                 e, rest = divmod(i, count)
@@ -563,26 +546,33 @@ class _Half:
 
 
 class _InfoSet:
-    """The generator made systematic on one information set: its messages
-    of Lee weight t are a high half's messages of weight w joined with a
-    low half's of weight t - w.  With no set (`cols` empty) the messages
-    are those of G itself, and a message's weight is not the weight of its
-    codeword's restriction to any columns.
+    """The generator made systematic on one information set P of r columns:
+    r free rows, the identity on P, and k - r torsion rows, zero on P.  A
+    message (x, y) on them weighs x's weight plus its parity word's.  Its
+    messages with x of weight t are a high half's of weight w joined with a
+    low half's of weight t - w; each half takes half the free rows and half
+    the torsion rows, so neither holds every torsion message.
 
     Gauss-Jordan runs on [G | I_k], so the row operations T come out in the
     appended block: message x on the systematic generator T.G is message
     x.T on G (`to_caller`)."""
 
     def __init__(self, gen: np.ndarray, cols: Sequence[int], ring: RingTable):
-        k, n = gen.shape
-        both = systematic(np.hstack([gen, identity(k, ring)]), cols, ring)
-        self.cols, self.to_caller = tuple(cols), both[:, n:]
-        parity = both[:, [j for j in range(n) if j not in self.cols]]
-        self.halves = (_Half(parity[:k // 2], ring), _Half(parity[k // 2:], ring))
+        (k, n), r = gen.shape, len(cols)
+        # the high half: free rows 0..hf-1 and torsion rows r..ht-1
+        hf, ht = r // 2, r + (k - r) // 2
+        order = [*range(hf), *range(r, ht), *range(hf, r), *range(ht, k)]
+        both = systematic(np.hstack([gen, identity(k, ring)]), cols, ring)[order]
+        self.to_caller = both[:, n:]
+        parity = both[:, [j for j in range(n) if j not in cols]]
+        free = [i < r for i in order]
+        h = hf + ht - r
+        self.halves = (_Half(parity[:h], free[:h], ring), _Half(parity[h:], free[h:], ring))
         self.low = ring.low_mask
         self.bins = ring.max_lee * n + 1  # codeword Lee weights 0..max_lee*n
-        # messages of Lee weight t: the t-subsets of their bits * k Gray bits
-        self.counts = [comb(ring.bits * k, t) for t in range(ring.bits * k + 1)]
+        # messages with x of weight t: t-subsets of x's Gray bits, any y
+        self.counts = [comb(ring.bits * r, t) * ring.size ** (k - r)
+                       for t in range(ring.bits * r + 1)]
 
     def join(self, wh: int, wl: int) -> Iterator[tuple[int, np.ndarray]]:
         """Lee weights of the parity words of the high half's messages of
@@ -609,18 +599,17 @@ class _InfoSet:
 
     def scan(self, t: int, best: int, stop: int) -> tuple[int, np.ndarray] | None:
         """(weight, message on the set) of the lightest nonzero codeword
-        below `best` among the messages of Lee weight t, or None; stops
-        early at a weight <= `stop`."""
+        below `best` among the messages with x of Lee weight t, or None;
+        stops early at a weight <= `stop`."""
         hi, lo = self.halves
         found = None
-        base = t if self.cols else 0  # the message is part of the codeword
         for wh in range(t + 1):
             for a, wt in self.join(wh, t - wh):
-                if not self.cols:  # a message may encode to the zero word
+                if not t:  # the torsion code: a message may encode to the zero word
                     wt = np.where(wt == 0, np.int64(_BIG), wt)
                 i = int(wt.argmin())
-                if base + int(wt.flat[i]) < best:
-                    best = base + int(wt.flat[i])
+                if t + int(wt.flat[i]) < best:
+                    best = t + int(wt.flat[i])
                     r, q = divmod(i, wt.shape[1])
                     found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
                                            dtype=np.uint8)
@@ -628,44 +617,47 @@ class _InfoSet:
                         return found
         return found
 
+    def kernel(self) -> int:
+        """|K|, the messages that give the zero word (all at x = 0)."""
+        return sum(int(np.count_nonzero(wt == 0)) for _, wt in self.join(0, 0))
+
     def census(self) -> np.ndarray:
         """Messages per codeword Lee weight, over all size^k messages: every
-        level of one half joined with every level of the other.  On a set
-        a codeword weighs its parity word plus its message, wh + wl."""
+        level of one half joined with every level of the other.  A codeword
+        weighs its parity word plus its restriction to the set, wh + wl."""
         hist = np.zeros(self.bins, dtype=np.int64)
         hi, lo = self.halves
         for wh in range(hi.top + 1):
             for wl in range(lo.top + 1):
-                base = wh + wl if self.cols else 0
                 for _, wt in self.join(wh, wl):
-                    hist[base:] += np.bincount(wt.ravel(), minlength=self.bins - base)
+                    hist[wh + wl:] += np.bincount(wt.ravel(), minlength=self.bins - wh - wl)
         return hist
 
 
 def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> DistanceResult:
     """Minimum distance by Lee levels on disjoint information sets S_i of
-    the generator (Brouwer-Zimmermann), or on the messages of G itself
-    when `sets` is empty.
+    the generator (Brouwer-Zimmermann, on partial sets after White and
+    Grassl when the rows are no free basis).
 
-    On an information set the message is the codeword's restriction to it,
-    so once level t_i is scanned on every S_i, every codeword not yet seen
-    has Lee weight at least the sum of the (t_i + 1): t1 + t2 + 2 on two
-    sets, t1 + 1 on one.  With no set the bound stays 1.  The lowest level
-    rises next, first set first on a tie, until the best word found meets
-    the bound.  The lightest nonzero generator row seeds the best word.  A
-    level runs only if the messages scanned on its set, itself included,
-    still fit in `cap`; otherwise the result is an upper bound.  Scanning
-    every message on a set makes it exact, so a cap of size^k always does.
-    Deterministic: no worker processes.
+    A codeword's restriction to S_i is the free part x of its message, so
+    once level t_i is scanned on every S_i, every codeword not yet seen has
+    Lee weight at least the sum of the (t_i + 1), and at least 1.  Level 0,
+    the torsion code, is the zero word alone on a set of k columns, so such
+    a set starts at level 0 and a partial one at -1.  The lowest level rises
+    next, first set first on a tie, until the best word found (at first the
+    lightest nonzero generator row) meets the bound.  A level runs only if
+    the messages scanned on its set, itself included, still fit in `cap`;
+    otherwise the result is an upper bound.  Scanning every message on a
+    set makes it exact, so a cap of size^k always does.
     """
     ring, k = code.ring, code.k
-    sides = [_InfoSet(code.gen, s, ring) for s in sets] or [_InfoSet(code.gen, (), ring)]
+    sides = [_InfoSet(code.gen, s, ring) for s in sets]
     row_weights = ring.LEE[code.gen].sum(axis=1, dtype=np.int64)
     row_weights[row_weights == 0] = _BIG
     i = int(row_weights.argmin())
     best, where = int(row_weights[i]), identity(k, ring)[i]
-    levels, spent = [0] * len(sides), [0] * len(sides)
-    lower = len(sets) or 1
+    levels, spent = [-int(len(s) < k) for s in sets], [0] * len(sides)
+    lower = max(1, sum(levels) + len(sets))
     while best > lower:
         s = levels.index(min(levels))
         t = levels[s] + 1
@@ -681,8 +673,6 @@ def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> Dis
             where = ring_matmul(msg[None, :], sides[s].to_caller, ring)[0]
         if best > lower:
             levels[s] = t
-            if sets:
-                lower = sum(levels) + len(sets)
-    scanned = "/".join(map(str, levels))
+            lower = max(1, sum(levels) + len(sets))
     return DistanceResult(best, min(lower, best), tuple(int(v) for v in where),
-                          f"levels {scanned}" if sets else f"messages {scanned}")
+                          "levels " + "/".join(map(str, levels)))

@@ -9,7 +9,9 @@ The image code is generated over Z4 by {gray(g), gray(u*g)} for the
 generator rows g: as a Z4-module the source code is spanned by the rows
 and their u-multiples, since (a+ub)*g = a*g + b*(u*g).  It is an ordinary
 `LinearCode` over the `Z4` ring record, so its enumeration, dual,
-self-duality and Lee transform are the same code paths as over R.
+self-duality, size and Lee transform are the same code paths as over R.
+Its size comes from its own information set, as for any code: the map is
+a bijection, so it equals the source code's.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode
+from .code import LinearCode
 
 
 def gray_map(v: Sequence[int]) -> tuple[int, ...]:
@@ -39,11 +41,10 @@ def gray_map_inverse(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) for x in ((a << 2) | b))
 
 
-def gray_image(code: LinearCode, budget: int = DEFAULT_BUDGET) -> LinearCode:
+def gray_image(code: LinearCode) -> LinearCode:
     """Z4 code generated by the Gray images of the rows and their u-multiples."""
     rows = []
     for g in code.gen:
         rows.append(gray_map(g))
         rows.append(gray_map(ring.R.MUL[ring.U][g]))
-    return LinearCode(np.array(rows, dtype=np.uint8), ring.Z4,
-                      cardinality=code.cardinality(budget))
+    return LinearCode(np.array(rows, dtype=np.uint8), ring.Z4)

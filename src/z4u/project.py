@@ -158,7 +158,7 @@ def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Se
 
     if not self_dual(code):
         raise NotSelfDual("report requires a self-dual input code")
-    img = gray_image(code, budget)
+    img = gray_image(code)
     fsd = is_formally_self_dual(img, budget)
     d = project_constant(code)
     e = project_mod2(code)

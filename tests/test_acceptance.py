@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, exact arithmetic throughout.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
-criterion.  The 16^8-scale items (exact distances at length 16 and the
-exact lift distance) are marked slow; enable with --runslow or Z4U_SLOW=1.
-They read the distance off the full Lee census, not the Lee-level kernel,
-as its oracle.
+criterion.  The 16^8-scale items (exact distances at length 16, the exact
+lift distance and the distance of a non-free 8 x 16 code) are marked slow;
+enable with --runslow or Z4U_SLOW=1.  They read the distance off the full
+Lee census, not the Lee-level kernel, as its oracle.
 """
 
 import time
@@ -197,6 +197,19 @@ def test_criterion_06_slow_exact_lift_distance():
     value = sweep_distance(c, threads=2)
     assert value == 12 == c.min_lee_distance().value
     _report(6, t0, "slow lane: lift distance 12 is exact over all 16^8 messages")
+
+
+@pytest.mark.slow
+def test_slow_nonfree8_distance_matches_census():
+    # rows no free basis: the partial information sets certify d = 8 within
+    # the default budget; the oracle sweeps all 16^8 messages
+    t0 = time.time()
+    c = LinearCode.from_text(data_file("nonfree8.gen"))
+    res = c.min_lee_distance()
+    assert res.exact and res.value == 8
+    assert sweep_distance(c, threads=2) == 8
+    print(f"SLOW PASS ({time.time() - t0:.1f}s): non-free 8 x 16 distance 8 "
+          "equals the 16^8-message census")
 
 
 def _check_table(num, table, expect_exact, t0):

@@ -157,6 +157,15 @@ def test_search_alphabet_flag():
     assert "exhaustive over full alphabet: no" in out
 
 
+def test_search_empty_alphabet_exit_1(capsys):
+    # an empty --alphabet is a bad element token, as "," is, not the full
+    # alphabet
+    for alphabet in ("", ","):
+        status, out = run_cli("search", "--kind", "dc", "--n", "1", "--alphabet", alphabet)
+        assert status == 1 and out == "", alphabet
+        assert "bad element token" in capsys.readouterr().err
+
+
 def test_verify_tables_command():
     status, out = run_cli("verify-tables", "--table", "2", "--max-length", "8")
     assert status == 0

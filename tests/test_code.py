@@ -12,7 +12,7 @@ from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
 
-from oracles import dual_bruteforce, is_linear, members, sweep_census
+from oracles import dual_bruteforce, is_linear, members, sweep_census, sweep_distance
 
 
 def R(tok):
@@ -314,7 +314,8 @@ def test_census_total_and_zero_bin():
 
 def _scaled_rows(table, k, n, seed):
     """A random k x n generator with rows 0 and 1 times nonzero non-units
-    (2 and u over R): no information set, so the rows are no free basis."""
+    (2 and u over R): its unit pattern has rank below k, so the rows are no
+    free basis and its information sets are partial."""
     gen = np.random.default_rng(seed).integers(0, table.size, size=(k, n), dtype=np.uint8)
     non_units = [x for x in range(1, table.size) if not table.INV[x]]
     scale = (R("20"), R("01")) if table is ring.R else (non_units[0], non_units[-1])
@@ -330,9 +331,9 @@ def _dc6():
 CENSUS_CASES = {
     # two information sets; 16^6 message pairs are 256 joins of _CHUNK pairs
     "R-dc-k6": (ring.R, _dc6, 2, None),
-    # rows scaled by 2 and by u: no information set and |K| > 1
-    "R-nonfree-k6-n8": (ring.R, lambda: _scaled_rows(ring.R, 6, 8, 11), 0, None),
-    "F2U-nonfree-k5-n6": (F2U, lambda: _scaled_rows(F2U, 5, 6, 12), 0, None),
+    # rows scaled by 2 and by u: two partial information sets and |K| > 1
+    "R-nonfree-k6-n8": (ring.R, lambda: _scaled_rows(ring.R, 6, 8, 11), 2, None),
+    "F2U-nonfree-k5-n6": (F2U, lambda: _scaled_rows(F2U, 5, 6, 12), 2, None),
     # not in standard form; 38 parity columns fill two packed words
     "Z4-free-k5-n43": (Z4, lambda: np.random.default_rng(13).integers(
         0, 4, size=(5, 43), dtype=np.uint8), 2, None),
@@ -345,16 +346,45 @@ CENSUS_CASES = {
 def test_census_matches_oracle(case):
     table, make, n_sets, budget = CENSUS_CASES[case]
     c = LinearCode(make(), table)
-    assert len(information_sets(c.gen, table) or ()) == n_sets
+    sets = information_sets(c.gen, table)
+    assert len(sets) == n_sets
     if budget is not None:
         with pytest.raises(BudgetExceeded):
             c.lee_census(budget)
         return
     messages = sweep_census(c)
     kernel = int(messages[0])
-    assert (kernel > 1) == (n_sets == 0)
+    assert (kernel > 1) == (len(sets[0]) < c.k)
     assert c.lee_census().tolist() == (messages // kernel).tolist()
-    assert LinearCode(c.gen, table).cardinality() == table.size ** c.k // kernel
+    assert c.cardinality() == table.size ** c.k // kernel
+
+
+@pytest.mark.parametrize("table,k,n,seed", [(ring.R, 4, 6, 21), (ring.R, 5, 5, 22),
+                                            (Z4, 7, 9, 23), (F2U, 8, 8, 24)], ids=str)
+def test_nonfree_cardinality_below_size_k_budget(table, k, n, seed):
+    # |C| = size^r |T| takes a census of the size^(k-r) torsion messages
+    # alone, so a budget below size^k is enough (the full census is refused)
+    c = LinearCode(_scaled_rows(table, k, n, seed), table)
+    r = len(information_sets(c.gen, table)[0])
+    assert r < k
+    budget = table.size ** k - 1
+    with pytest.raises(BudgetExceeded):
+        c.lee_census(budget)
+    messages = sweep_census(c)
+    assert c.cardinality(budget) == table.size ** k // int(messages[0])
+    assert c.cardinality(table.size ** (k - r)) == c.cardinality()
+    with pytest.raises(BudgetExceeded):
+        c.cardinality(table.size ** (k - r) - 1)
+
+
+def test_nonfree_k6_past_budget_is_exact():
+    # 16^6 messages, budget 16^6 // 50: the partial sets' levels 1/0 meet
+    # the weight-3 word
+    c = LinearCode(_scaled_rows(ring.R, 6, 8, 11))
+    res = c.min_lee_distance(16 ** 6 // 50)
+    assert res.exact and res.certificate.startswith("levels ")
+    assert res.value == sweep_distance(c)
+    assert lee_weight_vector(c.encode(res.witness_message)) == res.value
 
 
 def test_codeword_set_linearity():

@@ -97,6 +97,22 @@ def test_gray_image_equals_pointwise_image():
         assert img.cardinality() == c.cardinality()
 
 
+def test_gray_image_size_from_its_own_information_set():
+    # the image is a Z4 code of 2k rows, free or not, sized by its own
+    # partial information set: no size is passed in from the source
+    rng = np.random.default_rng(61)
+    nonfree = 0
+    for trial in range(12):
+        gen = rng.integers(0, 16, size=(3, 3), dtype=np.uint8)
+        if trial % 2:  # a row times 2 or u: the rows are no free basis
+            gen[0] = ring.R.MUL[(R("20"), R("01"))[trial % 4 // 2], gen[0]]
+        c = LinearCode(gen)
+        size = len(span(gen.tolist(), 16, ring.add, ring.mul))
+        nonfree += size < 16 ** 3
+        assert gray_image(c).cardinality() == c.cardinality() == size
+    assert nonfree >= 6
+
+
 def test_gray_image_lee_enumerator_matches_source():
     for gen in ([[ring.U]], [[ring.U, ring.ZERO], [ring.ZERO, ring.U]],
                 [[ring.ONE, R("21")]]):

@@ -221,7 +221,7 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
     a[:, 1] = table.ADD[a[:, 0], shift]
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    assume(sets is not None and len(sets) == 2)
+    assume(len(sets) == 2)
     assert not _residue_invertible(table, a) and sets[0] != tuple(range(k))
     res = lee_levels(c, sets, table.size ** k)
     d = _check_against_sweep(c, res)
@@ -262,7 +262,6 @@ def test_levels_on_random_codes_and_truncated_runs(name, data):
                                     min_size=k, max_size=k)), dtype=np.uint8)
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    assume(sets is not None)
     full = lee_levels(c, sets, table.size ** k)
     d = _check_against_sweep(c, full)
     cap = data.draw(st.integers(0, 4 * table.bits * k * k))
@@ -291,7 +290,8 @@ def _routed_generator(data, table, kind):
     """A generator over `table` with k <= KERNEL_KMAX of one of four kinds:
     [I | A] ("standard"), [I | A] with a parity column of non-units, so one
     information set ("one-set"), T.[I | A] with permuted columns
-    ("non-standard"), or one with no information set ("no-set")."""
+    ("non-standard"), or one whose rows are no free basis, so its sets are
+    partial, of fewer than k columns ("no-set")."""
     elem = st.integers(0, table.size - 1)
     k = data.draw(st.integers(1, KERNEL_KMAX))
     extra = 0 if kind == "one-set" else data.draw(st.integers(0, 2))
@@ -316,7 +316,7 @@ def _routed_generator(data, table, kind):
     sets = information_sets(c.gen, table)
     if kind == "one-set":
         assert sets == (tuple(range(k)),)
-    assert (sets is None) == (kind == "no-set")
+    assert (len(sets[0]) < k) == (kind == "no-set")
     return c, sets
 
 
@@ -333,13 +333,12 @@ def test_over_budget_routes_match_sweep(name, kind, data):
     word = c.encode(res.witness_message)
     assert any(word) and lee_weight_vector(word, table) == res.value
     assert res.lower_bound <= d <= res.value
-    if sets is None:  # no bound beyond 1 until every nonzero message is scanned
-        assert res.certificate.startswith("messages ")
-        assert res.exact or res.lower_bound == 1
-    else:
-        assert res.certificate.startswith("levels ")
-        if budget >= table.bits * c.k:  # level 1 on the first set fits
-            assert res.exact or res.lower_bound >= 2
+    assert res.certificate.startswith("levels ")
+    # level 1 on the first set fits, after level 0 (the torsion code) on a
+    # partial one
+    r = len(sets[0])
+    if budget >= table.size ** (c.k - r) * (table.bits * r + (r < c.k)):
+        assert res.exact or res.lower_bound >= 2
 
 
 @pytest.mark.parametrize("kind", ["standard", "non-standard", "no-set"])
@@ -357,7 +356,7 @@ def test_fitting_budget_is_exact(name, kind, data):
     assert res.exact and res.value == sweep_distance(c)
     word = c.encode(res.witness_message)
     assert any(word) and lee_weight_vector(word, table) == res.value
-    assert res.certificate.startswith("messages " if sets is None else "levels ")
+    assert res.certificate.startswith("levels ")
 
 
 @pytest.mark.parametrize("table", [R, Z4, F2U], ids=str)
