@@ -40,7 +40,7 @@ the free part x of its message.  The messages are scanned by the Lee
 weight t of x, C(4r, t) Gray bit patterns over R, each with every torsion
 message; each is a high half's message of weight w joined with a low
 half's of weight t - w, their parity products held as packed Gray words
-(`ring.packed_add`, `ring.packed_weight`), in chunks of 2^16 pairs.  Once
+(`ring.packed_split`, `ring.packed_weight`), in chunks of 2^16 pairs.  Once
 level t_i is scanned on each set S_i, every codeword not yet seen weighs
 at least the sum of the (t_i + 1), and the kernel stops when its best
 word meets that bound.  The budget caps the messages scanned on each set;
@@ -49,6 +49,17 @@ is always exact.  The Lee census is the full join on the first set, every
 level of one half against every level of the other: one chunked join
 (`_InfoSet.join`), reduced by argmin for the scan and by bincount for the
 census.
+
+The kernel works on batches: `lee_levels` takes codes of one ring, k and
+n whose generators hold the same information sets, and every array of
+the kernel has a leading batch axis (a level holds each code's packed
+words in turn).  Gauss-Jordan runs on the stacked [G | I], each code
+taking its own pivot rows; the half tables and the join blocks are
+stacked, and each block is reduced by a per-code argmin.  The level
+schedule and the cap depend on the sets alone, so the whole batch scans
+the same levels, and a code leaves it once its best word meets the
+bound.  `min_lee_distance` is a batch of one; `construct.search` passes
+its orbit representatives grouped by information sets.
 """
 
 from __future__ import annotations
@@ -61,7 +72,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceeded, ZeroCode
-from .ring import R, RingTable, packed_add, packed_weight, parse_matrix_text
+from .ring import R, RingTable, packed_split, packed_weight, parse_matrix_text
 
 #: Default enumeration budget (message count).
 DEFAULT_BUDGET = 16 ** 7
@@ -273,7 +284,7 @@ class LinearCode:
             return self.ring.size ** self.k
         if torsion > budget:
             raise BudgetExceeded(torsion, budget, "torsion census")
-        return self.ring.size ** self.k // _InfoSet(self.gen, cols, self.ring).kernel()
+        return self.ring.size ** self.k // _InfoSet(self.gen[None], cols, self.ring).kernel()
 
     # -- duality ----------------------------------------------------------
 
@@ -316,7 +327,7 @@ class LinearCode:
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        return lee_levels(self, information_sets(self.gen, self.ring), budget)
+        return lee_levels([self], information_sets(self.gen, self.ring), budget)[0]
 
     # -- weight census -------------------------------------------------------
 
@@ -332,7 +343,8 @@ class LinearCode:
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
-        hist = _InfoSet(self.gen, information_sets(self.gen, self.ring)[0], self.ring).census()
+        hist = _InfoSet(self.gen[None], information_sets(self.gen, self.ring)[0],
+                        self.ring).census()
         return hist // hist[0]
 
     def __repr__(self) -> str:
@@ -354,6 +366,8 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 # ---------------------------------------------------------------------------
 
 _CHUNK = 1 << 16  # message pairs joined per step
+_BATCH = 1 << 16  # half-table entries over all codes of one `lee_levels` batch
+_NONE = np.zeros(0, np.intp)  # no codes: a scan that improved none
 
 
 def _rank(cols: Sequence[int]) -> int:
@@ -451,84 +465,88 @@ def _partition(vec: list[int], r: int) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.ndarray:
-    """Gauss-Jordan with unit pivots: a generator of the same code whose
-    `cols` block is the identity over zero rows (the columns' unit patterns
-    must be independent over F2)."""
+    """Gauss-Jordan with unit pivots on a stack (B, k, m) of generators:
+    generators of the same codes whose `cols` block is the identity over
+    zero rows (the columns' unit patterns must be independent over F2 in
+    every code).  Each code takes its own pivot row, by index."""
     g = gen.copy()
-    if np.array_equal(g[:, cols], identity(len(cols), ring)):
+    if (g[:, :, cols] == identity(g.shape[1], ring)[:, :len(cols)]).all():
         return g
+    b = np.arange(len(g))
     for i, j in enumerate(cols):
-        p = i + int(np.flatnonzero(ring.INV[g[i:, j]])[0])
-        g[[i, p]] = g[[p, i]]
-        g[i] = ring.MUL[ring.INV[g[i, j]], g[i]]
-        f = ring.NEG[g[:, j]]
-        f[i] = 0
-        g = ring.ADD[g, ring.MUL[f[:, None], g[i][None, :]]]
+        p = i + ring.INV[g[:, i:, j]].argmax(axis=1)  # each code's first unit row
+        pivot = g[b, p]
+        g[b, p] = g[:, i]
+        g[:, i] = ring.MUL[ring.INV[pivot[:, j]][:, None], pivot]
+        f = ring.NEG[g[:, :, j]]
+        f[:, i] = 0
+        g = ring.ADD[g, ring.MUL[f[:, :, None], g[:, i, None, :]]]
     return g
 
 
 def pack_words(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
-    """(N, m) element vectors -> (W, N) uint64 words of their Gray images,
-    64 // bits elements per word."""
+    """(..., N, m) element vectors -> (..., W, N) uint64 words of their Gray
+    images, 64 // bits elements per word."""
     per = 64 // ring.bits
-    fields = np.zeros((v.shape[0], -(-v.shape[1] // per), per), dtype=np.uint64)
-    fields.reshape(v.shape[0], -1)[:, :v.shape[1]] = ring.PACK[v]
+    *lead, count, m = v.shape
+    words = -(-m // per)
+    fields = np.zeros((*lead, count, words, per), dtype=np.uint64)
+    fields.reshape(*lead, count, words * per)[..., :m] = ring.PACK[v]
     shifts = np.arange(0, 64, ring.bits, dtype=np.uint64)
-    return np.ascontiguousarray((fields << shifts).sum(axis=2, dtype=np.uint64).T)
+    return np.ascontiguousarray(np.swapaxes((fields << shifts).sum(axis=-1, dtype=np.uint64),
+                                            -1, -2))
 
 
 class _Half:
-    """Messages on a run of rows of a systematic generator, by the weight
-    of their restriction to the set (a torsion row's elements add 0), as
-    the packed products with the parity block.  Built on demand, one row at
-    a time: the messages of weight w from row j on are an element of weight
-    l at row j followed by the messages of weight w - l from row j + 1 on,
-    in that order, so an entry's digits are decoded from its index alone
-    (`message`)."""
+    """Messages on a run of rows of a stack of B systematic generators, by
+    the weight of their restriction to the set (a torsion row's elements
+    add 0), as the packed products with the parity blocks.  A level is one
+    (B*W, N) array: code b's W packed words are rows b*W .. b*W + W - 1,
+    so a stack of one has the layout of a single code.  The messages of a
+    level, and their order, are the same in every code.  Built on demand,
+    one row at a time: the messages of weight w from row j on are an
+    element of weight l at row j followed by the messages of weight w - l
+    from row j + 1 on, in that order, so an entry's digits are decoded from
+    its index alone (`message`)."""
 
     def __init__(self, parity: np.ndarray, free: Sequence[bool], ring: RingTable):
-        self.h = parity.shape[0]
+        batch, self.h, m = parity.shape
         self.top = ring.max_lee * sum(free)  # the heaviest message's weight
         self.low = ring.low_mask
-        self.words = -(-parity.shape[1] // (64 // ring.bits))
-        # per row and weight l, its elements e of weight l and, (W, count),
-        # the packed products e * row
+        self.words = -(-m // (64 // ring.bits))
+        rows = batch * self.words
+        self.empty = np.zeros((rows, 0), np.uint64)
+        self.zero = np.zeros((rows, 1), np.uint64)  # the zero word
+        # per row and weight l, its elements e of weight l and, (B*W, count, 1)
+        # each, the split packed products e * row
         self.classes = [ring.by_lee if f else (np.arange(ring.size, dtype=np.uint8),)
                         for f in free]
-        self.mult = [[words[:, els, None] for els in classes] for words, classes in
-                     zip((pack_words(ring.MUL[:, row], ring) for row in parity), self.classes)]
-        self.memo: dict[tuple[int, int], np.ndarray] = {}
-        self.splits: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        low, high = packed_split(pack_words(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring)
+                                 .reshape(self.h, rows, ring.size, 1), self.low)
+        self.mult = [[(low[j][:, els], high[j][:, els]) for els in classes]
+                     for j, classes in enumerate(self.classes)]
+        self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
-    def split(self, w: int) -> tuple[np.ndarray, np.ndarray]:
-        """level(w) as its low-bit and other-bit parts, the two terms of
-        `packed_add`: a level of one half joins many levels of the other,
-        so it is split once.  Nothing else reads the first row's levels,
-        so they are kept in this form alone."""
-        if w not in self.splits:
-            words = self.level(w)
-            del self.memo[(0, w)]
-            low = words & self.low
-            self.splits[w] = low, words ^ low
-        return self.splits[w]
-
-    def level(self, w: int, j: int = 0) -> np.ndarray:
-        """Packed parities (W, N) of the messages of weight w from row j."""
+    def level(self, w: int, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """Packed parities (B*W, N) of the messages of weight w from row j,
+        split (`ring.packed_split`): a level joins many levels of the rows
+        above it, or of the other half, so it is split once."""
         key = (j, w)
         if key not in self.memo:
             if j == self.h:
-                out = np.zeros((self.words, int(w == 0)), np.uint64)
+                out = (self.zero, self.zero) if w == 0 else (self.empty, self.empty)
+            elif j == self.h - 1:  # the last row: its products alone
+                ml, mh = self.mult[j][w] if w < len(self.mult[j]) else (self.empty[..., None],) * 2
+                out = ml[:, :, 0], mh[:, :, 0]
             else:
                 parts = []
-                for lw, mult in enumerate(self.mult[j][:w + 1]):
-                    sub = self.level(w - lw, j + 1)
-                    if sub.shape[1] and j + 1 == self.h:  # sub is the zero word
-                        parts.append(mult[:, :, 0])
-                    elif sub.shape[1]:
-                        parts.append(packed_add(mult, sub[:, None, :], self.low)
-                                     .reshape(self.words, mult.shape[1] * sub.shape[1]))
-                out = np.concatenate(parts, axis=1) if parts \
-                    else np.zeros((self.words, 0), np.uint64)
+                for lw, (ml, mh) in enumerate(self.mult[j][:w + 1]):
+                    sl, sh = self.level(w - lw, j + 1)
+                    if sl.shape[1]:
+                        parts.append(((ml + sl[:, None]) ^ mh ^ sh[:, None])
+                                     .reshape(len(sl), ml.shape[1] * sl.shape[1]))
+                words = np.concatenate(parts, axis=1) if parts else self.empty
+                out = packed_split(words, self.low)
             self.memo[key] = out
         return self.memo[key]
 
@@ -537,7 +555,7 @@ class _Half:
         if j == self.h:
             return []
         for lw, els in enumerate(self.classes[j][:w + 1]):
-            count = self.level(w - lw, j + 1).shape[1]
+            count = self.level(w - lw, j + 1)[0].shape[1]
             if i < len(els) * count:
                 e, rest = divmod(i, count)
                 return [int(els[e])] + self.message(w - lw, rest, j + 1)
@@ -546,133 +564,212 @@ class _Half:
 
 
 class _InfoSet:
-    """The generator made systematic on one information set P of r columns:
-    r free rows, the identity on P, and k - r torsion rows, zero on P.  A
-    message (x, y) on them weighs x's weight plus its parity word's.  Its
-    messages with x of weight t are a high half's of weight w joined with a
-    low half's of weight t - w; each half takes half the free rows and half
-    the torsion rows, so neither holds every torsion message.
+    """A stack of B generators made systematic on one shared information
+    set P of r columns: r free rows, the identity on P, and k - r torsion
+    rows, zero on P.  A message (x, y) on them weighs x's weight plus its
+    parity word's.  Its messages with x of weight t are a high half's of
+    weight w joined with a low half's of weight t - w; each half takes half
+    the free rows and half the torsion rows, so neither holds every torsion
+    message.
 
-    Gauss-Jordan runs on [G | I_k], so the row operations T come out in the
-    appended block: message x on the systematic generator T.G is message
-    x.T on G (`to_caller`)."""
+    Gauss-Jordan runs on [G | I_k], so each code's row operations T come
+    out in the appended block: message x on the systematic generator T.G
+    is message x.T on G (`to_caller`, (B, k, k))."""
 
-    def __init__(self, gen: np.ndarray, cols: Sequence[int], ring: RingTable):
-        (k, n), r = gen.shape, len(cols)
+    def __init__(self, gens: np.ndarray, cols: Sequence[int], ring: RingTable):
+        (batch, k, n), r = gens.shape, len(cols)
         # the high half: free rows 0..hf-1 and torsion rows r..ht-1
         hf, ht = r // 2, r + (k - r) // 2
         order = [*range(hf), *range(r, ht), *range(hf, r), *range(ht, k)]
-        both = systematic(np.hstack([gen, identity(k, ring)]), cols, ring)[order]
-        self.to_caller = both[:, n:]
-        parity = both[:, [j for j in range(n) if j not in cols]]
+        eye = identity(k, ring)[None].repeat(batch, axis=0)
+        both = systematic(np.concatenate([gens, eye], axis=2), cols, ring)[:, order]
+        self.to_caller = both[:, :, n:]
+        parity = both[:, :, [j for j in range(n) if j not in cols]]
         free = [i < r for i in order]
         h = hf + ht - r
-        self.halves = (_Half(parity[:h], free[:h], ring), _Half(parity[h:], free[h:], ring))
+        self.halves = (_Half(parity[:, :h], free[:h], ring),
+                       _Half(parity[:, h:], free[h:], ring))
         self.low = ring.low_mask
         self.bins = ring.max_lee * n + 1  # codeword Lee weights 0..max_lee*n
+        self.every = np.arange(batch)  # each code's index
         # messages with x of weight t: t-subsets of x's Gray bits, any y
         self.counts = [comb(ring.bits * r, t) * ring.size ** (k - r)
                        for t in range(ring.bits * r + 1)]
 
-    def join(self, wh: int, wl: int) -> Iterator[tuple[int, np.ndarray]]:
+    def join(self, wh: int, wl: int, act: np.ndarray | None = None
+             ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Lee weights of the parity words of the high half's messages of
-        weight wh joined with the low half's of weight wl, in blocks of at
-        most _CHUNK pairs (one high message when its row alone is more).
-        Yields (a, weights): weights[r, q] is the pair (a + r, q)."""
-        (ph_low, ph_high), (pl_low, pl_high) = self.halves[0].split(wh), self.halves[1].split(wl)
-        if not pl_low.shape[1]:
+        weight wh joined with the low half's of weight wl, for the codes
+        `act` (default: all), in blocks of at most _CHUNK pairs per word
+        (one high message of one code when its row alone is more).  Yields
+        (c, a, weights): weights[z, r, q] is the pair (a + r, q) of code
+        act[c + z]."""
+        (ph_low, ph_high), (pl_low, pl_high) = self.halves[0].level(wh), self.halves[1].level(wl)
+        nh, nl = ph_low.shape[1], pl_low.shape[1]
+        if not nh or not nl:
             return
-        low = self.low
-        rows = max(1, _CHUNK // pl_low.shape[1])
-        for a in range(0, ph_low.shape[1], rows):
-            blk_low, blk_high = ph_low[:, a:a + rows], ph_high[:, a:a + rows]
-            wt = None
-            for w in range(len(ph_low)):
-                x = blk_low[w][:, None] + pl_low[w][None, :]
-                x ^= blk_high[w][:, None]
-                x ^= pl_high[w][None, :]
-                c = packed_weight(x, low)
-                wt = c if wt is None else wt + c.astype(np.uint16)
-            if wt is None:  # no parity columns: the codeword is the message
-                wt = np.zeros((blk_low.shape[1], pl_low.shape[1]), np.uint16)
-            yield a, wt
+        words = self.halves[0].words
+        if act is not None and len(act) < len(self.every):
+            pick = (act[:, None] * words + np.arange(words)).ravel()
+            ph_low, ph_high, pl_low, pl_high = (
+                p[pick] for p in (ph_low, ph_high, pl_low, pl_high))
+        batch, low = len(self.every if act is None else act), self.low
+        codes = max(1, _CHUNK // nl)
+        rows = max(1, _CHUNK // (min(codes, batch) * nl))
+        for c in range(0, batch, codes):
+            span = slice(c * words, (c + codes) * words)  # the rows of codes c, c + 1, ..
+            ll, lh = pl_low[span, None], pl_high[span, None]
+            for a in range(0, nh, rows):
+                x = ph_low[span, a:a + rows, None] + ll
+                x ^= ph_high[span, a:a + rows, None]
+                x ^= lh
+                cnt = packed_weight(x, low)
+                # summed over each code's words; none without parity columns
+                wt = cnt if words == 1 else cnt.reshape(
+                    min(codes, batch - c), words, *cnt.shape[1:]).sum(axis=1, dtype=np.uint16)
+                yield c, a, wt
 
-    def scan(self, t: int, best: int, stop: int) -> tuple[int, np.ndarray] | None:
-        """(weight, message on the set) of the lightest nonzero codeword
-        below `best` among the messages with x of Lee weight t, or None;
-        stops early at a weight <= `stop`."""
+    def scan(self, t: int, best: np.ndarray, stop: int, act: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each code act[c], the lightest nonzero codeword below best[c]
+        among its messages with x of Lee weight t.  Returns the new bests,
+        and the positions c that improved with their messages on the set.
+        Stops early once every best is <= `stop`.
+
+        A block no code improves on is passed over by its minimum alone.
+        Each other block keeps its per-code minima and their entries; a
+        code's witness is the first kept entry that weighs its final best.
+        """
         hi, lo = self.halves
-        found = None
-        for wh in range(t + 1):
-            for a, wt in self.join(wh, t - wh):
+        start, best = best, best.copy()
+        beat = int(best[best.argmax()]) - t  # no parity weight from it on improves a code
+        kept = []  # (wh, first entry of the block, first code, entries, weights)
+        for wh in range(max(0, t - lo.top), min(t, hi.top) + 1):
+            for c, a, wt in self.join(wh, t - wh, act):
                 if not t:  # the torsion code: a message may encode to the zero word
                     wt = np.where(wt == 0, np.int64(_BIG), wt)
-                i = int(wt.argmin())
-                if t + int(wt.flat[i]) < best:
-                    best = t + int(wt.flat[i])
-                    r, q = divmod(i, wt.shape[1])
-                    found = best, np.array(hi.message(wh, a + r) + lo.message(t - wh, q),
-                                           dtype=np.uint8)
-                    if best <= stop:
-                        return found
-        return found
+                if int(wt.flat[wt.argmin()]) >= beat:  # argmin: on small blocks min costs more
+                    continue
+                flat = wt.reshape(len(wt), -1)
+                i = flat.argmin(axis=1)
+                w = flat[self.every[:len(i)], i] + t
+                kept.append((wh, a * wt.shape[2], c, i, w))
+                seg = best[c:c + len(w)]
+                np.minimum(seg, w, out=seg)
+                beat = int(best[best.argmax()]) - t
+                if beat <= stop - t:
+                    break
+            else:
+                continue
+            break
+        if not kept:
+            return best, _NONE, _NONE
+        up = (best < start).nonzero()[0]
+        first = np.zeros(len(act), np.intp)  # each code's first kept block at its best
+        for f in reversed(range(len(kept))):
+            _, _, c, _, w = kept[f]
+            first[c:c + len(w)][w == best[c:c + len(w)]] = f
+        msgs = []
+        for z, f in zip(up.tolist(), first[up].tolist()):
+            wh, base, c, i, _ = kept[f]
+            r, q = divmod(base + int(i[z - c]), lo.level(t - wh)[0].shape[1])
+            msgs.append(hi.message(wh, r) + lo.message(t - wh, q))
+        return best, up, np.array(msgs, np.uint8)
 
     def kernel(self) -> int:
-        """|K|, the messages that give the zero word (all at x = 0)."""
-        return sum(int(np.count_nonzero(wt == 0)) for _, wt in self.join(0, 0))
+        """|K|, the messages that give the zero word (all at x = 0), of a
+        stack of one code."""
+        return sum(int(np.count_nonzero(wt == 0)) for _, _, wt in self.join(0, 0))
 
     def census(self) -> np.ndarray:
-        """Messages per codeword Lee weight, over all size^k messages: every
-        level of one half joined with every level of the other.  A codeword
-        weighs its parity word plus its restriction to the set, wh + wl."""
+        """Messages per codeword Lee weight, over all size^k messages of a
+        stack of one code: every level of one half joined with every level
+        of the other.  A codeword weighs its parity word plus its
+        restriction to the set, wh + wl."""
         hist = np.zeros(self.bins, dtype=np.int64)
         hi, lo = self.halves
         for wh in range(hi.top + 1):
             for wl in range(lo.top + 1):
-                for _, wt in self.join(wh, wl):
+                for _, _, wt in self.join(wh, wl):
                     hist[wh + wl:] += np.bincount(wt.ravel(), minlength=self.bins - wh - wl)
         return hist
 
 
-def lee_levels(code: LinearCode, sets: Sequence[Sequence[int]], cap: int) -> DistanceResult:
-    """Minimum distance by Lee levels on disjoint information sets S_i of
-    the generator (Brouwer-Zimmermann, on partial sets after White and
-    Grassl when the rows are no free basis).
+def _on_callers(x: np.ndarray, to_caller: np.ndarray, ring: RingTable) -> np.ndarray:
+    """Row i of the (M, k) messages x times its own k x k matrix
+    to_caller[i]: messages on systematic generators, as messages on G."""
+    acc = np.zeros(x.shape, np.uint8)
+    for i in range(x.shape[1]):
+        acc = ring.ADD[acc, ring.MUL[x[:, i, None], to_caller[:, i]]]
+    return acc
+
+
+def lee_levels(codes: Sequence[LinearCode], sets: Sequence[Sequence[int]],
+               cap: int) -> list[DistanceResult]:
+    """Minimum distances of a batch of codes of one ring, k and n, by Lee
+    levels on disjoint information sets S_i that every generator holds
+    (Brouwer-Zimmermann, on partial sets after White and Grassl when the
+    rows are no free basis).
 
     A codeword's restriction to S_i is the free part x of its message, so
     once level t_i is scanned on every S_i, every codeword not yet seen has
     Lee weight at least the sum of the (t_i + 1), and at least 1.  Level 0,
     the torsion code, is the zero word alone on a set of k columns, so such
     a set starts at level 0 and a partial one at -1.  The lowest level rises
-    next, first set first on a tie, until the best word found (at first the
-    lightest nonzero generator row) meets the bound.  A level runs only if
-    the messages scanned on its set, itself included, still fit in `cap`;
-    otherwise the result is an upper bound.  Scanning every message on a
-    set makes it exact, so a cap of size^k always does.
+    next, first set first on a tie, until a code's best word found (at
+    first its lightest nonzero generator row) meets the bound; then the
+    code leaves the batch.  The schedule and the cap depend on the sets
+    alone, so every code in the batch scans the same levels, each level in
+    one pass of stacked joins.  A level runs only if the messages scanned
+    on its set, itself included, still fit in `cap`; otherwise the results
+    left are upper bounds.  Scanning every message on a set makes a result
+    exact, so a cap of size^k always does.  At most _BATCH half-table
+    entries are held at once: a longer batch runs in parts.
     """
-    ring, k = code.ring, code.k
-    sides = [_InfoSet(code.gen, s, ring) for s in sets]
-    row_weights = ring.LEE[code.gen].sum(axis=1, dtype=np.int64)
+    ring, k = codes[0].ring, codes[0].k
+    step = max(1, _BATCH // ring.size ** -(-k // 2))
+    if len(codes) > step:
+        return [d for i in range(0, len(codes), step)
+                for d in lee_levels(codes[i:i + step], sets, cap)]
+    gens = np.array([c.gen for c in codes])
+    sides = [_InfoSet(gens, s, ring) for s in sets]
+    row_weights = ring.LEE[gens].sum(axis=2, dtype=np.int64)
     row_weights[row_weights == 0] = _BIG
-    i = int(row_weights.argmin())
-    best, where = int(row_weights[i]), identity(k, ring)[i]
+    first = row_weights.argmin(axis=1)
+    best = row_weights[np.arange(len(codes)), first]
+    where = identity(k, ring)[first]
     levels, spent = [-int(len(s) < k) for s in sets], [0] * len(sides)
     lower = max(1, sum(levels) + len(sets))
-    while best > lower:
+    out: list[DistanceResult] = [None] * len(codes)  # type: ignore[list-item]
+    act = np.arange(len(codes))  # the codes in the batch, and their best weights
+
+    def leave(upto: int, bound: int) -> None:
+        """Record the results of the codes whose best weight is <= upto;
+        they leave the batch."""
+        nonlocal act, best
+        if not best.size or best[best.argmin()] > upto:
+            return
+        gone = best <= upto
+        cert = "levels " + "/".join(map(str, levels))
+        for b, w in zip(act[gone].tolist(), best[gone].tolist()):
+            out[b] = DistanceResult(w, min(bound, w), tuple(where[b].tolist()), cert)
+        act, best = act[~gone], best[~gone]
+
+    leave(lower, lower)
+    while act.size:
         s = levels.index(min(levels))
         t = levels[s] + 1
         if t == len(sides[s].counts):  # every message on S_s scanned: all seen
-            lower = best
-            break
-        if spent[s] + sides[s].counts[t] > cap:
-            break
-        spent[s] += sides[s].counts[t]
-        found = sides[s].scan(t, best, lower)
-        if found is not None:
-            best, msg = found
-            where = ring_matmul(msg[None, :], sides[s].to_caller, ring)[0]
-        if best > lower:
+            leave(_BIG, _BIG)
+        elif spent[s] + sides[s].counts[t] > cap:
+            leave(_BIG, lower)
+        else:
+            spent[s] += sides[s].counts[t]
+            best, up, msgs = sides[s].scan(t, best, lower, act)
+            if up.size:
+                where[act[up]] = _on_callers(msgs, sides[s].to_caller[act[up]], ring)
+                leave(lower, lower)
             levels[s] = t
             lower = max(1, sum(levels) + len(sets))
-    return DistanceResult(best, min(lower, best), tuple(int(v) for v in where),
-                          "levels " + "/".join(map(str, levels)))
+            leave(lower, lower)
+    return out

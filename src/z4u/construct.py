@@ -30,16 +30,23 @@ member of each orbit in candidate order is evaluated, and every other
 member carries its result.  Each member is checked, not assumed: the
 orbit element is a signed permutation of rows and columns, and applied to
 the representative's block it must give the member's block, or the search
-raises AssertionError.  A member keeps the representative's distance and
-its exact flag; its witness is the representative's mapped by the
-element (x -> xQ under reversal, unchanged under shift and negation).
-Results come back in candidate order, so they do not depend on worker
-count.
+raises AssertionError.  The check runs on the stacked blocks of all
+candidates, one gather per group element.  A member keeps the
+representative's distance and its exact flag; its witness is the
+representative's mapped by the element (x -> xQ under reversal,
+unchanged under shift and negation).
+
+The representatives are grouped by the information sets of their
+generators, and each group is one batched call of the Lee-level kernel
+(`code.lee_levels`); with several workers, each worker groups and batches
+its own share.  Results come back in candidate order, so they do not
+depend on worker count or on how the batches fall.
 
 `verify_tables` rebuilds each catalogued code and compares its minimum
 distance against the recorded value.  Both it and `search` take the
-distance from `LinearCode.min_lee_distance`, the Lee-level kernel on the
-information sets of the generator: every catalogued row holds two disjoint
+distance from the Lee-level kernel on the information sets of the
+generator (`LinearCode.min_lee_distance`, a batch of one, for a table
+row): every catalogued row holds two disjoint
 ones, so each row is exact at the default budget (table 2 at length 26 by
 levels 7/6, 1.8e8 messages).  A search candidate with fewer sets still
 comes back exact while its 16^k messages fit the budget.
@@ -57,7 +64,7 @@ import numpy as np
 
 from . import ring
 from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, dual_of_standard_form,
-                   identity)
+                   identity, information_sets, lee_levels)
 from .errors import BadBorder, NotSymmetric
 
 
@@ -65,11 +72,12 @@ from .errors import BadBorder, NotSymmetric
 # Constructions
 # ---------------------------------------------------------------------------
 
-def circulant(first_row: Sequence[int]) -> np.ndarray:
-    """M[i][j] = first_row[(j - i) mod n]."""
+def circulant(first_row: Sequence[int] | np.ndarray) -> np.ndarray:
+    """M[i][j] = first_row[(j - i) mod n]; a stack (..., n) of first rows
+    gives a stack (..., n, n) of circulants."""
     row = np.asarray(first_row, dtype=np.uint8)
-    idx = np.arange(len(row))
-    return row[(idx[None, :] - idx[:, None]) % len(row)]
+    idx = np.arange(row.shape[-1])
+    return row[..., (idx[None, :] - idx[:, None]) % row.shape[-1]]
 
 
 def symmetric_code(a: Sequence[Sequence[int]] | np.ndarray) -> LinearCode:
@@ -88,17 +96,30 @@ def double_circulant_code(first_row: Sequence[int]) -> LinearCode:
     return LinearCode(np.hstack([identity(m.shape[0]), m]))
 
 
-def bordered_block(first_row: Sequence[int], alpha: int, beta: int,
-                   gamma: int) -> np.ndarray:
-    if gamma != beta and gamma != ring.neg(beta):
-        raise BadBorder(f"gamma {ring.format_element(gamma)} is neither beta nor -beta")
-    nm1 = len(first_row)
-    b = np.empty((nm1 + 1, nm1 + 1), dtype=np.uint8)
-    b[0, 0] = alpha
-    b[0, 1:] = beta
-    b[1:, 0] = gamma
-    b[1:, 1:] = circulant(first_row)
+def bordered_block(first_row: Sequence[int] | np.ndarray, alpha, beta, gamma) -> np.ndarray:
+    """The bordered circulant block; stacks (..., n-1) of first rows and
+    (...) of alpha, beta, gamma give a stack (..., n, n) of blocks."""
+    m = circulant(first_row)
+    alpha, beta, gamma = (np.asarray(x, dtype=np.uint8) for x in (alpha, beta, gamma))
+    bad = (gamma != beta) & (gamma != ring.R.NEG[beta])
+    if bad.any():
+        raise BadBorder(f"gamma {ring.format_element(int(gamma[bad].flat[0]))} "
+                        "is neither beta nor -beta")
+    b = np.empty(m.shape[:-2] + (m.shape[-1] + 1,) * 2, dtype=np.uint8)
+    b[..., 0, 0] = alpha
+    b[..., 0, 1:] = beta[..., None]
+    b[..., 1:, 0] = gamma[..., None]
+    b[..., 1:, 1:] = m
     return b
+
+
+def _blocks(specs: Sequence["CirculantSpec | BorderSpec"]) -> np.ndarray:
+    """(N, k, k) blocks of specs of one kind and order, built together."""
+    rows = np.array([s.first_row for s in specs], dtype=np.uint8).reshape(len(specs), -1)
+    if isinstance(specs[0], BorderSpec):
+        border = np.array([(s.alpha, s.beta, s.gamma) for s in specs], dtype=np.uint8)
+        return bordered_block(rows, *border.T)
+    return circulant(rows)
 
 
 def bordered_code(first_row: Sequence[int], alpha: int, beta: int,
@@ -269,10 +290,22 @@ class _Evaluate:
         self.budget = budget
 
     def __call__(self, spec) -> SearchResult:
-        codeobj = spec.build()
-        dist = codeobj.min_lee_distance(self.budget)
-        _certify_isodual(spec, codeobj)
-        return SearchResult(spec, dist)
+        return self.many([spec])[0]
+
+    def many(self, specs: Sequence) -> list[SearchResult]:
+        """Results in the order of `specs`: the codes are grouped by their
+        information sets, and each group is one batched `lee_levels` call."""
+        codes = [spec.build() for spec in specs]
+        groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        for i, codeobj in enumerate(codes):
+            groups.setdefault(information_sets(codeobj.gen, codeobj.ring), []).append(i)
+        dist: list = [None] * len(codes)
+        for sets, members in groups.items():
+            for i, d in zip(members, lee_levels([codes[i] for i in members], sets, self.budget)):
+                dist[i] = d
+        for spec, codeobj in zip(specs, codes):
+            _certify_isodual(spec, codeobj)
+        return [SearchResult(spec, d) for spec, d in zip(specs, dist)]
 
 
 @dataclass(frozen=True)
@@ -298,7 +331,9 @@ class _Move:
                    (flip * k + rows[:, None]) * k + cols[None, :])
 
     def block(self, b: np.ndarray) -> np.ndarray:
-        return np.concatenate([b, ring.R.NEG[b]]).ravel()[self.take]
+        """B' of a block B, or of each block of a stack (N, k, k)."""
+        return np.concatenate([b, ring.R.NEG[b]], axis=-2).reshape(
+            *b.shape[:-2], -1)[..., self.take]
 
     def message(self, x: Sequence[int]) -> tuple[int, ...]:
         return tuple(ring.neg(x[r]) if s else x[r] for r, s in zip(self.rows, self.row_neg))
@@ -365,14 +400,34 @@ def _orbit_owners(cands: list) -> list[tuple[int, _Move]]:
     return owners
 
 
-def _carry(rep: SearchResult, rep_block: np.ndarray, spec, move: _Move) -> SearchResult:
-    """The representative's result for the orbit member `spec` (rep itself
-    under the identity move).  The move must send rep's block to spec's; a
-    failure is a fault in the program."""
-    if not (move.block(rep_block) == spec.block()).all():
-        raise AssertionError(f"orbit move does not send {rep.spec.describe()} to {spec.describe()}")
+def _check_moves(moves: Sequence[_Move], rep_blocks: np.ndarray, blocks: np.ndarray,
+                 names) -> None:
+    """Member i's move must send its representative's block rep_blocks[i]
+    to its own block blocks[i]: checked on the stacked blocks of all
+    members, one gather per distinct move.  A failure is a fault in the
+    program: AssertionError, naming the pair by `names(i)`."""
+    by_move: dict[int, list[int]] = {}
+    for i, move in enumerate(moves):
+        by_move.setdefault(id(move), []).append(i)
+    for members in by_move.values():
+        bad = (moves[members[0]].block(rep_blocks[members]) != blocks[members]).any(axis=(1, 2))
+        if bad.any():
+            raise AssertionError(f"orbit move does not send {names(members[int(bad.argmax())])}")
+
+
+def _moved(rep: SearchResult, spec, move: _Move) -> SearchResult:
+    """The representative's result for the orbit member `spec`: the same
+    distance, and the witness mapped by the move."""
     d = rep.distance
-    return SearchResult(spec, replace(d, witness_message=move.message(d.witness_message)))
+    w = move.message(d.witness_message)
+    return SearchResult(spec, d if w == d.witness_message else replace(d, witness_message=w))
+
+
+def _carry(rep: SearchResult, rep_block: np.ndarray, spec, move: _Move) -> SearchResult:
+    """`_moved` for one orbit member, after its move is checked."""
+    _check_moves([move], rep_block[None], spec.block()[None],
+                 lambda _: f"{rep.spec.describe()} to {spec.describe()}")
+    return _moved(rep, spec, move)
 
 
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
@@ -397,12 +452,18 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     ev = _Evaluate(budget)
     workers = min(threads, len(reps))
     if workers > 1:
+        size = max(1, len(reps) // (8 * workers))
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            done = pool.map(ev, reps, chunksize=max(1, len(reps) // (8 * workers)))
+            parts = pool.map(ev.many, [reps[i:i + size] for i in range(0, len(reps), size)])
+        done = [r for part in parts for r in part]
     else:
-        done = [ev(s) for s in reps]
-    by_rep = {i: (r, r.spec.block()) for i, r in zip(rep_index, done)}
-    evaluated = [_carry(*by_rep[owner], spec, move) for spec, (owner, move) in zip(cands, owners)]
+        done = ev.many(reps)
+    blocks = _blocks(cands)
+    rep_of = np.array([owner for owner, _ in owners])
+    _check_moves([move for _, move in owners], blocks[rep_of], blocks,
+                 lambda i: f"{cands[rep_of[i]].describe()} to {cands[i].describe()}")
+    by_rep = dict(zip(rep_index, done))
+    evaluated = [_moved(by_rep[owner], spec, move) for spec, (owner, move) in zip(cands, owners)]
     results = tuple(r for r in evaluated if r.distance.value >= threshold)
     best = max(r.distance.value for r in evaluated)
     best_spec = next(r.spec for r in evaluated if r.distance.value == best)

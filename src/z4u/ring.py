@@ -311,11 +311,18 @@ F2U = _ring_table("F2U", 4, 1, f2u_add, f2u_mul, f2u_neg, f2u_lee_weight,
                   f2u_parse, f2u_format)
 
 
+def packed_split(x: np.ndarray, low: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Packed words as their bits in `low` and their other bits: with
+    x = (xl, xh) and y = (yl, yh), (xl + yl) ^ xh ^ yh is `packed_add`."""
+    xl = x & low
+    return xl, x ^ xl
+
+
 def packed_add(x: np.ndarray, y: np.ndarray, low: np.uint64) -> np.ndarray:
     """Field-wise sum of packed words: Z4 addition in each 2-bit field with
     a low bit in `low` (its carry stays inside the field), XOR elsewhere."""
-    xl, yl = x & low, y & low
-    return (xl + yl) ^ (x ^ xl) ^ (y ^ yl)
+    (xl, xh), (yl, yh) = packed_split(x, low), packed_split(y, low)
+    return (xl + yl) ^ xh ^ yh
 
 
 def packed_weight(x: np.ndarray, low: np.uint64) -> np.ndarray:

@@ -4,10 +4,11 @@ from math import comb
 import numpy as np
 import pytest
 
+from z4u import code as code_module
 from z4u import ring
-from z4u.code import (LinearCode, SelfDuality, _InfoSet, dual_of_standard_form, identity,
-                      information_sets, inner, lee_weight_vector, pack_words, ring_matmul,
-                      span_blocks)
+from z4u.code import (DEFAULT_BUDGET, LinearCode, SelfDuality, _InfoSet, dual_of_standard_form,
+                      identity, information_sets, inner, lee_levels, lee_weight_vector,
+                      pack_words, ring_matmul, span_blocks)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
@@ -276,14 +277,14 @@ def test_low_weight_message_count():
     for table, k in ((ring.R, 5), (Z4, 6), (F2U, 6)):
         gen = np.hstack([identity(k, table),
                          np.random.default_rng(k).integers(0, table.size, (k, k), np.uint8)])
-        info = _InfoSet(gen, range(k), table)
+        info = _InfoSet(gen[None], range(k), table)  # a stack of one code
         bits = table.bits * k
         assert info.counts == [comb(bits, t) for t in range(bits + 1)]
         for half, rows in zip(info.halves, (gen[:k // 2, k:], gen[k // 2:, k:])):
             every = np.array(list(product(range(table.size), repeat=half.h)), np.uint8)
             weights = table.LEE[every].sum(axis=1)
             for t in range(table.max_lee * half.h + 1):
-                words = half.level(t)
+                words = np.bitwise_or(*half.level(t))  # its low-bit and other-bit parts
                 digits = np.array([half.message(t, i) for i in range(words.shape[1])],
                                   np.uint8).reshape(-1, half.h)
                 assert sorted(map(tuple, digits.tolist())) == \
@@ -469,3 +470,22 @@ def test_identity_code_has_empty_parity_block(table, k):
     assert res.exact and res.value == 1
     assert lee_weight_vector(c.encode(res.witness_message), table) == 1
     assert dual_bruteforce(c).tolist() == [[0] * k]
+
+
+def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
+    # dc codes of length 6 and 8 over three units and 20, grouped by their
+    # information sets: the same results when each batch runs in parts of two
+    # codes and every join in blocks of at most 8 pairs, so blocks split
+    # both the codes and the high messages
+    alphabet = [R("10"), R("13"), R("31"), R("20")]
+    codes = [LinearCode(np.hstack([identity(len(row)), circulant(row)]))
+             for n in (3, 4) for row in product(alphabet, repeat=n) if row[0] != R("20")]
+    groups = {}
+    for c in codes:
+        groups.setdefault(information_sets(c.gen), []).append(c)
+    assert len(groups) > 2 and max(map(len, groups.values())) > 8
+    want = {sets: [c.min_lee_distance() for c in group] for sets, group in groups.items()}
+    monkeypatch.setattr(code_module, "_BATCH", 2 * 16 ** 2)
+    monkeypatch.setattr(code_module, "_CHUNK", 8)
+    for sets, group in groups.items():
+        assert lee_levels(group, sets, DEFAULT_BUDGET) == want[sets]

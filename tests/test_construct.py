@@ -207,18 +207,21 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet):
 
 
 def test_one_sweep_and_certificate_per_orbit(monkeypatch):
-    # the benchmark's n = 3 search: 8^3 first rows in 60 orbits
+    # the benchmark's n = 3 search: 8^3 first rows in 60 orbits, each code
+    # passed once to the batched distance kernel
     calls = {"distance": 0, "certificate": 0}
-    min_lee_distance, map_check = LinearCode.min_lee_distance, construct.maps_dual_into
+    batched, map_check = construct.lee_levels, construct.maps_dual_into
 
-    def counted(name, fn):
+    def counted(name, fn, weight):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += weight(*args)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(LinearCode, "min_lee_distance", counted("distance", min_lee_distance))
-    monkeypatch.setattr(construct, "maps_dual_into", counted("certificate", map_check))
+    monkeypatch.setattr(construct, "lee_levels",
+                        counted("distance", batched, lambda codes, *_: len(codes)))
+    monkeypatch.setattr(construct, "maps_dual_into",
+                        counted("certificate", map_check, lambda *_: 1))
     out = search("dc", 3, UNITS, threshold=6)
     assert out.candidates == 512 and len(out.results) == 144
     assert calls == {"distance": 60, "certificate": 60}

@@ -8,7 +8,10 @@ orbit: every result line, and the best witness, must come out the same
 when members carry their representative's result.  `analyze_nonfree8` was
 recorded once codes whose rows are no free basis were sized and bounded on
 partial information sets; before that, the command exited 1 on it (a full
-16^8-message census past the budget).  Faster paths may change how results
+16^8-message census past the budget).  `search_bdc3` (8192 bdc candidates
+over the 8 units, 1728 orbit representatives) was recorded from the search
+that evaluated one representative per distance call, before
+representatives were batched.  Faster paths may change how results
 are computed, never what is printed; a change that means to alter stdout
 updates the files on purpose.
 """
@@ -30,6 +33,8 @@ CASES.append(("analyze_nonfree8", ("analyze", "--gen", gen_path("nonfree8.gen"))
 CASES.append(("lift_check_lift16", ("lift-check",) + LIFT16))
 CASES.append(("search_dc3", ("search", "--kind", "dc", "--n", "3", "--threshold", "6")))
 CASES.append(("search_bdc2", ("search", "--kind", "bdc", "--n", "2", "--threshold", "4")))
+CASES.append(("search_bdc3", ("search", "--kind", "bdc", "--n", "3", "--alphabet",
+                              "01,03,11,13,21,23,31,33", "--threshold", "6")))
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

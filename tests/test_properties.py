@@ -13,8 +13,10 @@ against the minimum of the full Lee census on codes with k <= 5: standard
 form codes whose right half is singular but which hold two disjoint
 information sets, codes with one, and runs cut short by the budget; on
 standard, non-standard free (T.[I | A] with permuted columns) and non-free
-generators, exact whenever size^k fits the budget, and bounded past it; and
-the Gray packing it adds with against the ring tables.
+generators, exact whenever size^k fits the budget, and bounded past it;
+batches of codes that share their information sets, against the same
+codes one at a time and the census; and the Gray packing it adds with
+against the ring tables.
 """
 
 from collections import Counter
@@ -23,7 +25,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from z4u import ring
@@ -186,6 +188,10 @@ def _nonunits(table):
     return [x for x in range(table.size) if table.INV[x] == 0]
 
 
+def _units(table):
+    return [x for x in range(table.size) if table.INV[x]]
+
+
 def _standard(table, a):
     k = len(a)
     return LinearCode(np.hstack([identity(k, table), np.array(a, dtype=np.uint8)]), table)
@@ -215,15 +221,20 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
     k = data.draw(st.integers(2, KERNEL_KMAX))
     a = np.array(data.draw(st.lists(st.lists(elem, min_size=k, max_size=k),
                                     min_size=k, max_size=k)), dtype=np.uint8)
+    # two disjoint information sets built in: a unit on top of column 0 of A
+    # makes it and e_1 .. e_(k-1) one set; below row 0, columns 0, 2, ..,
+    # k-1 of A invertible make them and e_0 the other
+    a[0, 0] = data.draw(st.sampled_from(_units(table)))
+    a[1:, [0, *range(2, k)]] = _invertible(data, table, k - 1)
     # column 1 gets column 0's unit pattern, so A is singular over F2
     shift = np.array(data.draw(st.lists(st.sampled_from(_nonunits(table)),
                                         min_size=k, max_size=k)), dtype=np.uint8)
     a[:, 1] = table.ADD[a[:, 0], shift]
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    assume(len(sets) == 2)
+    assert len(sets) == 2
     assert not _residue_invertible(table, a) and sets[0] != tuple(range(k))
-    res = lee_levels(c, sets, table.size ** k)
+    res, = lee_levels([c], sets, table.size ** k)
     d = _check_against_sweep(c, res)
     routed = c.min_lee_distance()
     assert routed.exact and routed.value == d
@@ -262,13 +273,47 @@ def test_levels_on_random_codes_and_truncated_runs(name, data):
                                     min_size=k, max_size=k)), dtype=np.uint8)
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    full = lee_levels(c, sets, table.size ** k)
+    full, = lee_levels([c], sets, table.size ** k)
     d = _check_against_sweep(c, full)
     cap = data.draw(st.integers(0, 4 * table.bits * k * k))
-    cut = lee_levels(c, sets, cap)
+    cut, = lee_levels([c], sets, cap)
     _check_against_sweep(c, cut)
     if cap <= table.size ** k:  # fewer levels scanned: no better bounds
         assert cut.lower_bound <= full.lower_bound and cut.value >= full.value
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_batched_levels_match_single_codes(name, data):
+    # a batch of [I | A_b] with rows r.. scaled by nonzero non-units (partial
+    # sets when r < k): A_b = U_b * A + N_b, entry by entry, with units U_b
+    # and non-units N_b, keeps A's unit pattern and so its information sets,
+    # while the distances, and the levels where each code leaves, differ
+    table = SCALARS[name][0]
+    units, nonunits = _units(table), _nonunits(table)
+    k = data.draw(st.integers(1, KERNEL_KMAX - 1))
+    r = data.draw(st.integers(0, k))
+    m = k + data.draw(st.integers(0, 2))
+    a = np.array(data.draw(st.lists(st.lists(st.integers(0, table.size - 1), min_size=m,
+                                             max_size=m), min_size=k, max_size=k)), np.uint8)
+    codes = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        u, z = (np.array(data.draw(st.lists(st.sampled_from(pool), min_size=k * m,
+                                            max_size=k * m)), np.uint8).reshape(k, m)
+                for pool in (units, nonunits))
+        gen = np.hstack([identity(k, table), table.ADD[table.MUL[u, a], z]])
+        for i in range(r, k):
+            gen[i] = table.MUL[data.draw(st.sampled_from(nonunits[1:])), gen[i]]
+        codes.append(LinearCode(gen, table))
+    sets = information_sets(codes[0].gen, table)
+    assert all(information_sets(c.gen, table) == sets for c in codes)
+    assert len(sets[0]) == r
+    cap = data.draw(st.integers(0, table.size ** k - 1))
+    batch = lee_levels(codes, sets, cap)
+    for c, got in zip(codes, batch):
+        assert got == lee_levels([c], sets, cap)[0]
+        _check_against_sweep(c, got)
 
 
 def _invertible(data, table, k):
