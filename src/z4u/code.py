@@ -66,6 +66,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
 
@@ -518,13 +519,21 @@ class _Half:
         self.empty = np.zeros((rows, 0), np.uint64)
         self.zero = np.zeros((rows, 1), np.uint64)  # the zero word
         # per row and weight l, its elements e of weight l and, (B*W, count, 1)
-        # each, the split packed products e * row
+        # each, the split packed products e * row.  Free rows come first, and
+        # their elements are put in the order of the weight classes, so each
+        # class is a slice.
         self.classes = [ring.by_lee if f else (np.arange(ring.size, dtype=np.uint8),)
                         for f in free]
-        low, high = packed_split(pack_words(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring)
-                                 .reshape(self.h, rows, ring.size, 1), self.low)
-        self.mult = [[(low[j][:, els], high[j][:, els]) for els in classes]
-                     for j, classes in enumerate(self.classes)]
+        words = pack_words(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring).reshape(
+            self.h, rows, ring.size, 1)
+        nfree = sum(free)
+        words[:nfree] = words[:nfree, :, np.concatenate(ring.by_lee)]
+        low, high = packed_split(words, self.low)
+        self.mult = []
+        for j, classes in enumerate(self.classes):
+            ends = list(accumulate(len(els) for els in classes))
+            self.mult.append([(low[j, :, e - len(els):e], high[j, :, e - len(els):e])
+                              for els, e in zip(classes, ends)])
         self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def level(self, w: int, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
