@@ -11,7 +11,11 @@ partial information sets; before that, the command exited 1 on it (a full
 16^8-message census past the budget).  `search_bdc3` (8192 bdc candidates
 over the 8 units, 1728 orbit representatives) was recorded from the search
 that evaluated one representative per distance call, before
-representatives were batched.  Faster paths may change how results
+representatives were batched.  `macwilliams_nonfree4x5` and
+`dual_nonfree4x5` (the benchmark's non-free 4x5 generator, 256 dual words
+listed in order) were recorded from the size^n dual sweep and the
+per-term Gaussian evaluation, before the dual became a meet-in-the-middle
+join and the evaluation a batched residue computation.  Faster paths may change how results
 are computed, never what is printed; a change that means to alter stdout
 updates the files on purpose.
 """
@@ -29,6 +33,8 @@ LIFT16 = ("--ring-gen", gen_path("lift16_r.gen"), "--z4-gen", gen_path("lift16_z
 
 CASES = [(f"{cmd}_u", (cmd, "--gen", gen_path("u.gen")))
          for cmd in ("analyze", "dual", "macwilliams", "gray", "project")]
+CASES += [(f"{cmd}_nonfree4x5", (cmd, "--gen", gen_path("nonfree4x5.gen")))
+          for cmd in ("macwilliams", "dual")]
 CASES.append(("analyze_nonfree8", ("analyze", "--gen", gen_path("nonfree8.gen"))))
 CASES.append(("lift_check_lift16", ("lift-check",) + LIFT16))
 CASES.append(("search_dc3", ("search", "--kind", "dc", "--n", "3", "--threshold", "6")))
