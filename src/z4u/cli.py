@@ -146,15 +146,10 @@ def cmd_macwilliams(args) -> None:
         print(f"swe transform equals brute-force dual swe: {'yes' if ok_s else 'NO'}")
         print(f"lee transform equals brute-force dual lee: {'yes' if ok_p else 'NO'}")
         rng = np.random.default_rng(args.seed)
-        ok_c = True
-        for _ in range(args.points):
-            pt = [GaussianInt(int(a), int(b))
-                  for a, b in rng.integers(-3, 4, size=(16, 2))]
-            lhs = wenum.macwilliams_cwe_eval(e, card, pt)
-            rhs = GaussianRational.of(dcwe.evaluate(pt))
-            if lhs != rhs:
-                ok_c = False
-                break
+        pts = [[GaussianInt(int(a), int(b)) for a, b in rng.integers(-3, 4, size=(16, 2))]
+               for _ in range(args.points)]
+        ok_c = wenum.macwilliams_cwe_eval(e, card, pts) == \
+            [GaussianRational.of(v) for v in dcwe.evaluate(pts)]
         print(f"cwe transform evaluations match brute-force dual at {args.points} points: "
               f"{'yes' if ok_c else 'NO'}")
         failures = [name for name, ok in

@@ -23,11 +23,12 @@ table for j digits costs about size/(size-1) gathers of its own size.
 `span_blocks` splits a large space into blocks of at most 2^20 rows (5
 digits over R, 10 over a 4-element ring): the low-digit table is built
 once, each high prefix comes from a second, small span table, and a block
-is one ADD of the two.  Membership, the complete enumerator and the dual
-(the span of G^T, keeping the indices whose product is zero) all run on
-it.  Message digits are decoded from the flat odometer index only where
-they are reported: the kept dual vectors.  Explicit message lists
-(encoding, standard-form membership, the Gram matrix) go through
+is one ADD of the two.  Membership and the complete enumerator run on
+it.  The dual, the x with x G^T = 0, is a meet-in-the-middle join of two
+span tables of G^T, one per half of x's coordinates, on packed keys
+(`_null_blocks`).  Message digits are decoded from the flat odometer
+index only where they are reported: the dual's vectors.  Explicit message
+lists (encoding, standard-form membership, the Gram matrix) go through
 `ring_matmul`.
 
 The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
@@ -140,11 +141,57 @@ def span_table(rows: np.ndarray, ring: RingTable = R) -> np.ndarray:
 
 
 def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np.ndarray]]:
-    """The span table of `rows` in (first index, products) blocks of <= 2^20 rows."""
+    """The span table of `rows` in (first index, products) blocks of <= 2^20
+    rows: the codewords of every message, and the high half of the dual's
+    join."""
     khi = max(0, rows.shape[0] - _LO_BITS // ring.bits)  # the digits past the block
     tl = span_table(rows[khi:], ring)
     for h, prefix in enumerate(span_table(rows[:khi], ring)):
         yield h * len(tl), ring.ADD[tl, prefix]
+
+
+def _row_keys(t: np.ndarray, ring: RingTable = R) -> np.ndarray:
+    """One sortable key per row of the (N, k) `t`, equal iff the rows are:
+    64 // bits elements to a uint64 word, and a row of several words as
+    one void of all of them."""
+    per = 64 // ring.bits
+    words = np.zeros((-(-t.shape[1] // per), len(t)), dtype=np.uint64)
+    for c in range(t.shape[1]):
+        words[c // per] |= t[:, c].astype(np.uint64) << np.uint64(ring.bits * (c % per))
+    if len(words) == 1:
+        return words[0]
+    return np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
+
+
+def _null_blocks(cols: np.ndarray, ring: RingTable = R) -> Iterator[np.ndarray]:
+    """The x in ring^m with x.cols = 0, cols an (m, k) matrix, as (B, m)
+    blocks in odometer order, by meet in the middle.
+
+    With x = (x_hi, x_lo), x_hi the first ceil(m/2) digits, x.cols = 0 iff
+    x_hi.cols_hi = -x_lo.cols_lo.  The keys (`_row_keys`) of the low span
+    table of -cols_lo are sorted once, stably, and each `span_blocks` block
+    of high products finds its partners by searchsorted: size^ceil(m/2)
+    products and one row per solution, not a size^m sweep.  High keys run
+    in odometer order and equal low keys keep theirs, so the solutions
+    come out in odometer order.  A yielded block holds the solutions of a
+    run of high keys whose first solution falls in one stretch of 2^20, so
+    it has fewer than 2^20 + size^(m - ceil(m/2)) rows.
+    """
+    m = len(cols)
+    h = (m + 1) // 2
+    low = _row_keys(span_table(ring.NEG[cols[h:]], ring), ring)
+    order = np.argsort(low, kind="stable")
+    low = low[order]
+    for start, blk in span_blocks(cols[:h], ring):
+        keys = _row_keys(blk, ring)
+        first = np.searchsorted(low, keys, "left")
+        count = np.searchsorted(low, keys, "right") - first
+        hit = np.flatnonzero(count)
+        offset = np.cumsum(count[hit]) - count[hit]
+        for part in np.split(hit, np.flatnonzero(np.diff(offset >> _LO_BITS)) + 1):
+            c = count[part]
+            pos = np.repeat(first[part] - (np.cumsum(c) - c), c) + np.arange(c.sum())
+            yield _digits(np.repeat(start + part, c) * len(order) + order[pos], m, ring)
 
 
 def _digits(index: np.ndarray, j: int, ring: RingTable = R) -> np.ndarray:
@@ -294,18 +341,15 @@ class LinearCode:
         return not ring_matmul(self.gen, self.gen.T, self.ring).any()
 
     def dual_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
-        """The vectors orthogonal to every generator row (size^n sweep), as
-        (B, n) uint8 blocks in odometer order, which is lexicographic.
-
-        x is in the dual iff x G^T = 0: each block holds the x whose row of
-        a `span_blocks` block of G^T is zero, so memory follows the block,
-        not the dual.  Raises BudgetExceeded past the budget.
+        """The vectors orthogonal to every generator row, as (B, n) uint8
+        blocks in odometer order, which is lexicographic (`_null_blocks`).
+        Raises BudgetExceeded when size^n, the vectors of the space the
+        dual lies in, passes the budget.
         """
         total = self.ring.size ** self.n
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
-        return (_digits(start + np.flatnonzero(~blk.any(axis=1)), self.n, self.ring)
-                for start, blk in span_blocks(self.gen.T, self.ring))
+        return _null_blocks(self.gen.T, self.ring)
 
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
         if not self.is_self_orthogonal():

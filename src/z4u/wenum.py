@@ -4,7 +4,8 @@ For a code C of length n:
 
   * the complete enumerator (CWE) counts, per codeword, how often each of
     the 16 ring elements appears: a sparse homogeneous degree-n polynomial
-    in 16 variables indexed by the canonical element order;
+    in 16 variables indexed by the canonical element order, held as arrays
+    of exponent rows and counts;
   * the symmetrized enumerator (SWE) merges variables by Lee weight class
     into (X, Y, Z, W, S) = weights (0, 4, 3, 1, 2);
   * the Lee enumerator collects codewords by total Lee weight w into
@@ -15,8 +16,11 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
 
   * CWE: substitute T.(X_1..X_16), T the 16x16 character table.  Kept
     evaluation-only (16-variable symbolic expansion is combinatorial);
-    equality of the two sides is certified at random Gaussian points,
-    multiplying (re, im) pairs over each term's nonzero exponents.
+    equality of the two sides is certified at random Gaussian points.  A
+    batch of points is evaluated at once, exactly: residues modulo primes
+    below 2^31, each term a chain of Gaussian products over its elements in
+    ascending order, combined by the Chinese remainder theorem.  A rational
+    point is scaled to a Gaussian-integer one, the CWE being homogeneous.
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
     class, which is what makes the symmetrization well defined).  No
@@ -63,23 +67,21 @@ _PACKED_MAX_N = 15            # longest word whose 16 counts fit 4 bits each
 #: element v's count sits in bits 4*(15-v) and up of a packed key
 _NIBBLE_SHIFT = np.arange(60, -1, -4, dtype=np.uint64)
 _NIBBLE_UNIT = np.left_shift(np.uint64(1), _NIBBLE_SHIFT)
+#: one row per ring element: the one-hot vector of its SWE class
+_CLASS_ONE_HOT = np.eye(5, dtype=np.int64)[list(ELEMENT_CLASS)]
+#: terms x points per residue pass of `CWE._values`: int64 temporaries of 1 MB
+_EVAL_CELLS = 1 << 17
 
 
-def _coerce_point(point: Sequence) -> tuple[list, object]:
-    """Return (values, one) in GaussianInt when every entry is one, else
-    in GaussianRational; both types share +, * and .scale(int)."""
-    vals = list(point)
-    if all(isinstance(p, GaussianInt) for p in vals):
-        return vals, GaussianInt(1, 0)
-    return [GaussianRational.of(p) for p in vals], GaussianRational.of(1)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CWE:
-    """Sparse 16-variable composition census: exponent vector -> count."""
+    """Sparse 16-variable composition census: the distinct compositions
+    (16 element counts per word) as the rows of `comps`, in the order
+    `_compositions` gives them, and how many codewords have each."""
 
     length: int
-    terms: dict[tuple[int, ...], int]
+    comps: np.ndarray   # (N, 16) unsigned counts, distinct rows
+    counts: np.ndarray  # (N,) int64
 
     @classmethod
     def of_words(cls, words, length: int) -> "CWE":
@@ -91,48 +93,133 @@ class CWE:
     def of_blocks(cls, blocks: Iterable[np.ndarray], length: int) -> "CWE":
         """`of_words` over the rows of a stream of (B, length) uint8
         blocks; memory follows one block, not the stream."""
-        comps, counts = _compositions(blocks, length)
-        return cls(length, dict(zip(map(tuple, comps.tolist()), counts.tolist())))
+        return cls(length, *_compositions(blocks, length))
 
     @functools.cached_property
-    def _sparse(self) -> tuple[tuple, list[int]]:
-        """(coefficient, nonzero (variable, exponent) pairs) per term, and
-        the largest exponent of each variable."""
-        rows = tuple((c, tuple((i, x) for i, x in enumerate(exps) if x))
-                     for exps, c in self.terms.items())
-        return rows, [max((e[i] for e in self.terms), default=0) for i in range(16)]
+    def terms(self) -> dict[tuple[int, ...], int]:
+        """Exponent vector -> count, as a dict of Python ints."""
+        return dict(zip(map(tuple, self.comps.tolist()), self.counts.tolist()))
 
-    def evaluate(self, point: Sequence):
-        """Value at a 16-tuple of Gaussian integers or rationals.
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CWE) and self.length == other.length \
+            and self.terms == other.terms
 
-        Works on plain (re, im) pairs: ints when every entry is a
-        GaussianInt, so the result is exact integer arithmetic, else
-        Fractions.
+    @functools.cached_property
+    def _chain(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each term's monomial as its n elements in ascending order, with
+        shared prefixes: level j has one node per run of consecutive terms
+        whose first j + 1 elements agree, as (element, parent node on level
+        j - 1).  The last level's nodes are the terms, in order."""
+        elems = np.repeat(np.tile(np.arange(16, dtype=np.intp), len(self.comps)),
+                          self.comps.ravel().astype(np.intp)).reshape(-1, self.length)
+        new = np.zeros(len(elems), dtype=bool)
+        new[:1] = True
+        node = np.zeros(len(elems), dtype=np.intp)
+        levels = []
+        for col in elems.T:
+            new[1:] |= col[1:] != col[:-1]
+            first = np.flatnonzero(new)
+            levels.append((col[first], node[first]))
+            node = np.cumsum(new) - 1
+        return levels
+
+    def evaluate(self, points: Sequence):
+        """Values at a batch of points of 16 Gaussian integers or
+        rationals, exact: a GaussianInt at a point of GaussianInts, else a
+        GaussianRational.  A single point gives a single value.
+
+        The CWE is homogeneous of degree n, so at a point p with common
+        denominator D it is CWE(D p) / D^n, and D p is a Gaussian-integer
+        point (`_values`).
         """
-        vals, one = _coerce_point(point)
-        rows, maxima = self._sparse
-        pows = []
-        for p, m in zip(vals, maxima, strict=True):
-            col = [(1, 0)]
-            for _ in range(m):
-                a, b = col[-1]
-                col.append((a * p.re - b * p.im, a * p.im + b * p.re))
-            pows.append(col)
-        sre = sim = 0
-        for coeff, factors in rows:
-            re, im = coeff, 0
-            for i, x in factors:
-                a, b = pows[i][x]
-                re, im = re * a - im * b, re * b + im * a
-            sre += re
-            sim += im
-        if isinstance(one, GaussianInt):
-            return GaussianInt(sre, sim)
-        return GaussianRational(Fraction(sre), Fraction(sim))
+        batch, single = _as_batch(points)
+        dens, ints = _integral(batch)
+        out = []
+        for p, d, a, b in zip(batch, dens, *self._values(ints)):
+            if all(isinstance(x, GaussianInt) for x in p):
+                out.append(GaussianInt(a, b))
+            else:
+                out.append(GaussianRational(Fraction(a, d ** self.length),
+                                            Fraction(b, d ** self.length)))
+        return out[0] if single else out
+
+    def _values(self, point: np.ndarray) -> tuple[list[int], list[int]]:
+        """Real and imaginary parts at P Gaussian-integer points, a
+        (2, 16, P) object array of Python ints: exact, by residues.
+
+        A term's value has absolute value at most L^n, L the largest
+        |re| + |im| of any coordinate, so both parts of the sum lie in
+        [-B, B], B = L^n times the sum of |count|.  They are computed
+        modulo enough primes below 2^31 that the product M of the primes
+        passes 2B, then combined by the Chinese remainder theorem and read
+        in (-M/2, M/2].  Modulo p every value is below 2^31, so a product
+        of two and the sum ac - bd or ad + bc fit int64 before reduction.
+        A term costs at most n - 1 Gaussian products along `_chain`, fewer
+        where it shares a prefix with the term before it.
+        """
+        count = point.shape[2]
+        span = int(np.abs(point).sum(axis=0).max(initial=0))
+        bound = int(np.abs(self.counts).sum()) * span ** self.length
+        step = max(1, _EVAL_CELLS // max(len(self.counts), 1))
+        (first, _), *chain = self._chain
+        modulus, total = 1, np.zeros((2, count), dtype=object)
+        for p in _residue_primes((2 * bound).bit_length() // 30 + 1):
+            acc = np.zeros((2, count), dtype=np.int64)
+            c = (self.counts % p)[:, None]
+            for s in range(0, count, step):
+                a, b = (point[:, :, s:s + step] % p).astype(np.int64)
+                re, im = a[first], b[first]
+                for elem, parent in chain:
+                    x, y, re, im = a[elem], b[elem], re[parent], im[parent]
+                    re, im = (re * x - im * y) % p, (re * y + im * x) % p
+                acc[:, s:s + step] = [(re * c % p).sum(axis=0) % p, (im * c % p).sum(axis=0) % p]
+            # CRT: the residue modulo modulus * p that agrees with both
+            total = total + modulus * ((acc - total) * pow(modulus, -1, p) % p)
+            modulus *= p
+        total = np.where(total > modulus // 2, total - modulus, total)
+        return total[0].tolist(), total[1].tolist()
 
     def format_lines(self) -> list[str]:
         return [f"{','.join(map(str, exps))} : {self.terms[exps]}"
                 for exps in sorted(self.terms)]
+
+
+def _as_batch(points: Sequence) -> tuple[list, bool]:
+    """(list of points, whether `points` was one point): a point is a
+    sequence of 16 scalars, a batch a sequence of points."""
+    single = len(points) > 0 and not isinstance(points[0], Sequence)
+    return ([points] if single else list(points)), single
+
+
+def _integral(batch: list) -> tuple[list[int], np.ndarray]:
+    """Each point's least common denominator D (1 on GaussianInts), and
+    the points times their D as a (2, 16, P) object array of real and
+    imaginary parts (Python ints)."""
+    dens, rows = [], []
+    for point in batch:
+        vals = [p if isinstance(p, GaussianInt) else GaussianRational.of(p) for p in point]
+        d = math.lcm(*(x.denominator for v in vals for x in (v.re, v.im)))
+        dens.append(d)
+        rows.append([(int(v.re * d), int(v.im * d)) for v in vals])
+    return dens, np.array(rows, dtype=object).reshape(len(batch), 16, 2).transpose(2, 1, 0)
+
+
+@functools.lru_cache(maxsize=None)
+def _residue_primes(count: int) -> tuple[int, ...]:
+    """The `count` largest primes below 2^31, descending, each above 2^30:
+    trial division by every prime up to 46341 > sqrt(2^31)."""
+    sieve = np.ones(46342, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 216):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    small = np.flatnonzero(sieve)
+    out, p = [], (1 << 31) - 1
+    while len(out) < count:
+        if (p % small).all():
+            out.append(p)
+        p -= 2
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -264,18 +351,21 @@ def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
         raise ValueError(f"complete enumerators count the 16 elements of R, not {code.ring.name}")
     comps, counts = _compositions((blk for _, blk in code.codeword_blocks(budget)), code.n)
     zero = int(counts[comps[:, 0] == code.n][0])
-    return CWE(code.n, dict(zip(map(tuple, comps.tolist()), (counts // zero).tolist())))
+    return CWE(code.n, comps, counts // zero)
 
 
 def cwe_to_swe(e: CWE) -> SWE:
-    terms: dict[tuple[int, int, int, int, int], int] = {}
-    for exps, coeff in e.terms.items():
-        merged = [0, 0, 0, 0, 0]
-        for x, cnt in enumerate(exps):
-            merged[ELEMENT_CLASS[x]] += cnt
-        key = tuple(merged)
-        terms[key] = terms.get(key, 0) + coeff
-    return SWE(e.length, terms)
+    """Merge the CWE's variables by weight class: each composition's class
+    counts (a product with the one-hot class matrix), grouped by one int64
+    key, the counts of Y, Z, W and S in base n + 1 (X's is n minus them)."""
+    base = e.length + 1
+    if base ** 4 > np.iinfo(np.int64).max:
+        raise ValueError(f"length {e.length} overflows the 64-bit symmetrized key")
+    place = base ** np.arange(3, -1, -1, dtype=np.int64)
+    keys, total = _merge_counts([e.comps.astype(np.int64) @ _CLASS_ONE_HOT[:, 1:] @ place],
+                                [e.counts])
+    rest = (keys[:, None] // place % base).tolist()
+    return SWE(e.length, {(e.length - sum(r), *r): c for r, c in zip(rest, total.tolist())})
 
 
 def swe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> SWE:
@@ -305,30 +395,34 @@ def swe_of_words(words, length: int) -> SWE:
 # MacWilliams transforms
 # ---------------------------------------------------------------------------
 
-def macwilliams_cwe_eval(e: CWE, size: int,
-                         point: Sequence) -> GaussianRational:
-    """Dual CWE evaluated at `point`: (1/size) * cwe(T . point), exact.
+def macwilliams_cwe_eval(e: CWE, size: int, points: Sequence):
+    """Dual CWE at a batch of points: (1/size) * cwe(T . point), exact, one
+    GaussianRational per point (a single point gives a single value).
 
-    For a Gaussian-integer point the value of the dual enumerator is a
-    Gaussian integer, so the 1/size scaling must divide exactly; a
-    remainder raises NonExactDivision (the supplied size was not |C|).
+    T . (D point) is a Gaussian-integer point for the point's common
+    denominator D (T's entries are powers of i), so the value is
+    CWE(T . D point) / (size D^n).  At a point of GaussianInts the dual
+    enumerator's value is a Gaussian integer, so the 1/size scaling must
+    divide exactly; a remainder raises NonExactDivision (the supplied size
+    was not |C|).
     """
-    table = ring.character_table()
-    pts, one = _coerce_point(point)
-    image = []
-    for i in range(16):
-        acc = one.scale(0)
-        for j in range(16):
-            acc = acc + pts[j] * table[i][j]
-        image.append(acc)
-    val = e.evaluate(image)
-    if isinstance(val, GaussianInt):
-        qr, rr = divmod(val.re, size)
-        qi, ri = divmod(val.im, size)
-        if rr or ri:
-            raise NonExactDivision(f"CWE transform value {val} not divisible by {size}")
-        return GaussianRational.of(GaussianInt(qr, qi))
-    return val / GaussianRational.of(size)
+    batch, single = _as_batch(points)
+    dens, (re, im) = _integral(batch)
+    tr, ti = np.array([[(t.re, t.im) for t in row] for row in ring.character_table()],
+                      dtype=object).transpose(2, 0, 1)
+    out = []
+    for p, d, a, b in zip(batch, dens, *e._values(np.stack([tr @ re - ti @ im,
+                                                             tr @ im + ti @ re]))):
+        if all(isinstance(x, GaussianInt) for x in p):
+            (qr, rr), (qi, ri) = divmod(a, size), divmod(b, size)
+            if rr or ri:
+                raise NonExactDivision(f"CWE transform value {GaussianInt(a, b)} "
+                                       f"not divisible by {size}")
+            out.append(GaussianRational.of(GaussianInt(qr, qi)))
+        else:
+            den = size * d ** e.length
+            out.append(GaussianRational(Fraction(a, den), Fraction(b, den)))
+    return out[0] if single else out
 
 
 def swe_transform_forms() -> tuple[tuple[int, ...], ...]:

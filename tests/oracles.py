@@ -10,7 +10,10 @@ tables from a span table and summing rows, in shards over the first
 message coordinate, optionally in worker processes; it shares no code with
 the packed join of `lee_census` and `min_lee_distance`, and is the
 reference for both: `sweep_distance` reads the minimum distance off it.
-`dual_bruteforce` is every `dual_blocks` vector in one sorted array.
+`dual_bruteforce` is the size^n sweep for the dual: every vector of ring^n
+whose row in a `span_blocks` block of G^T is zero, decoded by
+`np.unravel_index`; it shares no code with the meet-in-the-middle join of
+`dual_blocks`, and is its reference.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
@@ -23,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import DEFAULT_BUDGET, span_table
+from z4u.code import DEFAULT_BUDGET, span_blocks, span_table
 from z4u.errors import BudgetExceeded
 from z4u.ring import RingTable
 from z4u.scalars import GaussianInt, GaussianRational
@@ -139,8 +142,16 @@ def sweep_distance(code, threads=1):
 
 
 def dual_bruteforce(code, budget=DEFAULT_BUDGET):
-    """Every `dual_blocks` vector in one read-only, sorted (N, n) array."""
-    vectors = np.concatenate(list(code.dual_blocks(budget)))
+    """Every vector orthogonal to the generator rows, in one read-only,
+    sorted (N, n) array: x is in the dual iff x G^T = 0."""
+    total = code.ring.size ** code.n
+    if total > budget:
+        raise BudgetExceeded(total, budget, "dual enumeration")
+    shape = (code.ring.size,) * code.n
+    vectors = np.concatenate([
+        np.stack(np.unravel_index(start + np.flatnonzero(~blk.any(axis=1)), shape),
+                 axis=1).astype(np.uint8)
+        for start, blk in span_blocks(code.gen.T, code.ring)])
     vectors.flags.writeable = False
     return vectors
 

@@ -117,6 +117,25 @@ def test_dual_bruteforce_two_zero():
         assert ring.mul(R("20"), x) == ring.ZERO
 
 
+def test_dual_join_two_word_keys_in_small_blocks(monkeypatch):
+    # 18 rows over R pack into two 64-bit key words; rows times 2u leave a
+    # dual of thousands of words, cut into many blocks when a block of high
+    # keys starts at most 2^4 solutions apart
+    rng = np.random.default_rng(5)
+    c = LinearCode(ring.R.MUL[ring.TWO_U, rng.integers(0, 16, size=(18, 4))])
+    oracle = dual_bruteforce(c)
+    assert len(oracle) > 1000
+    monkeypatch.setattr(code_module, "_LO_BITS", 4)
+    blocks = list(c.dual_blocks())
+    assert len(blocks) > 16 and max(map(len, blocks)) < 16 + 16 ** 2
+    assert np.array_equal(np.concatenate(blocks), oracle)
+
+
+def test_dual_blocks_budget():
+    with pytest.raises(BudgetExceeded):
+        LinearCode([[ring.U] * 3]).dual_blocks(16 ** 3 - 1)
+
+
 def test_size_product_on_random_codes():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -7,8 +7,10 @@ from the ring's scalar functions: codeword set (read back through
 membership of random vectors and code equality under row permutation,
 row duplication and a changed row; the standard-form membership product
 against a sweep over every message; over R, the complete enumerator;
-|C| * |C-perp| = size^n; and the Lee MacWilliams transform against the
-brute-force dual's Lee census.  The Lee-level distance kernel is checked
+|C| * |C-perp| = size^n; the Lee MacWilliams transform against the
+brute-force dual's Lee census; and the meet-in-the-middle dual against
+the size^n sweep, row for row, on zero rows, non-free generators, k > n
+(keys of more than one word included), n = 1, odd n and small blocks.  The Lee-level distance kernel is checked
 against the minimum of the full Lee census on codes with k <= 5: standard
 form codes whose right half is singular but which hold two disjoint
 information sets, codes with one, and runs cut short by the budget; on
@@ -25,9 +27,12 @@ from itertools import product
 
 import numpy as np
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from z4u import code as code_module
 from z4u import ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
                       lee_levels, lee_weight_vector, pack_words, ring_matmul)
@@ -174,6 +179,37 @@ def test_dual_size_and_lee_transform(name, data):
     assert c.cardinality() * len(dual) == table.size ** n
     t = macwilliams_lee(lee(c), c.cardinality())
     assert list(t.coeffs) == census(oracle, lee_w, table.max_lee * n)
+
+
+#: ring -> (largest k, largest n) of the dual join examples: more rows than
+#: fit one 64-bit key (16 over R, 32 over a 4-element ring), and up to 16^4
+#: or 4^7 vectors per sweep
+DUAL_SHAPES = {"R": (18, 4), "Z4": (34, 7), "F2U": (34, 7)}
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_join_matches_sweep(name, data):
+    table = SCALARS[name][0]
+    kmax, nmax = DUAL_SHAPES[name]
+    k, n = data.draw(st.integers(1, kmax)), data.draw(st.integers(1, nmax))
+    # scaling by non-units alone keeps the code small and the dual large
+    scales = st.sampled_from(_nonunits(table)) if data.draw(st.booleans()) \
+        else st.integers(0, table.size - 1)
+    elem = st.integers(0, table.size - 1)
+    rows = [[table.MUL[s, x] for x in row] for s, row in zip(
+        data.draw(st.lists(scales, min_size=k, max_size=k)),
+        data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=k, max_size=k)))]
+    c = LinearCode(rows, table)
+    lo_bits = data.draw(st.sampled_from([code_module._LO_BITS, 2 * table.bits]))
+    with mock.patch.object(code_module, "_LO_BITS", lo_bits):
+        blocks = list(c.dual_blocks())
+        oracle = dual_bruteforce(c)
+    assert all(b.dtype == np.uint8 and b.shape[1] == n for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), oracle)
+    width = table.size ** (n - (n + 1) // 2)
+    assert max(map(len, blocks)) < (1 << lo_bits) + width
 
 
 # ---------------------------------------------------------------------------

@@ -296,6 +296,87 @@ def test_cwe_evaluate_matches_gaussian_oracle():
             assert e.evaluate(pt[:8] + qt[8:]) == cwe_value(e.terms, pt[:8] + qt[8:])
 
 
+def _huge_points(rng, magnitude):
+    """Random Gaussian points with parts up to `magnitude`, and points of
+    16 equal coordinates M, -M and iM, where a CWE's value is the bound
+    |C| M^n its evaluation is sized by (negative for -M at odd n)."""
+    pts = [[GaussianInt(int(a), int(b)) for a, b in rng.integers(-magnitude, magnitude + 1,
+                                                                  size=(16, 2))]
+           for _ in range(3)]
+    for m in (magnitude, magnitude - 1, 3 ** 13, 2 ** 31 - 1):
+        pts += [[GaussianInt(m, 0)] * 16, [GaussianInt(-m, 0)] * 16, [GaussianInt(0, m)] * 16]
+    return pts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_batched_evaluate_matches_oracle_at_huge_points(n, monkeypatch):
+    # at n = 7 and parts up to 10^6 the values pass 2^62, so the residues
+    # take at least three primes; one point per pass must give the same
+    rng = np.random.default_rng(200 + n)
+    e = cwe(LinearCode(rng.integers(0, 16, size=(2, n), dtype=np.uint8)))
+    pts = _huge_points(rng, 10 ** 6)
+    got = e.evaluate(pts)
+    assert got == [cwe_value(e.terms, pt) for pt in pts]
+    assert all(isinstance(v, GaussianInt) for v in got)
+    assert got[3] == GaussianInt(sum(e.terms.values()) * 10 ** (6 * n), 0)
+    if n == 7:
+        assert max(abs(v.re) + abs(v.im) for v in got) > 2 ** 62
+    monkeypatch.setattr(wenum, "_EVAL_CELLS", 1)
+    assert e.evaluate(pts) == got
+
+
+def test_batched_evaluate_matches_oracle_at_rational_points():
+    rng = np.random.default_rng(211)
+    for n in (1, 4, 7):
+        e = cwe(LinearCode(rng.integers(0, 16, size=(2, n), dtype=np.uint8)))
+        pts = [[GaussianRational(Fraction(int(a), int(d)), Fraction(int(b), int(d)))
+                for a, b, d in zip(*rng.integers(-10 ** 6, 10 ** 6, size=(2, 16)),
+                                   rng.integers(1, 10 ** 4, size=16))]
+               for _ in range(4)]
+        pts.append([GaussianInt(1, -2)] * 15 + [GaussianRational(Fraction(1, 3), Fraction(0))])
+        got = e.evaluate(pts)
+        assert got == [cwe_value(e.terms, pt) for pt in pts]
+        assert all(isinstance(v, GaussianRational) for v in got)
+
+
+def test_batched_transform_matches_dual_and_single_points():
+    rng = np.random.default_rng(223)
+    c = LinearCode([[R("22"), R("02"), R("22"), R("00"), R("22")],
+                    [R("03"), R("01"), R("02"), R("02"), R("03")],
+                    [R("11"), R("33"), R("13"), R("23"), R("21")]])
+    e, size = cwe(c), c.cardinality()
+    dual_cwe = CWE.of_words(dual_bruteforce(c), c.n)
+    pts = _huge_points(rng, 10 ** 5)
+    got = macwilliams_cwe_eval(e, size, pts)
+    assert got == [GaussianRational.of(v) for v in dual_cwe.evaluate(pts)]
+    assert got[:4] == [macwilliams_cwe_eval(e, size, pt) for pt in pts[:4]]
+    assert macwilliams_cwe_eval(e, size, []) == [] and dual_cwe.evaluate([]) == []
+    with pytest.raises(NonExactDivision):
+        macwilliams_cwe_eval(e, size + 1, pts)
+
+
+def test_cwe_to_swe_matches_term_loop():
+    # the class merge as a loop over the CWE's terms
+    rng = np.random.default_rng(227)
+    codes = [LinearCode(rng.integers(0, 16, size=(2, n), dtype=np.uint8)) for n in range(1, 9)]
+    for e in [cwe(c) for c in codes] + [cwe(LinearCode([[ring.U] * 300, [ring.ONE] * 300]))]:
+        want = {}
+        for exps, coeff in e.terms.items():
+            key = tuple(sum(x for v, x in enumerate(exps) if wenum.ELEMENT_CLASS[v] == cls)
+                        for cls in range(5))
+            want[key] = want.get(key, 0) + coeff
+        assert cwe_to_swe(e).terms == want
+
+
+def test_cwe_to_swe_refuses_keys_past_int64():
+    # (n + 1)^4 must stay below 2^63 for the packed class counts
+    def one_term(n):
+        return CWE(n, np.array([[n] + [0] * 15], dtype=np.uint32), np.array([1]))
+    assert cwe_to_swe(one_term(55107)).terms == {(55107, 0, 0, 0, 0): 1}
+    with pytest.raises(ValueError):
+        cwe_to_swe(one_term(55108))
+
+
 def test_macwilliams_swe_guard():
     with pytest.raises(ExpansionTooLarge):
         macwilliams_swe(SWE(25, {(25, 0, 0, 0, 0): 1}), 1)
