@@ -201,6 +201,8 @@ def test_dual_join_matches_sweep(name, data):
     rows = [[table.MUL[s, x] for x in row] for s, row in zip(
         data.draw(st.lists(scales, min_size=k, max_size=k)),
         data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=k, max_size=k)))]
+    if data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, k - 1))] = [0] * n
     c = LinearCode(rows, table)
     lo_bits = data.draw(st.sampled_from([code_module._LO_BITS, 2 * table.bits]))
     with mock.patch.object(code_module, "_LO_BITS", lo_bits):
