@@ -51,8 +51,8 @@ level of one half against every level of the other: one chunked join
 (`_InfoSet.join`), reduced by argmin for the scan and by bincount for the
 census.
 
-The kernel works on batches: `lee_levels` takes codes of one ring, k and
-n whose generators hold the same information sets, and every array of
+The kernel works on batches: `lee_levels` takes a stack of generators of
+one ring, k and n that hold the same information sets, and every array of
 the kernel has a leading batch axis (a level holds each code's packed
 words in turn).  Gauss-Jordan runs on the stacked [G | I], each code
 taking its own pivot rows; the half tables and the join blocks are
@@ -372,7 +372,8 @@ class LinearCode:
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        return lee_levels([self], information_sets(self.gen, self.ring), budget)[0]
+        return lee_levels(self.gen[None], self.ring, information_sets(self.gen, self.ring),
+                          budget)[0]
 
     # -- weight census -------------------------------------------------------
 
@@ -757,12 +758,12 @@ def _on_callers(x: np.ndarray, to_caller: np.ndarray, ring: RingTable) -> np.nda
     return acc
 
 
-def lee_levels(codes: Sequence[LinearCode], sets: Sequence[Sequence[int]],
+def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
                cap: int) -> list[DistanceResult]:
-    """Minimum distances of a batch of codes of one ring, k and n, by Lee
-    levels on disjoint information sets S_i that every generator holds
-    (Brouwer-Zimmermann, on partial sets after White and Grassl when the
-    rows are no free basis).
+    """Minimum distances of the codes of a (B, k, n) stack of generators
+    over `ring`, by Lee levels on disjoint information sets S_i that every
+    generator holds (Brouwer-Zimmermann, on partial sets after White and
+    Grassl when the rows are no free basis).
 
     A codeword's restriction to S_i is the free part x of its message, so
     once level t_i is scanned on every S_i, every codeword not yet seen has
@@ -779,22 +780,21 @@ def lee_levels(codes: Sequence[LinearCode], sets: Sequence[Sequence[int]],
     exact, so a cap of size^k always does.  At most _BATCH half-table
     entries are held at once: a longer batch runs in parts.
     """
-    ring, k = codes[0].ring, codes[0].k
+    k = gens.shape[1]
     step = max(1, _BATCH // ring.size ** -(-k // 2))
-    if len(codes) > step:
-        return [d for i in range(0, len(codes), step)
-                for d in lee_levels(codes[i:i + step], sets, cap)]
-    gens = np.array([c.gen for c in codes])
+    if len(gens) > step:
+        return [d for i in range(0, len(gens), step)
+                for d in lee_levels(gens[i:i + step], ring, sets, cap)]
     sides = [_InfoSet(gens, s, ring) for s in sets]
     row_weights = ring.LEE[gens].sum(axis=2, dtype=np.int64)
     row_weights[row_weights == 0] = _BIG
     first = row_weights.argmin(axis=1)
-    best = row_weights[np.arange(len(codes)), first]
+    best = row_weights[np.arange(len(gens)), first]
     where = identity(k, ring)[first]
     levels, spent = [-int(len(s) < k) for s in sets], [0] * len(sides)
     lower = max(1, sum(levels) + len(sets))
-    out: list[DistanceResult] = [None] * len(codes)  # type: ignore[list-item]
-    act = np.arange(len(codes))  # the codes in the batch, and their best weights
+    out: list[DistanceResult] = [None] * len(gens)  # type: ignore[list-item]
+    act = np.arange(len(gens))  # the codes in the batch, and their best weights
 
     def leave(upto: int, bound: int) -> None:
         """Record the results of the codes whose best weight is <= upto;

@@ -14,30 +14,34 @@ Swapping the halves and negating the right one gives [I | B^T]; one map Q
 applied to both halves then gives [I | Q^-1 B^T Q] = [I | B].  Q is the
 identity for symmetric B, the reversal i -> -i mod n for a circulant, and
 for a bordered block the reversal of the circulant coordinates with the
-border fixed, and negated when gamma = -beta.  `search` and
-`verify_tables` check each spec's Q on every code (`maps_dual_into`), never
-assume it; the enumerator fixed point (`wenum.is_formally_self_dual`)
-stays as the tests' oracle.
+border fixed, and negated when gamma = -beta.  So the map sends the dual
+into C iff B[i][j] = s_i s_j B[perm j][perm i], a k x k block identity
+that `search` and `verify_tables` check on every block, never assume; the
+membership of the mapped dual rows in C and the enumerator fixed point
+(`wenum.is_formally_self_dual`) stay as the tests' oracles.
 
 `search` sweeps first rows (and border triples) in lexicographic order
 over a chosen alphabet and reports the best minimum distance with the
-lexicographically smallest witness.  Three maps send a spec to one whose
-code is isometric: a cyclic shift of the circulant first row (for bdc the
-border stays), the reversal r_j -> r_{-j mod n}, which transposes the block
-(for bdc it also swaps beta and gamma), and negation of every entry.  The
-candidates fall into orbits of the group they generate; only the first
-member of each orbit in candidate order is evaluated, and every other
-member carries its result.  Each member is checked, not assumed: the
-orbit element is a signed permutation of rows and columns, and applied to
-the representative's block it must give the member's block, or the search
+lexicographically smallest witness.  The candidates are the rows of one
+array: a dc first row, or a bdc first row followed by (alpha, beta,
+gamma).  Three maps send a spec to one whose code is isometric: a cyclic
+shift of the circulant first row (for bdc the border stays), the reversal
+r_j -> r_{-j mod n}, which transposes the block (for bdc it also swaps
+beta and gamma), and negation of every entry.  The candidates fall into
+orbits of the group they generate; only the first member of each orbit
+in candidate order is evaluated, and every other member carries its
+result.  Each member is checked, not assumed: the orbit element is a
+signed permutation of rows and columns, and applied to the
+representative's block it must give the member's block, or the search
 raises AssertionError.  The check runs on the stacked blocks of all
 candidates, one gather per group element.  A member keeps the
 representative's distance and its exact flag; its witness is the
 representative's mapped by the element (x -> xQ under reversal,
-unchanged under shift and negation).
+unchanged under shift and negation).  Spec objects are built only for
+the results printed.
 
-The representatives are grouped by the information sets of their
-generators, and each group is one batched call of the Lee-level kernel
+The representatives' generators [I | B] are grouped by their information
+sets, and each group is one batched call of the Lee-level kernel
 (`code.lee_levels`); with several workers, each worker groups and batches
 its own share.  Results come back in candidate order, so they do not
 depend on worker count or on how the batches fall.
@@ -57,14 +61,13 @@ from __future__ import annotations
 import functools
 import multiprocessing
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import ring
-from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, dual_of_standard_form,
-                   identity, information_sets, lee_levels)
+from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, _row_keys, identity,
+                   information_sets, lee_levels)
 from .errors import BadBorder, NotSymmetric
 
 
@@ -113,15 +116,6 @@ def bordered_block(first_row: Sequence[int] | np.ndarray, alpha, beta, gamma) ->
     return b
 
 
-def _blocks(specs: Sequence["CirculantSpec | BorderSpec"]) -> np.ndarray:
-    """(N, k, k) blocks of specs of one kind and order, built together."""
-    rows = np.array([s.first_row for s in specs], dtype=np.uint8).reshape(len(specs), -1)
-    if isinstance(specs[0], BorderSpec):
-        border = np.array([(s.alpha, s.beta, s.gamma) for s in specs], dtype=np.uint8)
-        return bordered_block(rows, *border.T)
-    return circulant(rows)
-
-
 def bordered_code(first_row: Sequence[int], alpha: int, beta: int,
                   gamma: int) -> LinearCode:
     """[I_n | B] with B the bordered circulant block; length 2n."""
@@ -142,11 +136,6 @@ class CirculantSpec:
     def describe(self) -> str:
         return f"dc first_row=({ring.format_vector(self.first_row)})"
 
-    def isodual_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, neg) of Q: the reversal i -> -i mod n, no signs."""
-        n = len(self.first_row)
-        return -np.arange(n) % n, np.zeros(n, dtype=bool)
-
 
 @dataclass(frozen=True)
 class BorderSpec:
@@ -164,39 +153,6 @@ class BorderSpec:
     def describe(self) -> str:
         abg = ",".join(ring.format_element(x) for x in (self.alpha, self.beta, self.gamma))
         return f"bdc first_row=({ring.format_vector(self.first_row)}) border=({abg})"
-
-    def isodual_map(self) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, neg) of Q: the border coordinate 0 fixed, and negated when
-        gamma = -beta != beta; the reversal on the n-1 circulant ones."""
-        m = len(self.first_row)
-        neg = np.zeros(m + 1, dtype=bool)
-        neg[0] = self.gamma != self.beta
-        return np.concatenate([[0], 1 + (-np.arange(m) % m)]), neg
-
-
-def maps_dual_into(code: LinearCode, perm: np.ndarray, neg: np.ndarray) -> bool:
-    """Does (x, y) -> (yQ, -xQ) send every row of the dual generator
-    [-B^T | I] of C = <[I | B]> into C?
-
-    Q acts on the k coordinates of each half: (wQ)_j = +-w[perm[j]], with
-    the sign - where `neg[j]`.  The map only permutes coordinates and
-    multiplies them by +-1, so it keeps Lee weight and is injective; the
-    dual and C both have size^k words, so True proves the dual isometric
-    to C.
-    """
-    k, neg_table = code.k, code.ring.NEG
-    dual = dual_of_standard_form(code).gen
-    mapped = np.hstack([dual[:, k:], neg_table[dual[:, :k]]])[:, np.concatenate([perm, k + perm])]
-    signs = np.concatenate([neg, neg])
-    mapped[:, signs] = neg_table[mapped[:, signs]]
-    return bool(code.contains(mapped).all())
-
-
-def _certify_isodual(spec: "CirculantSpec | BorderSpec", codeobj: LinearCode) -> None:
-    """Check the spec's isodual map on its code.  The construction
-    guarantees it, so a failure is a fault in the program."""
-    if not maps_dual_into(codeobj, *spec.isodual_map()):
-        raise AssertionError(f"isodual map does not hold for {spec.describe()}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,45 +223,37 @@ class SearchOutcome:
     candidates: int
 
 
-def _dc_candidates(n: int, alphabet: tuple[int, ...]) -> Iterator[CirculantSpec]:
-    for row in product(alphabet, repeat=n):
-        yield CirculantSpec(row)
+def _candidates(kind: str, n: int, alphabet: tuple[int, ...]) -> np.ndarray:
+    """The candidate rows over `alphabet` in `product` order: dc first rows
+    of length n, or bdc first rows of length n-1 followed by (alpha, beta,
+    gamma), where gamma = beta comes before gamma = -beta != beta."""
+    a = np.array(alphabet, dtype=np.uint8)
+    w = n if kind == "dc" else n + 1
+    rows = a[np.indices((len(a),) * w, dtype=np.uint8).reshape(w, -1).T]
+    if kind == "dc":
+        return rows
+    gamma = np.column_stack([rows[:, -1], ring.R.NEG[rows[:, -1]]]).ravel()
+    both = np.column_stack([rows.repeat(2, axis=0), gamma])
+    return both[(np.arange(len(both)) % 2 == 0) | (both[:, -1] != both[:, -2])]
 
 
-def _bdc_candidates(n: int, alphabet: tuple[int, ...]) -> Iterator[BorderSpec]:
-    # two sub-passes per (row, alpha, beta): gamma = +beta then gamma = -beta
-    for row in product(alphabet, repeat=n - 1):
-        for alpha in alphabet:
-            for beta in alphabet:
-                yield BorderSpec(row, alpha, beta, beta)
-                nb = ring.neg(beta)
-                if nb != beta:
-                    yield BorderSpec(row, alpha, beta, nb)
+def _spec(kind: str, row: np.ndarray) -> "CirculantSpec | BorderSpec":
+    vals = tuple(row.tolist())
+    return CirculantSpec(vals) if kind == "dc" else BorderSpec(vals[:-3], *vals[-3:])
 
 
-class _Evaluate:
-    """Picklable candidate evaluator for the search pool."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-
-    def __call__(self, spec) -> SearchResult:
-        return self.many([spec])[0]
-
-    def many(self, specs: Sequence) -> list[SearchResult]:
-        """Results in the order of `specs`: the codes are grouped by their
-        information sets, and each group is one batched `lee_levels` call."""
-        codes = [spec.build() for spec in specs]
-        groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-        for i, codeobj in enumerate(codes):
-            groups.setdefault(information_sets(codeobj.gen, codeobj.ring), []).append(i)
-        dist: list = [None] * len(codes)
-        for sets, members in groups.items():
-            for i, d in zip(members, lee_levels([codes[i] for i in members], sets, self.budget)):
-                dist[i] = d
-        for spec, codeobj in zip(specs, codes):
-            _certify_isodual(spec, codeobj)
-        return [SearchResult(spec, d) for spec, d in zip(specs, dist)]
+def _evaluate(gens: np.ndarray, budget: int) -> list[DistanceResult]:
+    """Distances of a (B, k, n) stack of generators over R, in order: they
+    are grouped by their information sets, and each group is one batched
+    `lee_levels` call."""
+    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+    for i, gen in enumerate(gens):
+        groups.setdefault(information_sets(gen, ring.R), []).append(i)
+    dist: list = [None] * len(gens)
+    for sets, members in groups.items():
+        for i, d in zip(members, lee_levels(gens[members], ring.R, sets, budget)):
+            dist[i] = d
+    return dist
 
 
 @dataclass(frozen=True)
@@ -367,37 +315,43 @@ def _moves(m: int, bordered: bool,
     return tuple(out)
 
 
-def _orbit(spec: "CirculantSpec | BorderSpec"
-           ) -> Iterator[tuple["CirculantSpec | BorderSpec", _Move]]:
-    """Every image of `spec` under shifts, reversal and negation, with the
-    move that sends spec's block to the image's (reversal swaps a bdc
-    spec's beta and gamma)."""
-    bordered = isinstance(spec, BorderSpec)
-    signed = bordered and spec.gamma != spec.beta
-    for rev, perm, negated, move in _moves(len(spec.first_row), bordered, signed):
-        vals = tuple(spec.first_row[i] for i in perm)
-        if bordered:
-            vals += (spec.alpha,) + ((spec.gamma, spec.beta) if rev else (spec.beta, spec.gamma))
-        if negated:
-            vals = tuple(ring.neg(x) for x in vals)
-        m = len(perm)
-        yield (BorderSpec(vals[:m], *vals[m:]) if bordered else CirculantSpec(vals)), move
+def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray) -> tuple[np.ndarray, list[_Move]]:
+    """Per candidate, the index of its orbit representative and the move
+    from the representative's block to its own.
 
+    Each group element is one gather of the candidate columns (reversal
+    also swaps a bdc row's beta and gamma), and each image is looked up
+    among the candidates by its sorted row key.  The representative is the
+    smallest index among a candidate's images; the move is the first group
+    element, in `_moves` order, that sends the representative to it, taken
+    with the candidate's `signed` border.
+    """
+    bordered = kind == "bdc"
+    m = cands.shape[1] - 3 * bordered
+    keys = _row_keys(cands)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    border = np.arange(m, cands.shape[1])
+    swapped = border[[0, 2, 1]] if bordered else border
 
-def _orbit_owners(cands: list) -> list[tuple[int, _Move]]:
-    """Per candidate, (index of its orbit representative, move from the
-    representative's block to the candidate's).  The representative is the
-    first member, in candidate order, of the orbit intersected with the
-    candidate list."""
-    index = {spec: i for i, spec in enumerate(cands)}
-    owners: list = [None] * len(cands)
-    for i, spec in enumerate(cands):
-        if owners[i] is None:
-            for image, move in _orbit(spec):
-                j = index.get(image)
-                if j is not None and owners[j] is None:
-                    owners[j] = (i, move)
-    return owners
+    def images(rows: np.ndarray) -> Iterator[np.ndarray]:
+        """Per group element, the index of each row's image, len(cands)
+        where the image is no candidate."""
+        for rev, perm, negated, _ in _moves(m, bordered, False):
+            image = rows[:, np.concatenate([perm, swapped if rev else border])]
+            key = _row_keys(ring.R.NEG[image] if negated else image)
+            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+            yield np.where(keys[at] == key, order[at], len(cands))
+
+    owner = np.arange(len(cands))
+    for index in images(cands):
+        owner = np.minimum(owner, index)
+    first = np.full(len(cands), -1)
+    for g, index in enumerate(images(cands[owner == np.arange(len(cands))])):
+        index = index[index < len(cands)]
+        first[index[first[index] < 0]] = g
+    table = [_moves(m, bordered, s) for s in (False, True)]
+    return owner, [table[s][g][3] for s, g in zip(signed.tolist(), first.tolist())]
 
 
 def _check_moves(moves: Sequence[_Move], rep_blocks: np.ndarray, blocks: np.ndarray,
@@ -415,59 +369,93 @@ def _check_moves(moves: Sequence[_Move], rep_blocks: np.ndarray, blocks: np.ndar
             raise AssertionError(f"orbit move does not send {names(members[int(bad.argmax())])}")
 
 
-def _moved(rep: SearchResult, spec, move: _Move) -> SearchResult:
-    """The representative's result for the orbit member `spec`: the same
-    distance, and the witness mapped by the move."""
-    d = rep.distance
+def _moved(d: DistanceResult, move: _Move) -> DistanceResult:
+    """The representative's distance for an orbit member: the same value
+    and flag, and the witness mapped by the member's move."""
     w = move.message(d.witness_message)
-    return SearchResult(spec, d if w == d.witness_message else replace(d, witness_message=w))
+    return d if w == d.witness_message else replace(d, witness_message=w)
 
 
-def _carry(rep: SearchResult, rep_block: np.ndarray, spec, move: _Move) -> SearchResult:
-    """`_moved` for one orbit member, after its move is checked."""
-    _check_moves([move], rep_block[None], spec.block()[None],
-                 lambda _: f"{rep.spec.describe()} to {spec.describe()}")
-    return _moved(rep, spec, move)
+def _transposed(perm: np.ndarray, neg: np.ndarray) -> _Move:
+    """B -> Q^-1 B^T Q for Q: w -> (+-w[perm[j]])_j, - where neg[j]; so
+    B'[i][j] = s_i s_j B[perm j][perm i]."""
+    q = _Move.of(perm, perm, neg, neg)
+    return replace(q, take=q.take.T)
+
+
+@functools.lru_cache(maxsize=None)
+def _isodual_q(k: int, bordered: bool, signed: bool) -> _Move:
+    """`_transposed` of the isodual map Q of a dc or bdc block of order k:
+    the reversal i -> -i mod k for a circulant; for a bordered block,
+    coordinate 0 fixed, and negated when `signed` (gamma = -beta != beta),
+    and the reversal on the k-1 circulant ones."""
+    m = k - bordered
+    perm = np.concatenate([np.zeros(int(bordered), np.intp), bordered + (-np.arange(m) % m)])
+    neg = np.zeros(k, dtype=bool)
+    neg[0] = signed
+    return _transposed(perm, neg)
+
+
+def _check_isodual(blocks: np.ndarray, bordered: bool, signed: np.ndarray, names) -> None:
+    """Each block of the (N, k, k) stack must equal Q^-1 B^T Q, which
+    proves its code isodual (module docstring): one gather per distinct Q,
+    signed per block.  A failure is a fault in the program: AssertionError,
+    naming the spec by `names(i)`."""
+    for s in np.unique(signed).tolist():
+        members = np.flatnonzero(signed == s)
+        mine = blocks[members]
+        bad = (_isodual_q(blocks.shape[-1], bordered, s).block(mine) != mine).any(axis=(1, 2))
+        if bad.any():
+            raise AssertionError(
+                f"isodual map does not hold for {names(members[int(bad.argmax())])}")
 
 
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
            budget: int = DEFAULT_BUDGET, threshold: int = 0,
            threads: int = 1) -> SearchOutcome:
-    """Sweep dc/bdc codes of length 2n; keep candidates with d >= threshold.
+    """Sweep dc/bdc codes of length 2n over `alphabet` (all 16 elements when
+    None); keep candidates with d >= threshold.
 
     Only one candidate per isometry orbit is evaluated, by the worker pool;
     every result is then carried back out in candidate order, so the
-    outcome is worker-count independent.  Every result passed the spec's
-    isodual check (`_certify_isodual` raises otherwise).
+    outcome is worker-count independent.  Every candidate's block passed
+    its isodual check (`_check_isodual` raises otherwise).
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
     if n < 1 or (kind == "bdc" and n < 2):
         raise ValueError(f"order n={n} too small for kind {kind}")
-    alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
-    cands = list(_dc_candidates(n, alpha) if kind == "dc" else _bdc_candidates(n, alpha))
-    owners = _orbit_owners(cands)
-    rep_index = [i for i, (owner, _) in enumerate(owners) if owner == i]
-    reps = [cands[i] for i in rep_index]
-    ev = _Evaluate(budget)
+    alpha = ring.ELEMENTS if alphabet is None else tuple(sorted(set(int(x) for x in alphabet)))
+    if not alpha or alpha[0] < 0 or alpha[-1] >= len(ring.ELEMENTS):
+        raise ValueError(f"alphabet must be a nonempty set of elements 0..15, got {alphabet}")
+    cands = _candidates(kind, n, alpha)
+    bordered = kind == "bdc"
+    signed = (cands[:, -1] != cands[:, -2]) if bordered else np.zeros(len(cands), dtype=bool)
+    owner, moves = _orbits(kind, cands, signed)
+    blocks = circulant(cands) if kind == "dc" else bordered_block(cands[:, :-3], *cands[:, -3:].T)
+
+    def names(i: int) -> str:
+        return _spec(kind, cands[i]).describe()
+
+    _check_moves(moves, blocks[owner], blocks, lambda i: f"{names(owner[i])} to {names(i)}")
+    _check_isodual(blocks, bordered, signed, names)
+    reps = np.flatnonzero(owner == np.arange(len(cands)))
+    k = blocks.shape[-1]
+    gens = np.concatenate([np.broadcast_to(identity(k), (len(reps), k, k)), blocks[reps]], axis=2)
+    evaluate = functools.partial(_evaluate, budget=budget)
     workers = min(threads, len(reps))
     if workers > 1:
         size = max(1, len(reps) // (8 * workers))
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            parts = pool.map(ev.many, [reps[i:i + size] for i in range(0, len(reps), size)])
-        done = [r for part in parts for r in part]
+            parts = pool.map(evaluate, [gens[i:i + size] for i in range(0, len(reps), size)])
+        done = [d for part in parts for d in part]
     else:
-        done = ev.many(reps)
-    blocks = _blocks(cands)
-    rep_of = np.array([owner for owner, _ in owners])
-    _check_moves([move for _, move in owners], blocks[rep_of], blocks,
-                 lambda i: f"{cands[rep_of[i]].describe()} to {cands[i].describe()}")
-    by_rep = dict(zip(rep_index, done))
-    evaluated = [_moved(by_rep[owner], spec, move) for spec, (owner, move) in zip(cands, owners)]
-    results = tuple(r for r in evaluated if r.distance.value >= threshold)
-    best = max(r.distance.value for r in evaluated)
-    best_spec = next(r.spec for r in evaluated if r.distance.value == best)
-    return SearchOutcome(kind, results, best, best_spec,
+        done = evaluate(gens)
+    rank = np.searchsorted(reps, owner)  # each candidate's representative in `done`
+    value = np.array([d.value for d in done])[rank]
+    results = tuple(SearchResult(_spec(kind, cands[i]), _moved(done[rank[i]], moves[i]))
+                    for i in np.flatnonzero(value >= threshold).tolist())
+    return SearchOutcome(kind, results, int(value.max()), _spec(kind, cands[value.argmax()]),
                          exhaustive=(alpha == tuple(range(16))),
                          candidates=len(cands))
 
@@ -486,7 +474,7 @@ class RowReport:
 
     def format_line(self) -> str:
         """fsd=yes: the spec's isodual map checked out, as it must for the
-        row to exist (`_certify_isodual` raises otherwise)."""
+        row to exist (`_check_isodual` raises otherwise)."""
         verdict = "PASS" if self.ok else "FAIL"
         return (f"length {self.length:>2}  d={self.got.value:>2} ({self.got.label()})"
                 f"  recorded {self.recorded_d:>2}  {verdict}  fsd=yes  {self.spec.describe()}")
@@ -499,8 +487,9 @@ def verify_tables(table: int, max_length: int = 26,
     for length, spec, recorded in table_specs(table):
         if length > max_length:
             continue
-        codeobj = spec.build()
-        got = codeobj.min_lee_distance(budget)
-        _certify_isodual(spec, codeobj)
+        got = spec.build().min_lee_distance(budget)
+        bordered = isinstance(spec, BorderSpec)
+        _check_isodual(spec.block()[None], bordered,
+                       np.array([bordered and spec.gamma != spec.beta]), lambda _: spec.describe())
         reports.append(RowReport(length, spec, recorded, got, ok=(got.value == recorded)))
     return reports

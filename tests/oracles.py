@@ -17,7 +17,10 @@ whose row in a `span_blocks` block of G^T is zero, decoded by
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
-evaluation per candidate, no isometry orbits.
+evaluation per candidate, no isometry orbits: it lists candidates with
+`itertools.product`, takes each distance from `min_lee_distance` and
+checks each isodual map by `maps_dual_into`, the membership of the mapped
+dual generator rows in the code.
 """
 
 import multiprocessing
@@ -26,7 +29,7 @@ from itertools import product
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import DEFAULT_BUDGET, span_blocks, span_table
+from z4u.code import DEFAULT_BUDGET, dual_of_standard_form, span_blocks, span_table
 from z4u.errors import BudgetExceeded
 from z4u.ring import RingTable
 from z4u.scalars import GaussianInt, GaussianRational
@@ -217,15 +220,59 @@ def cwe_value(terms, point):
     return out
 
 
+def maps_dual_into(code, perm, neg):
+    """Does (x, y) -> (yQ, -xQ) send every row of the dual generator
+    [-B^T | I] of C = <[I | B]> into C?
+
+    Q acts on the k coordinates of each half: (wQ)_j = +-w[perm[j]], with
+    the sign - where `neg[j]`.  The map only permutes coordinates and
+    multiplies them by +-1, so it keeps Lee weight and is injective; the
+    dual and C both have size^k words, so True proves the dual isometric
+    to C.
+    """
+    k, neg_table = code.k, code.ring.NEG
+    dual = dual_of_standard_form(code).gen
+    mapped = np.hstack([dual[:, k:], neg_table[dual[:, :k]]])[:, np.concatenate([perm, k + perm])]
+    signs = np.concatenate([neg, neg])
+    mapped[:, signs] = neg_table[mapped[:, signs]]
+    return bool(code.contains(mapped).all())
+
+
+def candidate_specs(kind, n, alpha):
+    """dc first rows, or bdc first rows with (alpha, beta, gamma), in
+    `product` order; gamma = beta before gamma = -beta != beta."""
+    if kind == "dc":
+        return [construct.CirculantSpec(row) for row in product(alpha, repeat=n)]
+    return [construct.BorderSpec(row, a, b, g)
+            for row in product(alpha, repeat=n - 1) for a in alpha for b in alpha
+            for g in ((b,) if ring.neg(b) == b else (b, ring.neg(b)))]
+
+
+def isodual_map(spec):
+    """(perm, neg) of the spec's Q: the reversal i -> -i mod n on a
+    circulant; a border coordinate 0 fixed, negated when gamma = -beta !=
+    beta."""
+    m = len(spec.first_row)
+    rev = -np.arange(m) % m
+    if isinstance(spec, construct.CirculantSpec):
+        return rev, np.zeros(m, dtype=bool)
+    neg = np.zeros(m + 1, dtype=bool)
+    neg[0] = spec.gamma != spec.beta
+    return np.concatenate([[0], 1 + rev]), neg
+
+
 def search_unreduced(kind, n, alphabet=None, budget=DEFAULT_BUDGET, threshold=0):
-    """`construct.search` evaluating every candidate on its own."""
-    alpha = tuple(sorted(set(int(x) for x in (alphabet or ring.ELEMENTS))))
-    cands = list(construct._dc_candidates(n, alpha) if kind == "dc"
-                 else construct._bdc_candidates(n, alpha))
-    ev = construct._Evaluate(budget)
-    evaluated = [ev(s) for s in cands]
+    """`construct.search` evaluating every candidate on its own: each
+    distance from `min_lee_distance`, each isodual map checked by
+    `maps_dual_into`."""
+    alpha = tuple(sorted(set(int(x) for x in (ring.ELEMENTS if alphabet is None else alphabet))))
+    evaluated = []
+    for spec in candidate_specs(kind, n, alpha):
+        code = spec.build()
+        assert maps_dual_into(code, *isodual_map(spec)), spec.describe()
+        evaluated.append(construct.SearchResult(spec, code.min_lee_distance(budget)))
     best = max(r.distance.value for r in evaluated)
     return construct.SearchOutcome(
         kind, tuple(r for r in evaluated if r.distance.value >= threshold), best,
         next(r.spec for r in evaluated if r.distance.value == best),
-        exhaustive=(alpha == tuple(range(16))), candidates=len(cands))
+        exhaustive=(alpha == tuple(range(16))), candidates=len(evaluated))

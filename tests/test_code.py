@@ -507,4 +507,5 @@ def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
     monkeypatch.setattr(code_module, "_BATCH", 2 * 16 ** 2)
     monkeypatch.setattr(code_module, "_CHUNK", 8)
     for sets, group in groups.items():
-        assert lee_levels(group, sets, DEFAULT_BUDGET) == want[sets]
+        assert lee_levels(np.array([c.gen for c in group]), ring.R, sets,
+                          DEFAULT_BUDGET) == want[sets]

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import search_unreduced
+from oracles import candidate_specs, isodual_map, maps_dual_into, search_unreduced
 from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET, LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
-                           _carry, _certify_isodual, _Evaluate, _Move, _moves,
-                           _orbit, bordered_code, circulant,
-                           double_circulant_code, maps_dual_into, search,
-                           symmetric_code, table_specs, verify_tables)
+                           _candidates, _check_isodual, _check_moves, _isodual_q,
+                           _Move, _moved, _moves, _orbits, _transposed, bordered_code,
+                           circulant, double_circulant_code, search, symmetric_code,
+                           table_specs, verify_tables)
 from z4u.errors import BadBorder, NotSymmetric
 from z4u.wenum import is_formally_self_dual
 
@@ -188,15 +188,19 @@ ORBIT_CASES = [
     # 11 and 33 are each other's negatives; -12 is outside, so is gamma = -12
     ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")]),
 ]
+# 17 coordinates per bdc candidate: row keys of more than one word, and
+# distances bounded at 16^2 messages per information set
+CAPPED_CASES = [("bdc", 15, [R("11")], 16 ** 2)]
 
 
-@pytest.mark.parametrize("kind,n,alphabet", ORBIT_CASES,
+@pytest.mark.parametrize("kind,n,alphabet,budget",
+                         [c + (DEFAULT_BUDGET,) for c in ORBIT_CASES] + CAPPED_CASES,
                          ids=[f"{k}{n}-{'all' if a is None else len(a)}"
-                              for k, n, a in ORBIT_CASES])
-def test_orbit_search_matches_unreduced(kind, n, alphabet):
-    want = search_unreduced(kind, n, alphabet)
+                              for k, n, a, *_ in ORBIT_CASES + CAPPED_CASES])
+def test_orbit_search_matches_unreduced(kind, n, alphabet, budget):
+    want = search_unreduced(kind, n, alphabet, budget)
     for threads in (1, 2):
-        got = search(kind, n, alphabet, threads=threads)
+        got = search(kind, n, alphabet, budget, threads=threads)
         assert (got.kind, got.candidates, got.best_distance, got.best_spec, got.exhaustive) == \
             (want.kind, want.candidates, want.best_distance, want.best_spec, want.exhaustive)
         assert [(r.spec, r.distance.value, r.distance.exact) for r in got.results] == \
@@ -208,9 +212,10 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet):
 
 def test_one_sweep_and_certificate_per_orbit(monkeypatch):
     # the benchmark's n = 3 search: 8^3 first rows in 60 orbits, each code
-    # passed once to the batched distance kernel
+    # passed once to the batched distance kernel, and every candidate's
+    # block certified
     calls = {"distance": 0, "certificate": 0}
-    batched, map_check = construct.lee_levels, construct.maps_dual_into
+    batched, map_check = construct.lee_levels, construct._check_isodual
 
     def counted(name, fn, weight):
         def wrapper(*args, **kwargs):
@@ -219,33 +224,77 @@ def test_one_sweep_and_certificate_per_orbit(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(construct, "lee_levels",
-                        counted("distance", batched, lambda codes, *_: len(codes)))
-    monkeypatch.setattr(construct, "maps_dual_into",
-                        counted("certificate", map_check, lambda *_: 1))
+                        counted("distance", batched, lambda gens, *_: len(gens)))
+    monkeypatch.setattr(construct, "_check_isodual",
+                        counted("certificate", map_check, lambda blocks, *_: len(blocks)))
     out = search("dc", 3, UNITS, threshold=6)
     assert out.candidates == 512 and len(out.results) == 144
-    assert calls == {"distance": 60, "certificate": 60}
+    assert calls == {"distance": 60, "certificate": 512}
     assert all(r.distance.exact for r in out.results)
+
+
+def _image(spec, rev, perm, negated):
+    """A spec's image under one group element: the first row permuted,
+    beta and gamma swapped by the reversal, every entry negated."""
+    vals = tuple(spec.first_row[i] for i in perm)
+    if isinstance(spec, BorderSpec):
+        vals += (spec.alpha,) + ((spec.gamma, spec.beta) if rev else (spec.beta, spec.gamma))
+    if negated:
+        vals = tuple(ring.neg(x) for x in vals)
+    m = len(perm)
+    return BorderSpec(vals[:m], *vals[m:]) if isinstance(spec, BorderSpec) else CirculantSpec(vals)
 
 
 def test_orbit_moves_send_block_to_image():
     for spec in (CirculantSpec((R("10"), R("21"), R("03"), R("20"))),
                  BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("13")),
                  BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))):
-        images = list(_orbit(spec))
-        assert images[0][0] == spec
-        assert len(images) == 4 * len(spec.first_row)
-        for image, move in images:
-            assert np.array_equal(move.block(spec.block()), image.block())
+        bordered = isinstance(spec, BorderSpec)
+        group = _moves(len(spec.first_row), bordered, bordered and spec.gamma != spec.beta)
+        assert len(group) == 4 * len(spec.first_row)
+        assert _image(spec, *group[0][:3]) == spec
+        for rev, perm, negated, move in group:
+            assert np.array_equal(move.block(spec.block()),
+                                  _image(spec, rev, perm, negated).block())
+
+
+@pytest.mark.parametrize("kind,n,alphabet", [
+    ("dc", 3, None), ("dc", 4, [ring.ZERO, R("12")]), ("dc", 4, [R("11"), R("31")]),
+    ("bdc", 2, None), ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")])])
+def test_orbits_match_first_images(kind, n, alphabet):
+    # per candidate, in candidate order: the owner is the first candidate
+    # whose images reach it, the move the first group element that does
+    specs = candidate_specs(kind, n, alphabet or ring.ELEMENTS)
+    cands = _candidates(kind, n, tuple(alphabet or ring.ELEMENTS))
+    signed = [kind == "bdc" and s.gamma != s.beta for s in specs]
+    index = {spec: i for i, spec in enumerate(specs)}
+    want = [None] * len(specs)
+    for i, spec in enumerate(specs):
+        if want[i] is None:
+            for rev, perm, negated, move in _moves(len(spec.first_row), kind == "bdc", signed[i]):
+                j = index.get(_image(spec, rev, perm, negated))
+                if j is not None and want[j] is None:
+                    want[j] = (i, move)
+    owner, moves = _orbits(kind, cands, np.array(signed))
+    assert [construct._spec(kind, row) for row in cands] == specs
+    assert owner.tolist() == [i for i, _ in want]
+    assert all(got is move for got, (_, move) in zip(moves, want))
 
 
 def test_corrupted_orbit_move_raises():
     spec = BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))
-    rep = _Evaluate(DEFAULT_BUDGET)(spec)
     reversed_spec = BorderSpec((R("02"), R("33"), R("10")), R("31"), R("31"), R("13"))
-    move = dict(_orbit(spec))[reversed_spec]
-    good = _carry(rep, spec.block(), reversed_spec, move).distance
-    assert good.value == rep.distance.value and good.exact
+    rep = spec.build().min_lee_distance()
+
+    def carry(move):
+        _check_moves([move], spec.block()[None], reversed_spec.block()[None],
+                     lambda _: f"{spec.describe()} to {reversed_spec.describe()}")
+        return _moved(rep, move)
+
+    move = next(move for rev, perm, negated, move in _moves(3, True, True)
+                if rev and not negated and perm.tolist() == [0, 2, 1])
+    good = carry(move)
+    assert good.value == rep.value and good.exact
     assert lee_weight_vector(reversed_spec.build().encode(good.witness_message)) == good.value
     # the same reversal without the sign on the border coordinate
     unsigned = next(move for rev, perm, negated, move in _moves(3, True, False)
@@ -254,13 +303,22 @@ def test_corrupted_orbit_move_raises():
     swapped[1, [1, 2]] = swapped[1, [2, 1]]
     for bad in (unsigned, _Move(move.rows, move.row_neg, swapped)):
         with pytest.raises(AssertionError, match="orbit"):
-            _carry(rep, spec.block(), reversed_spec, bad)
+            carry(bad)
 
 
 def test_search_alphabet_restriction():
     out = search("dc", 2, alphabet=[ring.ZERO, R("12")])
     assert out.candidates == 4
     assert not out.exhaustive
+    assert search("dc", 2, alphabet=None).candidates == 256
+
+
+@pytest.mark.parametrize("alphabet,match", [([], "empty"), ([R("12"), 16], "0..15"),
+                                            ([-1], "0..15")],
+                         ids=["empty", "past-15", "negative"])
+def test_search_alphabet_validated(alphabet, match):
+    with pytest.raises(ValueError, match=match):
+        search("dc", 2, alphabet)
 
 
 def test_verify_tables_small():
@@ -312,7 +370,8 @@ def test_isodual_map_keeps_lee_weight():
 def test_dc_certificate_agrees_with_fixed_point(row):
     spec = CirculantSpec(tuple(row))
     c = spec.build()
-    assert maps_dual_into(c, *spec.isodual_map())
+    _check_isodual(spec.block()[None], False, np.zeros(1, dtype=bool), str)
+    assert maps_dual_into(c, *isodual_map(spec))
     assert is_formally_self_dual(c)
 
 
@@ -325,7 +384,8 @@ def test_bdc_certificate_agrees_with_fixed_point(negated, data):
     beta = data.draw(SIGNED_BETA if negated else ELEMENT)
     spec = BorderSpec(tuple(row), alpha, beta, ring.neg(beta) if negated else beta)
     c = spec.build()
-    assert maps_dual_into(c, *spec.isodual_map())
+    _check_isodual(spec.block()[None], True, np.array([negated]), str)
+    assert maps_dual_into(c, *isodual_map(spec))
     assert is_formally_self_dual(c)
 
 
@@ -359,7 +419,10 @@ def test_map_check_on_random_standard_form(data):
     moved = a.T[perm][:, perm]
     flip = neg[:, None] ^ neg[None, :]
     moved[flip] = ring.R.NEG[moved[flip]]
-    assert maps_dual_into(c, perm, neg) == np.array_equal(moved, a)
+    holds = maps_dual_into(c, perm, neg)
+    assert holds == np.array_equal(moved, a)
+    # the block identity the search and the tables check
+    assert holds == np.array_equal(_transposed(perm, neg).block(a), a)
     if not _is_circulant(a) and not np.array_equal(a, a.T):
         # the symmetric construction's map (Q = I) fails, and so does the
         # dc map unless A is fixed by it
@@ -369,8 +432,20 @@ def test_map_check_on_random_standard_form(data):
             np.array_equal(a.T[reversal][:, reversal], a)
 
 
-def test_failed_certificate_raises():
-    spec = CirculantSpec((R("10"), R("20")))
-    lopsided = LinearCode([[R("10"), 0, R("10"), R("20")], [0, R("10"), 0, R("10")]])
-    with pytest.raises(AssertionError, match="isodual"):
-        _certify_isodual(spec, lopsided)
+def test_failed_certificate_raises(monkeypatch):
+    # wrong maps Q: the identity, which only fits symmetric blocks, and the
+    # bdc map without its border sign, which only fits gamma = beta
+    right = construct._isodual_q
+    monkeypatch.setattr(construct, "_isodual_q",
+                        lambda k, bordered, signed: _transposed(np.arange(k), np.zeros(k, bool)))
+    with pytest.raises(AssertionError,
+                       match=r"isodual map does not hold for dc first_row=\(20 10 03\)"):
+        verify_tables(2, max_length=6)
+    with pytest.raises(AssertionError, match="isodual map does not hold for dc"):
+        search("dc", 3, [ring.ZERO, R("10"), R("20")])
+    monkeypatch.setattr(construct, "_isodual_q",
+                        lambda k, bordered, signed: right(k, bordered, False))
+    with pytest.raises(AssertionError, match=r"does not hold for bdc first_row=\(11\) "
+                                             r"border=\(11,11,33\)"):
+        search("bdc", 2, [R("11")])
+    verify_tables(3, max_length=8)

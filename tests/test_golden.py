@@ -15,9 +15,17 @@ representatives were batched.  `macwilliams_nonfree4x5` and
 `dual_nonfree4x5` (the benchmark's non-free 4x5 generator, 256 dual words
 listed in order) were recorded from the size^n dual sweep and the
 per-term Gaussian evaluation, before the dual became a meet-in-the-middle
-join and the evaluation a batched residue computation.  Faster paths may change how results
-are computed, never what is printed; a change that means to alter stdout
-updates the files on purpose.
+join and the evaluation a batched residue computation.  `verify_tables2`
+and `verify_tables3` (both tables to length 26), `search_dc4_open` and
+`search_dc4_open_budget3` (dc n = 4 over `11,31`, whose orbits leave the
+alphabet, at the default budget and at 16^3 messages) and `search_dc4`
+(dc n = 4 over all 16 elements, 65536 candidates; about 11 s then, so CI
+compares it with `cmp` and this suite does not run it) were recorded from
+the search that listed one spec object per candidate and certified each
+representative by a dual-membership product, before candidates, orbits
+and certificates moved onto stacked arrays.  Faster paths may change how
+results are computed, never what is printed; a change that means to
+alter stdout updates the files on purpose.
 """
 
 import os
@@ -41,6 +49,11 @@ CASES.append(("search_dc3", ("search", "--kind", "dc", "--n", "3", "--threshold"
 CASES.append(("search_bdc2", ("search", "--kind", "bdc", "--n", "2", "--threshold", "4")))
 CASES.append(("search_bdc3", ("search", "--kind", "bdc", "--n", "3", "--alphabet",
                               "01,03,11,13,21,23,31,33", "--threshold", "6")))
+CASES += [(f"verify_tables{t}", ("verify-tables", "--table", str(t), "--max-length", "26"))
+          for t in (2, 3)]
+OPEN_DC4 = ("search", "--kind", "dc", "--n", "4", "--alphabet", "11,31", "--threshold", "8")
+CASES.append(("search_dc4_open", OPEN_DC4))
+CASES.append(("search_dc4_open_budget3", OPEN_DC4 + ("--budget", "3")))
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

@@ -272,7 +272,7 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
     sets = information_sets(c.gen, table)
     assert len(sets) == 2
     assert not _residue_invertible(table, a) and sets[0] != tuple(range(k))
-    res, = lee_levels([c], sets, table.size ** k)
+    res, = lee_levels(c.gen[None], table, sets, table.size ** k)
     d = _check_against_sweep(c, res)
     routed = c.min_lee_distance()
     assert routed.exact and routed.value == d
@@ -311,10 +311,10 @@ def test_levels_on_random_codes_and_truncated_runs(name, data):
                                     min_size=k, max_size=k)), dtype=np.uint8)
     c = _standard(table, a)
     sets = information_sets(c.gen, table)
-    full, = lee_levels([c], sets, table.size ** k)
+    full, = lee_levels(c.gen[None], table, sets, table.size ** k)
     d = _check_against_sweep(c, full)
     cap = data.draw(st.integers(0, 4 * table.bits * k * k))
-    cut, = lee_levels([c], sets, cap)
+    cut, = lee_levels(c.gen[None], table, sets, cap)
     _check_against_sweep(c, cut)
     if cap <= table.size ** k:  # fewer levels scanned: no better bounds
         assert cut.lower_bound <= full.lower_bound and cut.value >= full.value
@@ -348,9 +348,9 @@ def test_batched_levels_match_single_codes(name, data):
     assert all(information_sets(c.gen, table) == sets for c in codes)
     assert len(sets[0]) == r
     cap = data.draw(st.integers(0, table.size ** k - 1))
-    batch = lee_levels(codes, sets, cap)
+    batch = lee_levels(np.array([c.gen for c in codes]), table, sets, cap)
     for c, got in zip(codes, batch):
-        assert got == lee_levels([c], sets, cap)[0]
+        assert got == lee_levels(c.gen[None], table, sets, cap)[0]
         _check_against_sweep(c, got)
 
 
