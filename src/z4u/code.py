@@ -3,17 +3,19 @@
 A linear code is the row span of a generator matrix G (a k x n uint8 array
 of element values) over one of the ring records of `ring`: R = Z4+uZ4 (the
 default), or Z4 and F2+uF2, where the Gray images and projections live.
-R is not a chain ring, so the rows need not be a free basis: |C| is
-size^r |T| on an information set of r columns (below), T the span of the
-torsion rows.  Every other count over C comes from all size^k messages.
-The encoding map x -> xG is a module homomorphism, so every codeword has
-exactly |K| preimages, K = {x : xG = 0}: a count over all messages,
-divided by the number of messages that give the zero word, is the count
-over C.  So no codeword store exists: |T| and the Lee census come from the
-census join (hist[0] = |K|), the complete enumerator from compositions
-counted over all messages, and membership from one pass over the message
-space (in standard form, from one product: the message is the first k
-coordinates).
+R is not a chain ring, so the rows need not be a free basis.  Each code
+makes G systematic once, on the first of its information sets (below), P
+of r columns: r free rows F, the identity on P, and k - r torsion rows,
+zero on P, that span T.  The encoding map x -> xG is a module
+homomorphism, so every codeword has exactly |K| preimages,
+K = {x : xG = 0}: a count over all messages, divided by the number of
+messages that give the zero word, is the count over C.  So no codeword
+store exists: the Lee census comes from the census join (hist[0] = |K|)
+and the complete enumerator from compositions counted over all messages.
+A codeword's restriction to P is the free part of its message, so K lies
+among the size^(k-r) torsion messages, and one sweep of them gives
+|C| = size^k / |K|; w is a codeword iff w - w[P].F lies in T, one product
+and the same sweep.  A free code (r = k) sweeps the zero word alone.
 
 Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
 odometer order (last coordinate fastest), and a whole message space is
@@ -23,12 +25,12 @@ table for j digits costs about size/(size-1) gathers of its own size.
 `span_blocks` splits a large space into blocks of at most 2^20 rows (5
 digits over R, 10 over a 4-element ring): the low-digit table is built
 once, each high prefix comes from a second, small span table, and a block
-is one ADD of the two.  Membership and the complete enumerator run on
-it.  The dual, the x with x G^T = 0, is a meet-in-the-middle join of two
+is one ADD of the two.  The torsion sweep and the complete enumerator run
+on it.  The dual, the x with x G^T = 0, is a meet-in-the-middle join of two
 span tables of G^T, one per half of x's coordinates, on packed keys
 (`_null_blocks`).  Message digits are decoded from the flat odometer
 index only where they are reported: the dual's vectors.  Explicit message
-lists (encoding, standard-form membership, the Gram matrix) go through
+lists (encoding, membership's product, the Gram matrix) go through
 `ring_matmul`.
 
 The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
@@ -67,6 +69,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
@@ -85,13 +88,21 @@ _LO_BITS = 20
 _BIG = 1 << 30
 
 
+def _elements(rows, ring: RingTable) -> np.ndarray:
+    """`rows` as a new uint8 array; ValueError for an entry that is not one
+    of the element values 0..size-1 (negative, fractional or too large)."""
+    m = np.asarray(rows)
+    out = m.astype(np.uint8)
+    if (out != m).any() or out.max(initial=0) >= ring.size:
+        raise ValueError(f"entries must be {ring.name} element values 0..{ring.size - 1}")
+    return out
+
+
 def as_matrix(rows: Sequence[Sequence[int]] | np.ndarray, ring: RingTable = R) -> np.ndarray:
     """Validate and return a k x n uint8 matrix of ring element values."""
-    m = np.array(rows, dtype=np.uint8)  # a copy: LinearCode freezes it
+    m = _elements(rows, ring)  # a copy: LinearCode freezes it
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"generator matrix must be 2-D and nonempty, got shape {m.shape}")
-    if m.max(initial=0) >= ring.size:
-        raise ValueError(f"matrix entries must be {ring.name} element values 0..{ring.size - 1}")
     return m
 
 
@@ -288,51 +299,58 @@ class LinearCode:
             raise BudgetExceeded(total, budget, "codeword enumeration")
         return span_blocks(self.gen, self.ring)
 
+    @cached_property
+    def _reduced(self) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+        """`information_sets` of G, and G made systematic on the first, P:
+        the free rows F, then the torsion rows (module docstring)."""
+        sets = information_sets(self.gen, self.ring)
+        return sets, systematic(self.gen[None], sets[0], self.ring)[0]
+
+    def _torsion_blocks(self, budget: int, what: str) -> Iterator[np.ndarray]:
+        """The words of all size^(k-r) torsion messages, as `span_blocks`
+        blocks; raises BudgetExceeded past the budget."""
+        (cols, *_), g = self._reduced
+        total = self.ring.size ** (self.k - len(cols))
+        if total > budget:
+            raise BudgetExceeded(total, budget, what)
+        return (blk for _, blk in span_blocks(g[len(cols):], self.ring))
+
     def contains(self, words, budget: int = DEFAULT_BUDGET) -> np.ndarray:
         """One bool per row of the (N, n) `words`: is it a codeword?
 
-        In standard form [I_k | A] the first k coordinates are the message,
-        so w is a codeword iff w[k:] = w[:k] A: one product, no sweep.
-        Otherwise one sweep over the message space for all rows together;
-        rows are compared as n-byte keys.
+        w is a codeword iff w - w[P].F lies in T: one product, then one
+        sweep of the torsion messages for all rows together (the zero word
+        alone for a free code), rows compared as n-byte keys.  Raises
+        ValueError for an entry that is no element value.
         """
-        q = np.asarray(words, dtype=np.uint8)
+        q = _elements(words, self.ring)
         if q.ndim != 2 or q.shape[1] != self.n:
             raise ValueError(f"expected an (N, {self.n}) array of words, got shape {q.shape}")
-        if self.standard_form:
-            k = self.k
-            return (ring_matmul(q[:, :k], self.gen[:, k:], self.ring) == q[:, k:]).all(axis=1)
+        (cols, *_), g = self._reduced
+        rest = self.ring.ADD[q, self.ring.NEG[ring_matmul(q[:, cols], g[:len(cols)], self.ring)]]
         key = np.dtype((np.void, self.n))
-        qv = np.ascontiguousarray(q).view(key).ravel()
+        qv = np.ascontiguousarray(rest).view(key).ravel()
         found = np.zeros(len(qv), dtype=bool)
-        for _, blk in self.codeword_blocks(budget):
+        for blk in self._torsion_blocks(budget, "torsion sweep"):
             bv = np.ascontiguousarray(blk).view(key).ravel()
             found |= np.isin(qv, bv[np.isin(bv, qv)])
         return found
 
     def same_code(self, other: "LinearCode", budget: int = DEFAULT_BUDGET) -> bool:
         """Equal codeword sets: same ring and length, and each code holds
-        every generator row of the other (at most one sweep of each, none
-        for a code in standard form)."""
+        every generator row of the other (`contains`: one product and one
+        torsion sweep on each code)."""
         return (self.ring is other.ring and self.n == other.n
                 and bool(other.contains(self.gen, budget).all())
                 and bool(self.contains(other.gen, budget).all()))
 
     def cardinality(self, budget: int = DEFAULT_BUDGET) -> int:
-        """Exact |C| = size^r |T| on the first information set P, of size r.
-
-        Restriction to P maps C onto ring^r, and its kernel is T, the span
-        of the k - r torsion rows; |T| is size^(k-r) over the number of
-        their messages that give the zero word (`_InfoSet.kernel`).  A set
-        of size k (standard form included) leaves nothing to count.
-        """
-        cols = range(self.k) if self.standard_form else information_sets(self.gen, self.ring)[0]
-        torsion = self.ring.size ** (self.k - len(cols))
-        if torsion == 1:
-            return self.ring.size ** self.k
-        if torsion > budget:
-            raise BudgetExceeded(torsion, budget, "torsion census")
-        return self.ring.size ** self.k // _InfoSet(self.gen[None], cols, self.ring).kernel()
+        """Exact |C| = size^k / |K|, K the messages that give the zero word:
+        on the systematic form (same code, same |K|) they are torsion
+        messages, so one sweep of those counts them."""
+        zero = sum(int(np.count_nonzero(~blk.any(axis=1)))
+                   for blk in self._torsion_blocks(budget, "torsion census"))
+        return self.ring.size ** self.k // zero
 
     # -- duality ----------------------------------------------------------
 
@@ -372,8 +390,7 @@ class LinearCode:
         """
         if self.is_zero:
             raise ZeroCode("minimum distance of the zero code is undefined")
-        return lee_levels(self.gen[None], self.ring, information_sets(self.gen, self.ring),
-                          budget)[0]
+        return lee_levels(self.gen[None], self.ring, self._reduced[0], budget)[0]
 
     # -- weight census -------------------------------------------------------
 
@@ -389,8 +406,8 @@ class LinearCode:
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
-        hist = _InfoSet(self.gen[None], information_sets(self.gen, self.ring)[0],
-                        self.ring).census()
+        (cols, *_), g = self._reduced
+        hist = _InfoSet(g[None], cols, self.ring).census()
         return hist // hist[0]
 
     def __repr__(self) -> str:
@@ -729,11 +746,6 @@ class _InfoSet:
             r, q = divmod(base + int(i[z - c]), lo.level(t - wh)[0].shape[1])
             msgs.append(hi.message(wh, r) + lo.message(t - wh, q))
         return best, up, np.array(msgs, np.uint8)
-
-    def kernel(self) -> int:
-        """|K|, the messages that give the zero word (all at x = 0), of a
-        stack of one code."""
-        return sum(int(np.count_nonzero(wt == 0)) for _, _, wt in self.join(0, 0))
 
     def census(self) -> np.ndarray:
         """Messages per codeword Lee weight, over all size^k messages of a

@@ -23,8 +23,9 @@ The Lee weight is pulled back through the Gray map: w(a+ub) is the Z4 Lee
 weight of the pair (b, a+b).  Each ring record also carries that map as a
 packing: `PACK` sends an element to its Gray image, stored as 2-bit Z4
 fields (R, Z4) or single F2 bits (F2+uF2).  The packing is additive, so a
-vector packed into a uint64 adds field by field (`packed_add`), and its
-Lee weight is the popcount of the binary Gray code of its fields
+vector packed into a uint64 adds field by field (`packed_split`, with
+the oracle `tests/oracles.py::packed_add` as the reference), and its Lee
+weight is the popcount of the binary Gray code of its fields
 (`packed_weight`): the double Gray map R -> Z4^2 -> F2^4.
 
 The additive character x = a+ub -> i^(a+b) is nontrivial on every nonzero
@@ -40,7 +41,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -313,16 +314,12 @@ F2U = _ring_table("F2U", 4, 1, f2u_add, f2u_mul, f2u_neg, f2u_lee_weight,
 
 def packed_split(x: np.ndarray, low: np.uint64) -> tuple[np.ndarray, np.ndarray]:
     """Packed words as their bits in `low` and their other bits: with
-    x = (xl, xh) and y = (yl, yh), (xl + yl) ^ xh ^ yh is `packed_add`."""
+    x = (xl, xh) and y = (yl, yh), (xl + yl) ^ xh ^ yh is the field-wise
+    sum, Z4 addition in each 2-bit field with a low bit in `low` (its carry
+    stays inside the field) and XOR elsewhere (the oracle
+    `tests/oracles.py::packed_add`)."""
     xl = x & low
     return xl, x ^ xl
-
-
-def packed_add(x: np.ndarray, y: np.ndarray, low: np.uint64) -> np.ndarray:
-    """Field-wise sum of packed words: Z4 addition in each 2-bit field with
-    a low bit in `low` (its carry stays inside the field), XOR elsewhere."""
-    (xl, xh), (yl, yh) = packed_split(x, low), packed_split(y, low)
-    return (xl + yl) ^ xh ^ yh
 
 
 def packed_weight(x: np.ndarray, low: np.uint64) -> np.ndarray:
@@ -353,7 +350,3 @@ def parse_matrix_text(text: str, ring: RingTable = R) -> np.ndarray:
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix: rows have differing lengths")
     return np.array(rows, dtype=np.uint8)
-
-
-def format_matrix(m: Sequence[Sequence[int]], ring: RingTable = R) -> str:
-    return "\n".join(format_vector(row, ring) for row in m)

@@ -182,9 +182,6 @@ class GaussianRational:
     def scale(self, k) -> "GaussianRational":
         return GaussianRational(self.re * k, self.im * k)
 
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
     def __str__(self) -> str:
         if self.im == 0:
             return str(self.re)

@@ -51,12 +51,10 @@ from .errors import ExpansionTooLarge, NonExactDivision
 from .ring import R, RingTable
 from .scalars import GaussianInt, GaussianRational
 
-SWE_VARS = ("X", "Y", "Z", "W", "S")
-
 #: Lee weight of the element class behind each SWE variable.
 SWE_CLASS_WEIGHT = (0, 4, 3, 1, 2)
 
-#: SWE class of each ring element (index into SWE_VARS), by Lee weight.
+#: SWE class of each ring element (index into (X, Y, Z, W, S)), by Lee weight.
 ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
                       for x in ring.ELEMENTS)
 
@@ -233,18 +231,6 @@ class SWE:
         return [f"{','.join(map(str, exps))} : {self.terms[exps]}"
                 for exps in sorted(self.terms)]
 
-    def format_polynomial(self) -> str:
-        parts = []
-        for exps in sorted(self.terms):
-            factors = [] if self.terms[exps] == 1 and any(exps) else [str(self.terms[exps])]
-            for var, e in zip(SWE_VARS, exps):
-                if e == 1:
-                    factors.append(var)
-                elif e > 1:
-                    factors.append(f"{var}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
 
 @dataclass(frozen=True)
 class LeePoly:
@@ -268,20 +254,6 @@ class LeePoly:
     def format_lines(self) -> list[str]:
         n4 = self.degree
         return [f"{n4 - w},{w} : {c}" for w, c in enumerate(self.coeffs) if c]
-
-    def format_polynomial(self) -> str:
-        n4 = self.degree
-        parts = []
-        for w, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            factors = [] if c == 1 else [str(c)]
-            if n4 - w:
-                factors.append(f"W^{n4 - w}" if n4 - w > 1 else "W")
-            if w:
-                factors.append(f"X^{w}" if w > 1 else "X")
-            parts.append("*".join(factors) if factors else "1")
-        return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +356,6 @@ def lee(code: LinearCode, budget: int = DEFAULT_BUDGET) -> LeePoly:
     """Lee enumerator straight from the weight census kernel."""
     hist = code.lee_census(budget)
     return LeePoly(code.n, tuple(int(c) for c in hist), code.ring)
-
-
-def swe_of_words(words, length: int) -> SWE:
-    """SWE of the rows of an (N, length) array of R words."""
-    return cwe_to_swe(CWE.of_words(words, length))
 
 
 # ---------------------------------------------------------------------------

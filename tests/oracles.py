@@ -4,7 +4,8 @@
 `members` reads the codeword set back from `LinearCode.contains` by asking
 about every vector of ring^n, so the two can be compared as sets.
 `sweep_contains` is membership by one sweep over every message, whatever
-the generator's shape: the reference for the standard-form fast path.
+the generator's shape: the reference for `contains`, which takes one
+product on an information set and sweeps the torsion span alone.
 `sweep_census` is the Lee census of all size^k messages by gathering byte
 tables from a span table and summing rows, in shards over the first
 message coordinate, optionally in worker processes; it shares no code with
@@ -20,7 +21,9 @@ arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
 evaluation per candidate, no isometry orbits: it lists candidates with
 `itertools.product`, takes each distance from `min_lee_distance` and
 checks each isodual map by `maps_dual_into`, the membership of the mapped
-dual generator rows in the code.
+dual generator rows in the code.  `packed_add` is the field-wise sum of
+packed Gray words that the Lee-level join computes inline, `format_matrix`
+writes a generator file and `swe_of_words` is the SWE of a list of words.
 """
 
 import multiprocessing
@@ -31,8 +34,9 @@ import numpy as np
 from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET, dual_of_standard_form, span_blocks, span_table
 from z4u.errors import BudgetExceeded
-from z4u.ring import RingTable
+from z4u.ring import R, RingTable, format_vector, packed_split
 from z4u.scalars import GaussianInt, GaussianRational
+from z4u.wenum import CWE, SWE, cwe_to_swe
 
 
 def span(rows, size, add, mul):
@@ -61,6 +65,23 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
         bv = np.ascontiguousarray(blk).view(key).ravel()
         found |= np.isin(qv, bv[np.isin(bv, qv)])
     return found
+
+
+def packed_add(x, y, low):
+    """Field-wise sum of packed words: Z4 addition in each 2-bit field with
+    a low bit in `low` (its carry stays inside the field), XOR elsewhere."""
+    (xl, xh), (yl, yh) = packed_split(x, low), packed_split(y, low)
+    return (xl + yl) ^ xh ^ yh
+
+
+def format_matrix(m, ring: RingTable = R) -> str:
+    """Rows of element tokens, one line each: `parse_matrix_text`'s grammar."""
+    return "\n".join(format_vector(row, ring) for row in m)
+
+
+def swe_of_words(words, length: int) -> SWE:
+    """SWE of the rows of an (N, length) array of R words."""
+    return cwe_to_swe(CWE.of_words(words, length))
 
 
 _LO_BITS = 20  # the low span table holds at most 2^20 rows

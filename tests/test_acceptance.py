@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from oracles import dual_bruteforce, sweep_distance
+from oracles import dual_bruteforce, swe_of_words, sweep_distance
 from z4u.code import LinearCode, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, CirculantSpec, BorderSpec,
                            search, symmetric_code, table_specs, verify_tables)
@@ -24,7 +24,7 @@ from z4u.ring import F2U, Z4
 from z4u.scalars import GaussianInt, GaussianRational
 from z4u.wenum import (CWE, cwe, cwe_to_swe, is_formally_self_dual, lee,
                        macwilliams_cwe_eval, macwilliams_lee, macwilliams_swe,
-                       swe_of_words, swe_to_lee)
+                       swe_to_lee)
 
 EVAL_POINT_SEED = 20120521
 

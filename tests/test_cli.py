@@ -8,7 +8,7 @@ from z4u import ring
 from z4u.cli import main
 from z4u.code import LinearCode, identity, ring_matmul
 
-from oracles import dual_bruteforce
+from oracles import dual_bruteforce, format_matrix
 
 DATA = res.files("z4u") / "data"
 
@@ -63,7 +63,7 @@ def test_free_nonstandard_generator_past_budget(tmp_path):
     gen = ring_matmul(ring_matmul(lower, upper), np.hstack(
         [identity(k), rng.integers(0, 16, (k, k), dtype=np.uint8)]))[:, rng.permutation(2 * k)]
     path = tmp_path / "free.gen"
-    path.write_text(ring.format_matrix(gen) + "\n")
+    path.write_text(format_matrix(gen) + "\n")
     assert not LinearCode(gen).standard_form
     for command in ("analyze", "gray"):
         status, out = run_cli(command, "--gen", str(path))

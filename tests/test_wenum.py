@@ -3,15 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import cwe_value, dual_bruteforce, swe_substitution
+from oracles import cwe_value, dual_bruteforce, swe_of_words, swe_substitution
 from z4u import ring, wenum
 from z4u.code import LinearCode
 from z4u.errors import ExpansionTooLarge, NonExactDivision
 from z4u.scalars import GaussianInt, GaussianRational
 from z4u.wenum import (CWE, SWE, LeePoly, cwe, cwe_to_swe,
                        is_formally_self_dual, lee, macwilliams_cwe_eval,
-                       macwilliams_lee, macwilliams_swe, swe_of_words,
-                       swe_to_lee, swe_transform_forms)
+                       macwilliams_lee, macwilliams_swe, swe_to_lee,
+                       swe_transform_forms)
 
 
 def R(tok):
