@@ -18,7 +18,7 @@ import numpy as np
 
 from . import construct, gray, project, ring, wenum
 from .code import DistanceResult, LinearCode, dual_of_standard_form
-from .errors import BudgetExceeded, ZeroCode
+from .errors import BudgetExceeded, ExpansionTooLarge, ZeroCode
 from .ring import F2U, R, RingTable, Z4
 from .scalars import GaussianInt, GaussianRational
 
@@ -182,8 +182,7 @@ def cmd_lift_check(args) -> None:
     report = project.lift_bound_check(triple, budget)
     for ln in report.format_lines():
         print(ln)
-    witness = code.encode(report.d.witness_message)
-    print(f"witness codeword of weight {report.d.value}: {ring.format_vector(witness)}")
+    print(f"witness codeword of weight {report.d.value}: {ring.format_vector(report.d.witness)}")
     if not ok or not report.holds:
         raise _Fail("lift check failed")
 
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_numbers(args) -> None:
     """Reject out-of-range numeric flags (exit 1, like any other bad input)."""
-    for flag, low in (("threads", 1), ("points", 0), ("budget", 0)):
+    for flag, low in (("threads", 1), ("points", 0), ("budget", 0), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise ValueError(f"--{flag} must be >= {low}, got {value}")
@@ -365,7 +364,7 @@ def main(argv=None) -> int:
     except _Fail as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, BudgetExceeded, ZeroCode, OSError) as exc:
+    except (ValueError, BudgetExceeded, ExpansionTooLarge, ZeroCode, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

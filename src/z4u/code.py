@@ -56,13 +56,15 @@ census.
 The kernel works on batches: `lee_levels` takes a stack of generators of
 one ring, k and n that hold the same information sets, and every array of
 the kernel has a leading batch axis (a level holds each code's packed
-words in turn).  Gauss-Jordan runs on the stacked [G | I], each code
+words in turn).  Gauss-Jordan runs on the stacked generators, each code
 taking its own pivot rows; the half tables and the join blocks are
-stacked, and each block is reduced by a per-code argmin.  The level
-schedule and the cap depend on the sets alone, so the whole batch scans
-the same levels, and a code leaves it once its best word meets the
-bound.  `min_lee_distance` is a batch of one; `construct.search` passes
-its orbit representatives grouped by information sets.
+stacked, and each block is reduced by a per-code argmin.  A witness is
+the codeword itself, its message times its own code's systematic rows,
+so no layer tracks the row operations.  The level schedule and the cap
+depend on the sets alone, so the whole batch scans the same levels, and
+a code leaves it once its best word meets the bound.  `min_lee_distance`
+is a batch of one; `construct.search` passes its orbit representatives
+grouped by information sets.
 """
 
 from __future__ import annotations
@@ -228,16 +230,16 @@ class SelfDuality(Enum):
 class DistanceResult:
     """Minimum Lee distance d, with lower_bound <= d <= value.
 
-    The value is exact when the two bounds meet.  `certificate` names the
-    Lee levels scanned: "levels t1/t2" on two information sets or
-    "levels t1" on one, with lower bound the sum of the (t_i + 1), and at
-    least 1.  A partial set (rows no free basis) starts at level -1, below
-    its torsion code.
+    `witness` is a codeword of Lee weight `value`.  The value is exact
+    when the two bounds meet.  `certificate` names the Lee levels scanned:
+    "levels t1/t2" on two information sets or "levels t1" on one, with
+    lower bound the sum of the (t_i + 1), and at least 1.  A partial set
+    (rows no free basis) starts at level -1, below its torsion code.
     """
 
     value: int
     lower_bound: int
-    witness_message: tuple[int, ...]
+    witness: tuple[int, ...]
     certificate: str
 
     @property
@@ -320,7 +322,7 @@ class LinearCode:
 
         w is a codeword iff w - w[P].F lies in T: one product, then one
         sweep of the torsion messages for all rows together (the zero word
-        alone for a free code), rows compared as n-byte keys.  Raises
+        alone for a free code), rows compared by their `_row_keys`.  Raises
         ValueError for an entry that is no element value.
         """
         q = _elements(words, self.ring)
@@ -328,11 +330,10 @@ class LinearCode:
             raise ValueError(f"expected an (N, {self.n}) array of words, got shape {q.shape}")
         (cols, *_), g = self._reduced
         rest = self.ring.ADD[q, self.ring.NEG[ring_matmul(q[:, cols], g[:len(cols)], self.ring)]]
-        key = np.dtype((np.void, self.n))
-        qv = np.ascontiguousarray(rest).view(key).ravel()
+        qv = _row_keys(rest, self.ring)
         found = np.zeros(len(qv), dtype=bool)
         for blk in self._torsion_blocks(budget, "torsion sweep"):
-            bv = np.ascontiguousarray(blk).view(key).ravel()
+            bv = _row_keys(blk, self.ring)
             found |= np.isin(qv, bv[np.isin(bv, qv)])
         return found
 
@@ -430,7 +431,6 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 
 _CHUNK = 1 << 16  # message pairs joined per step
 _BATCH = 1 << 16  # half-table entries over all codes of one `lee_levels` batch
-_NONE = np.zeros(0, np.intp)  # no codes: a scan that improved none
 
 
 def _rank(cols: Sequence[int]) -> int:
@@ -641,21 +641,16 @@ class _InfoSet:
     parity word's.  Its messages with x of weight t are a high half's of
     weight w joined with a low half's of weight t - w; each half takes half
     the free rows and half the torsion rows, so neither holds every torsion
-    message.
-
-    Gauss-Jordan runs on [G | I_k], so each code's row operations T come
-    out in the appended block: message x on the systematic generator T.G
-    is message x.T on G (`to_caller`, (B, k, k))."""
+    message.  `rows` holds the systematic generators, their rows in the
+    halves' order, so a message's codeword is the message times them."""
 
     def __init__(self, gens: np.ndarray, cols: Sequence[int], ring: RingTable):
         (batch, k, n), r = gens.shape, len(cols)
         # the high half: free rows 0..hf-1 and torsion rows r..ht-1
         hf, ht = r // 2, r + (k - r) // 2
         order = [*range(hf), *range(r, ht), *range(hf, r), *range(ht, k)]
-        eye = identity(k, ring)[None].repeat(batch, axis=0)
-        both = systematic(np.concatenate([gens, eye], axis=2), cols, ring)[:, order]
-        self.to_caller = both[:, :, n:]
-        parity = both[:, :, [j for j in range(n) if j not in cols]]
+        self.rows = systematic(gens, cols, ring)[:, order]
+        parity = self.rows[:, :, [j for j in range(n) if j not in cols]]
         free = [i < r for i in order]
         h = hf + ht - r
         self.halves = (_Half(parity[:, :h], free[:h], ring),
@@ -707,14 +702,14 @@ class _InfoSet:
         and the positions c that improved with their messages on the set.
         Stops early once every best is <= `stop`.
 
-        A block no code improves on is passed over by its minimum alone.
-        Each other block keeps its per-code minima and their entries; a
-        code's witness is the first kept entry that weighs its final best.
+        A block no code improves on is passed over by its minimum alone.  In
+        the others, a code's witness is recorded where its best strictly
+        drops: the last drop is its first entry at the final best.
         """
         hi, lo = self.halves
-        start, best = best, best.copy()
+        best = best.copy()
         beat = int(best[best.argmax()]) - t  # no parity weight from it on improves a code
-        kept = []  # (wh, first entry of the block, first code, entries, weights)
+        found = np.full((2, len(act)), -1, np.intp)  # per code: wh and entry of its witness
         for wh in range(max(0, t - lo.top), min(t, hi.top) + 1):
             for c, a, wt in self.join(wh, t - wh, act):
                 if not t:  # the torsion code: a message may encode to the zero word
@@ -724,8 +719,10 @@ class _InfoSet:
                 flat = wt.reshape(len(wt), -1)
                 i = flat.argmin(axis=1)
                 w = flat[self.every[:len(i)], i] + t
-                kept.append((wh, a * wt.shape[2], c, i, w))
                 seg = best[c:c + len(w)]
+                drop = w < seg
+                np.copyto(found[0, c:c + len(w)], wh, where=drop)
+                np.copyto(found[1, c:c + len(w)], i + a * wt.shape[2], where=drop)
                 np.minimum(seg, w, out=seg)
                 beat = int(best[best.argmax()]) - t
                 if beat <= stop - t:
@@ -733,17 +730,10 @@ class _InfoSet:
             else:
                 continue
             break
-        if not kept:
-            return best, _NONE, _NONE
-        up = (best < start).nonzero()[0]
-        first = np.zeros(len(act), np.intp)  # each code's first kept block at its best
-        for f in reversed(range(len(kept))):
-            _, _, c, _, w = kept[f]
-            first[c:c + len(w)][w == best[c:c + len(w)]] = f
+        up = (found[0] >= 0).nonzero()[0]
         msgs = []
-        for z, f in zip(up.tolist(), first[up].tolist()):
-            wh, base, c, i, _ = kept[f]
-            r, q = divmod(base + int(i[z - c]), lo.level(t - wh)[0].shape[1])
+        for wh, e in found[:, up].T.tolist():
+            r, q = divmod(e, lo.level(t - wh)[0].shape[1])
             msgs.append(hi.message(wh, r) + lo.message(t - wh, q))
         return best, up, np.array(msgs, np.uint8)
 
@@ -759,15 +749,6 @@ class _InfoSet:
                 for _, _, wt in self.join(wh, wl):
                     hist[wh + wl:] += np.bincount(wt.ravel(), minlength=self.bins - wh - wl)
         return hist
-
-
-def _on_callers(x: np.ndarray, to_caller: np.ndarray, ring: RingTable) -> np.ndarray:
-    """Row i of the (M, k) messages x times its own k x k matrix
-    to_caller[i]: messages on systematic generators, as messages on G."""
-    acc = np.zeros(x.shape, np.uint8)
-    for i in range(x.shape[1]):
-        acc = ring.ADD[acc, ring.MUL[x[:, i, None], to_caller[:, i]]]
-    return acc
 
 
 def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
@@ -802,7 +783,7 @@ def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
     row_weights[row_weights == 0] = _BIG
     first = row_weights.argmin(axis=1)
     best = row_weights[np.arange(len(gens)), first]
-    where = identity(k, ring)[first]
+    where = gens[np.arange(len(gens)), first]  # each code's best word
     levels, spent = [-int(len(s) < k) for s in sets], [0] * len(sides)
     lower = max(1, sum(levels) + len(sets))
     out: list[DistanceResult] = [None] * len(gens)  # type: ignore[list-item]
@@ -831,8 +812,11 @@ def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
         else:
             spent[s] += sides[s].counts[t]
             best, up, msgs = sides[s].scan(t, best, lower, act)
-            if up.size:
-                where[act[up]] = _on_callers(msgs, sides[s].to_caller[act[up]], ring)
+            if up.size:  # each message times its own code's systematic rows
+                rows, words = sides[s].rows[act[up]], 0
+                for i in range(k):
+                    words = ring.ADD[words, ring.MUL[msgs[:, i, None], rows[:, i]]]
+                where[act[up]] = words
                 leave(lower, lower)
             levels[s] = t
             lower = max(1, sum(levels) + len(sets))

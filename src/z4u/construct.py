@@ -36,9 +36,9 @@ representative's block it must give the member's block, or the search
 raises AssertionError.  The check runs on the stacked blocks of all
 candidates, one gather per group element.  A member keeps the
 representative's distance and its exact flag; its witness is the
-representative's mapped by the element (x -> xQ under reversal,
-unchanged under shift and negation).  Spec objects are built only for
-the results printed.
+representative's witness codeword under the element's signed
+permutation of the 2k coordinates.  Spec objects are built only for the
+results printed.
 
 The representatives' generators [I | B] are grouped by their information
 sets, and each group is one batched call of the Lee-level kernel
@@ -258,33 +258,33 @@ def _evaluate(gens: np.ndarray, budget: int) -> list[DistanceResult]:
 
 @dataclass(frozen=True)
 class _Move:
-    """A signed permutation of k x k blocks: B'[i][j] = B[rows[i]][cols[j]],
-    negated where row_neg[i] != col_neg[j].
+    """A signed permutation of k x k blocks, built by `of(rows, cols,
+    row_sign, col_sign)`: B'[i][j] = B[rows[i]][cols[j]], negated where
+    row_sign[i] != col_sign[j].
 
-    It sends <[I | B]> onto <[I | B']>: the codeword of message x goes to
-    the codeword of x[rows] (negated where row_neg), which is the same word
-    with its right half permuted by cols and signed by col_neg, so every Lee
-    weight is kept.  `take` indexes B' out of the stacked (B; -B).
+    It sends <[I | B]> onto <[I | B']>: the codeword (x, xB) goes to the
+    codeword of x[rows] (negated where row_sign), which is the same word
+    with its halves permuted by rows and cols and signed by row_sign and
+    col_sign, so every Lee weight is kept.  `coords` is that map of the 2k
+    coordinates, (source, negated) per coordinate of the image; `take`
+    indexes B' out of the stacked (B; -B).
     """
-    rows: tuple[int, ...]
-    row_neg: tuple[bool, ...]
+    coords: tuple[tuple[int, bool], ...]
     take: np.ndarray
 
     @classmethod
-    def of(cls, rows: np.ndarray, cols: np.ndarray, row_neg: np.ndarray,
-           col_neg: np.ndarray) -> "_Move":
+    def of(cls, rows: np.ndarray, cols: np.ndarray, row_sign: np.ndarray,
+           col_sign: np.ndarray) -> "_Move":
         k = rows.size
-        flip = row_neg[:, None] != col_neg[None, :]
-        return cls(tuple(rows.tolist()), tuple(row_neg.tolist()),
+        flip = row_sign[:, None] != col_sign[None, :]
+        return cls(tuple(zip(np.concatenate([rows, k + cols]).tolist(),
+                             np.concatenate([row_sign, col_sign]).tolist())),
                    (flip * k + rows[:, None]) * k + cols[None, :])
 
     def block(self, b: np.ndarray) -> np.ndarray:
         """B' of a block B, or of each block of a stack (N, k, k)."""
         return np.concatenate([b, ring.R.NEG[b]], axis=-2).reshape(
             *b.shape[:-2], -1)[..., self.take]
-
-    def message(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(ring.neg(x[r]) if s else x[r] for r, s in zip(self.rows, self.row_neg))
 
 
 @functools.lru_cache(maxsize=None)
@@ -371,9 +371,10 @@ def _check_moves(moves: Sequence[_Move], rep_blocks: np.ndarray, blocks: np.ndar
 
 def _moved(d: DistanceResult, move: _Move) -> DistanceResult:
     """The representative's distance for an orbit member: the same value
-    and flag, and the witness mapped by the member's move."""
-    w = move.message(d.witness_message)
-    return d if w == d.witness_message else replace(d, witness_message=w)
+    and flag, and the witness codeword mapped by the member's move."""
+    w, neg = d.witness, ring.R.NEG.tolist()
+    return DistanceResult(d.value, d.lower_bound,
+                          tuple(neg[w[c]] if s else w[c] for c, s in move.coords), d.certificate)
 
 
 def _transposed(perm: np.ndarray, neg: np.ndarray) -> _Move:

@@ -179,11 +179,11 @@ def test_criterion_06_lift_example():
     for proj in (d, e):                    # Lee levels, within 4^8 messages
         dp = proj.min_lee_distance()
         assert dp.exact and dp.value == 8
-        assert lee_weight_vector(proj.encode(dp.witness_message), proj.ring) == 8
+        assert proj.contains([dp.witness]).all()
+        assert lee_weight_vector(dp.witness, proj.ring) == 8
     res = c.min_lee_distance()             # Lee levels 5/5, not 16^8 messages
     assert res.exact and res.value == 12 and res.lower_bound == 12
-    witness = c.encode(res.witness_message)
-    assert lee_weight_vector(witness) == 12
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness) == 12
     rep = lift_bound_check(LiftTriple(c, d, e))
     assert rep.holds and rep.d == res and rep.d_z4.value == 8 and rep.d_f2u.value == 8
     _report(6, t0, "d(D)=8 and d(E)=8 exact, d=12 exact with a weight-12 codeword, "

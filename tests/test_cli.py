@@ -157,6 +157,15 @@ def test_search_alphabet_flag():
     assert "exhaustive over full alphabet: no" in out
 
 
+def test_macwilliams_past_expansion_guard_exit_1(tmp_path, capsys):
+    # n = 25 is past the symbolic SWE transform's guard: an input error
+    path = tmp_path / "long.gen"
+    path.write_text(" ".join(["10"] * 25) + "\n")
+    status, out = run_cli("macwilliams", "--gen", str(path))
+    assert status == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: SWE transform expansion guarded")
+
+
 def test_search_empty_alphabet_exit_1(capsys):
     # an empty --alphabet is a bad element token, as "," is, not the full
     # alphabet
@@ -203,6 +212,7 @@ def test_bad_numeric_flags_exit_1():
     for argv in (("analyze", "--gen", u, "--threads", "0"),
                  ("analyze", "--gen", u, "--budget", "-1"),
                  ("macwilliams", "--gen", u, "--points", "-1"),
+                 ("macwilliams", "--gen", u, "--seed", "-1"),
                  ("search", "--kind", "dc", "--n", "1", "--threads", "-2"),
                  ("self-check", "--budget", "-3")):
         status, out = run_cli(*argv)

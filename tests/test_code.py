@@ -246,11 +246,11 @@ def test_all_2u_vector_in_self_dual_codes():
 
 
 def test_min_distance_u():
-    res = LinearCode([[ring.U]]).min_lee_distance()
-    assert res.value == 2 and res.exact
-    # witness message really encodes a weight-2 codeword
     c = LinearCode([[ring.U]])
-    assert lee_weight_vector(c.encode(res.witness_message)) == 2
+    res = c.min_lee_distance()
+    assert res.value == 2 and res.exact
+    # the witness really is a weight-2 codeword
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness) == 2
 
 
 def test_min_distance_matches_set_oracle():
@@ -319,7 +319,7 @@ def test_all_unit_double_circulant_past_budget_is_exact():
     c = LinearCode(np.hstack([identity(8), circulant(row)]))
     res = c.min_lee_distance()
     assert res.exact and res.value == 8 and res.certificate == "levels 7"
-    assert lee_weight_vector(c.encode(res.witness_message)) == 8
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness) == 8
 
 
 def test_low_weight_message_count():
@@ -443,7 +443,7 @@ def test_nonfree_k6_past_budget_is_exact():
     res = c.min_lee_distance(16 ** 6 // 50)
     assert res.exact and res.certificate.startswith("levels ")
     assert res.value == sweep_distance(c)
-    assert lee_weight_vector(c.encode(res.witness_message)) == res.value
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness) == res.value
 
 
 def test_codeword_set_linearity():
@@ -469,7 +469,8 @@ def test_sharded_kernel_over_z4():
     assert c.lee_census().tolist() == expected
     res = c.min_lee_distance()
     assert res.exact and res.value == int(weights[1:].min())
-    assert lee_weight_vector(c.encode(res.witness_message), Z4) == res.value
+    assert c.contains([res.witness]).all()
+    assert lee_weight_vector(res.witness, Z4) == res.value
 
 
 @pytest.mark.parametrize("table", [ring.R, Z4, F2U], ids=str)
@@ -482,7 +483,7 @@ def test_square_free_generator_has_no_parity_columns(table):
     assert not c.standard_form
     res = c.min_lee_distance(budget=2 * table.bits)
     assert res.exact and res.value == 1
-    assert lee_weight_vector(c.encode(res.witness_message), table) == 1
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness, table) == 1
 
 
 def test_generator_is_copied_not_frozen_in_place():
@@ -526,7 +527,7 @@ def test_identity_code_has_empty_parity_block(table, k):
     assert c.lee_census().tolist() == expected.tolist()
     res = c.min_lee_distance()
     assert res.exact and res.value == 1
-    assert lee_weight_vector(c.encode(res.witness_message), table) == 1
+    assert c.contains([res.witness]).all() and lee_weight_vector(res.witness, table) == 1
     assert dual_bruteforce(c).tolist() == [[0] * k]
 
 

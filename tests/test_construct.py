@@ -199,15 +199,18 @@ CAPPED_CASES = [("bdc", 15, [R("11")], 16 ** 2)]
                               for k, n, a, *_ in ORBIT_CASES + CAPPED_CASES])
 def test_orbit_search_matches_unreduced(kind, n, alphabet, budget):
     want = search_unreduced(kind, n, alphabet, budget)
+    witnesses = []
     for threads in (1, 2):
         got = search(kind, n, alphabet, budget, threads=threads)
         assert (got.kind, got.candidates, got.best_distance, got.best_spec, got.exhaustive) == \
             (want.kind, want.candidates, want.best_distance, want.best_spec, want.exhaustive)
         assert [(r.spec, r.distance.value, r.distance.exact) for r in got.results] == \
             [(r.spec, r.distance.value, r.distance.exact) for r in want.results]
-        for r in got.results:
-            assert lee_weight_vector(r.spec.build().encode(r.distance.witness_message)) == \
-                r.distance.value
+        witnesses.append([r.distance.witness for r in got.results])
+    assert witnesses[0] == witnesses[1]
+    for r in got.results:  # orbit members carry their representative's witness, moved
+        assert r.spec.build().contains([r.distance.witness]).all()
+        assert lee_weight_vector(r.distance.witness) == r.distance.value
 
 
 def test_one_sweep_and_certificate_per_orbit(monkeypatch):
@@ -295,13 +298,14 @@ def test_corrupted_orbit_move_raises():
                 if rev and not negated and perm.tolist() == [0, 2, 1])
     good = carry(move)
     assert good.value == rep.value and good.exact
-    assert lee_weight_vector(reversed_spec.build().encode(good.witness_message)) == good.value
+    assert reversed_spec.build().contains([good.witness]).all()
+    assert lee_weight_vector(good.witness) == good.value
     # the same reversal without the sign on the border coordinate
     unsigned = next(move for rev, perm, negated, move in _moves(3, True, False)
                     if rev and not negated and perm.tolist() == [0, 2, 1])
     swapped = move.take.copy()
     swapped[1, [1, 2]] = swapped[1, [2, 1]]
-    for bad in (unsigned, _Move(move.rows, move.row_neg, swapped)):
+    for bad in (unsigned, _Move(move.coords, swapped)):
         with pytest.raises(AssertionError, match="orbit"):
             carry(bad)
 

@@ -20,8 +20,11 @@ singular but which hold two disjoint information sets, codes with one, and runs 
 standard, non-standard free (T.[I | A] with permuted columns) and non-free
 generators, exact whenever size^k fits the budget, and bounded past it;
 batches of codes that share their information sets, against the same
-codes one at a time and the census; and the Gray packing, its field-wise
-sum (`oracles.packed_add`) and `packed_weight` against the ring tables.
+codes one at a time and the census; every witness a codeword (read back
+through `contains`) of Lee weight `value`, on both generator shapes, at
+size^k messages and at a cap that may leave an upper bound; and the Gray
+packing, its field-wise sum (`oracles.packed_add`) and `packed_weight`
+against the ring tables.
 """
 
 from collections import Counter
@@ -32,7 +35,7 @@ import numpy as np
 import pytest
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from z4u import code as code_module
@@ -59,13 +62,15 @@ RINGS = sorted(SCALARS)
 
 
 @st.composite
-def generators(draw, name):
-    """(k, n) generator rows: [I_k | A], or random rows each scaled by a
-    random element, so zero divisors make non-free generators common."""
+def generators(draw, name, shape=None):
+    """(k, n) generator rows: [I_k | A] ("standard"), or random rows each
+    scaled by a random element ("scaled"), so zero divisors make non-free
+    generators common; either one when `shape` is None."""
     table, _add, mul, _lee, kmax, nmax = SCALARS[name]
     elem = st.integers(0, table.size - 1)
     k = draw(st.integers(1, kmax))
-    if draw(st.booleans()) and k <= nmax:
+    standard = draw(st.booleans()) if shape is None else shape == "standard"
+    if standard and k <= nmax:
         n = draw(st.integers(k, nmax))
         a = draw(st.lists(st.lists(elem, min_size=n - k, max_size=n - k),
                           min_size=k, max_size=k))
@@ -102,7 +107,8 @@ def test_code_matches_scalar_oracle(name, data):
     if nonzero:
         res = c.min_lee_distance()
         assert res.exact and res.value == min(nonzero)
-        assert lee_weight_vector(c.encode(res.witness_message), table) == res.value
+        assert c.contains([res.witness]).all()
+        assert lee_weight_vector(res.witness, table) == res.value
     else:
         with pytest.raises(ZeroCode):
             c.min_lee_distance()
@@ -260,7 +266,8 @@ def _residue_invertible(table, block):
 
 def _check_against_sweep(c, res):
     d = sweep_distance(c)
-    assert lee_weight_vector(c.encode(res.witness_message), c.ring) == res.value
+    assert c.contains([res.witness]).all()
+    assert lee_weight_vector(res.witness, c.ring) == res.value
     assert res.lower_bound <= d <= res.value
     if res.exact:
         assert res.value == d
@@ -293,7 +300,8 @@ def test_levels_match_sweep_with_singular_right_half(name, data):
     d = _check_against_sweep(c, res)
     routed = c.min_lee_distance()
     assert routed.exact and routed.value == d
-    assert lee_weight_vector(c.encode(routed.witness_message), table) == d
+    assert c.contains([routed.witness]).all()
+    assert lee_weight_vector(routed.witness, table) == d
 
 
 @pytest.mark.parametrize("name", RINGS)
@@ -430,8 +438,8 @@ def test_over_budget_routes_match_sweep(name, kind, data):
     budget = data.draw(st.integers(0, table.size ** c.k - 1))
     res = c.min_lee_distance(budget)
     d = sweep_distance(c)
-    word = c.encode(res.witness_message)
-    assert any(word) and lee_weight_vector(word, table) == res.value
+    assert c.contains([res.witness]).all()
+    assert any(res.witness) and lee_weight_vector(res.witness, table) == res.value
     assert res.lower_bound <= d <= res.value
     assert res.certificate.startswith("levels ")
     # level 1 on the first set fits, after level 0 (the torsion code) on a
@@ -454,9 +462,25 @@ def test_fitting_budget_is_exact(name, kind, data):
     budget = data.draw(st.integers(total, 2 * total))
     res = c.min_lee_distance(budget)
     assert res.exact and res.value == sweep_distance(c)
-    word = c.encode(res.witness_message)
-    assert any(word) and lee_weight_vector(word, table) == res.value
+    assert c.contains([res.witness]).all()
+    assert any(res.witness) and lee_weight_vector(res.witness, table) == res.value
     assert res.certificate.startswith("levels ")
+
+
+@pytest.mark.parametrize("shape", ["standard", "scaled"])
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_witness_is_a_codeword_of_its_weight(name, shape, data):
+    # at the full budget, and at a cap below size^k that may leave an
+    # upper bound, the witness is a codeword of Lee weight `value`
+    table = SCALARS[name][0]
+    c = LinearCode(data.draw(generators(name, shape)), table)
+    assume(not c.is_zero)
+    for budget in (table.size ** c.k, data.draw(st.integers(0, table.size ** c.k - 1))):
+        res = c.min_lee_distance(budget)
+        assert c.contains([res.witness]).all()
+        assert lee_weight_vector(res.witness, table) == res.value
 
 
 @pytest.mark.parametrize("table", [R, Z4, F2U], ids=str)
