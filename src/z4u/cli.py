@@ -31,6 +31,13 @@ class _Fail(Exception):
     """Raised internally to signal exit status 2 (a FAIL verdict)."""
 
 
+def _print_block(header: str, lines) -> None:
+    """`header`, then each line indented by two spaces."""
+    print(header)
+    for ln in lines:
+        print(f"  {ln}")
+
+
 def _budget_from(args) -> int:
     return 16 ** args.budget
 
@@ -63,17 +70,10 @@ def cmd_analyze(args) -> None:
     print(f"self-duality: {code.self_duality(budget).value}")
     if 16 ** code.k <= min(budget, _ENUM_PRINT_CAP):
         e = wenum.cwe(code, budget)
-        print("cwe:")
-        for ln in e.format_lines():
-            print(f"  {ln}")
+        _print_block("cwe:", e.format_lines())
         s = wenum.cwe_to_swe(e)
-        print("swe:")
-        for ln in s.format_lines():
-            print(f"  {ln}")
-        p = wenum.swe_to_lee(s)
-        print("lee:")
-        for ln in p.format_lines():
-            print(f"  {ln}")
+        _print_block("swe:", s.format_lines())
+        _print_block("lee:", wenum.swe_to_lee(s).format_lines())
     else:
         for name in ("cwe", "swe", "lee"):
             print(f"{name}: out of budget ({16 ** code.k} messages > {min(budget, _ENUM_PRINT_CAP)})")
@@ -85,9 +85,7 @@ def cmd_gray(args) -> None:
     img = gray.gray_image(code)
     print(f"z4-image length: {img.n}")
     print(f"z4-image cardinality: {img.cardinality(budget)}")
-    print("z4-image generator:")
-    for row in img.gen:
-        print("  " + ring.format_vector(row, Z4))
+    _print_block("z4-image generator:", (ring.format_vector(row, Z4) for row in img.gen))
     res = code.min_lee_distance(budget)
     print(f"z4-image min-lee-distance: {_dist_line(res)}  "
           f"(equals the source distance; the map is a Lee isometry)")
@@ -98,9 +96,7 @@ def cmd_dual(args) -> None:
     budget = _budget_from(args)
     if code.standard_form and code.n == 2 * code.k:
         dual_code = dual_of_standard_form(code)
-        print("dual generator ([-A^T | I]):")
-        for row in dual_code.gen:
-            print("  " + ring.format_vector(row))
+        _print_block("dual generator ([-A^T | I]):", map(ring.format_vector, dual_code.gen))
     if 16 ** code.n <= budget:
         count, kept = 0, []
         for blk in code.dual_blocks(budget):
@@ -122,18 +118,15 @@ def cmd_dual(args) -> None:
 def cmd_macwilliams(args) -> None:
     code = _load_code(args.gen)
     budget = _budget_from(args)
+    wenum.guard_expansion(code.n)  # before the enumeration, not after it
     card = code.cardinality(budget)
     e = wenum.cwe(code, budget)
     s = wenum.cwe_to_swe(e)
     p = wenum.swe_to_lee(s)
     ts = wenum.macwilliams_swe(s, card)
     tp = wenum.macwilliams_lee(p, card)
-    print("swe transform (dual swe):")
-    for ln in ts.format_lines():
-        print(f"  {ln}")
-    print("lee transform (dual lee):")
-    for ln in tp.format_lines():
-        print(f"  {ln}")
+    _print_block("swe transform (dual swe):", ts.format_lines())
+    _print_block("lee transform (dual lee):", tp.format_lines())
     fsd = tp == p
     print(f"lee transform fixed point (formally self-dual): {'yes' if fsd else 'no'}")
     failures = []
@@ -165,9 +158,8 @@ def cmd_project(args) -> None:
     for label, target, proj in (("constant-part", "Z4", project.project_constant(code)),
                                 ("u-coefficient", "Z4", project.project_u_coeff(code)),
                                 ("mod-2", "F2+uF2", project.project_mod2(code))):
-        print(f"{label} projection ({target}) generator:")
-        for row in proj.gen:
-            print("  " + ring.format_vector(row, proj.ring))
+        _print_block(f"{label} projection ({target}) generator:",
+                     (ring.format_vector(row, proj.ring) for row in proj.gen))
         print(f"{label} self-orthogonal: {'yes' if proj.is_self_orthogonal() else 'no'}")
 
 

@@ -23,10 +23,10 @@ never written out as digits: `span_table` builds the products x.rows for
 every x directly, one broadcast gather ADD[t, MUL[:, r]] per row r, so the
 table for j digits costs about size/(size-1) gathers of its own size.
 `span_blocks` splits a large space into blocks of at most 2^20 rows (5
-digits over R, 10 over a 4-element ring): the low-digit table is built
-once, each high prefix comes from a second, small span table, and a block
-is one ADD of the two.  The torsion sweep and the complete enumerator run
-on it.  The dual, the x with x G^T = 0, is a meet-in-the-middle join of two
+digits over R, 10 over a 4-element ring): each high prefix comes from a
+small span table, and a block is the low-digit span table grown from that
+prefix.  The torsion sweep and the complete enumerator run on it.  The
+dual, the x with x G^T = 0, is a meet-in-the-middle join of two
 span tables of G^T, one per half of x's coordinates, on packed keys
 (`_null_blocks`).  Message digits are decoded from the flat odometer
 index only where they are reported: the dual's vectors.  Explicit message
@@ -140,14 +140,15 @@ def lee_weight_vector(v: Sequence[int], ring: RingTable = R) -> int:
 # Message enumeration
 # ---------------------------------------------------------------------------
 
-def span_table(rows: np.ndarray, ring: RingTable = R) -> np.ndarray:
-    """(size^j, m) products x.rows for every x in ring^j, odometer order.
+def span_table(rows: np.ndarray, ring: RingTable = R, base: np.ndarray | None = None) -> np.ndarray:
+    """(size^j, m) words base + x.rows for every x in ring^j, odometer
+    order (base zero when None).
 
     Built one row at a time: the table for the first i rows, taken as a
     column of prefixes, plus every multiple of row i.
     """
     m = rows.shape[1]
-    t = np.zeros((1, m), dtype=np.uint8)
+    t = np.zeros((1, m), dtype=np.uint8) if base is None else base[None]
     for r in rows:
         t = ring.ADD[t[:, None, :], ring.MUL[:, r][None, :, :]].reshape(len(t) * ring.size, m)
     return t
@@ -158,9 +159,8 @@ def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np
     rows: the codewords of every message, and the high half of the dual's
     join."""
     khi = max(0, rows.shape[0] - _LO_BITS // ring.bits)  # the digits past the block
-    tl = span_table(rows[khi:], ring)
     for h, prefix in enumerate(span_table(rows[:khi], ring)):
-        yield h * len(tl), ring.ADD[tl, prefix]
+        yield h * ring.size ** (len(rows) - khi), span_table(rows[khi:], ring, prefix)
 
 
 def _row_keys(t: np.ndarray, ring: RingTable = R) -> np.ndarray:

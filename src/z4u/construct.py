@@ -32,13 +32,13 @@ orbits of the group they generate; only the first member of each orbit
 in candidate order is evaluated, and every other member carries its
 result.  Each member is checked, not assumed: the orbit element is a
 signed permutation of rows and columns, and applied to the
-representative's block it must give the member's block, or the search
-raises AssertionError.  The check runs on the stacked blocks of all
-candidates, one gather per group element.  A member keeps the
-representative's distance and its exact flag; its witness is the
-representative's witness codeword under the element's signed
-permutation of the 2k coordinates.  Spec objects are built only for the
-results printed.
+representative's block it must give the member's block.  `_check` runs
+this and the isodual identity: one gather per distinct permutation, over
+slices of `_SLICE` candidates whose blocks are built from their rows on
+demand, raising AssertionError on a mismatch.  A member keeps the
+representative's distance and exact flag; its witness is the
+representative's witness under the element's signed permutation of the
+2k coordinates.  Spec objects are built only for the results printed.
 
 The representatives' generators [I | B] are grouped by their information
 sets, and each group is one batched call of the Lee-level kernel
@@ -61,7 +61,7 @@ from __future__ import annotations
 import functools
 import multiprocessing
 from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -256,6 +256,11 @@ def _evaluate(gens: np.ndarray, budget: int) -> list[DistanceResult]:
     return dist
 
 
+#: Candidates per gather in `_orbits` and `_check`: temporaries are held
+#: for one slice at a time, never for every candidate at once.
+_SLICE = 1 << 14
+
+
 @dataclass(frozen=True)
 class _Move:
     """A signed permutation of k x k blocks, built by `of(rows, cols,
@@ -315,16 +320,18 @@ def _moves(m: int, bordered: bool,
     return tuple(out)
 
 
-def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray) -> tuple[np.ndarray, list[_Move]]:
-    """Per candidate, the index of its orbit representative and the move
-    from the representative's block to its own.
+def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per candidate, the index of its orbit representative and the index
+    of the move from the representative's block to its own, in the flat
+    table `_moves(m, bordered, False) + _moves(m, bordered, True)`.
 
     Each group element is one gather of the candidate columns (reversal
     also swaps a bdc row's beta and gamma), and each image is looked up
-    among the candidates by its sorted row key.  The representative is the
-    smallest index among a candidate's images; the move is the first group
-    element, in `_moves` order, that sends the representative to it, taken
-    with the candidate's `signed` border.
+    among the candidates by its sorted row key, `_SLICE` candidates at a
+    time.  The representative is the smallest index among a candidate's
+    images; the move is the first group element, in `_moves` order, that
+    sends the representative to it, taken with the candidate's `signed`
+    border.
     """
     bordered = kind == "bdc"
     m = cands.shape[1] - 3 * bordered
@@ -344,29 +351,31 @@ def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray) -> tuple[np.ndarra
             yield np.where(keys[at] == key, order[at], len(cands))
 
     owner = np.arange(len(cands))
-    for index in images(cands):
-        owner = np.minimum(owner, index)
+    for start in range(0, len(cands), _SLICE):
+        part = owner[start:start + _SLICE]
+        for index in images(cands[start:start + _SLICE]):
+            np.minimum(part, index, out=part)
     first = np.full(len(cands), -1)
     for g, index in enumerate(images(cands[owner == np.arange(len(cands))])):
         index = index[index < len(cands)]
         first[index[first[index] < 0]] = g
-    table = [_moves(m, bordered, s) for s in (False, True)]
-    return owner, [table[s][g][3] for s, g in zip(signed.tolist(), first.tolist())]
+    return owner, first + len(_moves(m, bordered, False)) * signed
 
 
-def _check_moves(moves: Sequence[_Move], rep_blocks: np.ndarray, blocks: np.ndarray,
-                 names) -> None:
-    """Member i's move must send its representative's block rep_blocks[i]
-    to its own block blocks[i]: checked on the stacked blocks of all
-    members, one gather per distinct move.  A failure is a fault in the
-    program: AssertionError, naming the pair by `names(i)`."""
-    by_move: dict[int, list[int]] = {}
-    for i, move in enumerate(moves):
-        by_move.setdefault(id(move), []).append(i)
-    for members in by_move.values():
-        bad = (moves[members[0]].block(rep_blocks[members]) != blocks[members]).any(axis=(1, 2))
-        if bad.any():
-            raise AssertionError(f"orbit move does not send {names(members[int(bad.argmax())])}")
+def _check(moves: Sequence[_Move], index: np.ndarray, source: np.ndarray,
+           block_of: Callable[[np.ndarray], np.ndarray], fail: Callable[[int], str]) -> None:
+    """Candidate i's move moves[index[i]] must send the block of candidate
+    source[i] to candidate i's own block.  One gather per distinct move,
+    over slices of at most `_SLICE` candidates whose blocks `block_of`
+    builds from their indices.  A failure is a fault in the program:
+    AssertionError with the message `fail(i)`."""
+    for g in np.unique(index).tolist():
+        members = np.flatnonzero(index == g)
+        for start in range(0, len(members), _SLICE):
+            part = members[start:start + _SLICE]
+            bad = (moves[g].block(block_of(source[part])) != block_of(part)).any(axis=(1, 2))
+            if bad.any():
+                raise AssertionError(fail(int(part[bad.argmax()])))
 
 
 def _moved(d: DistanceResult, move: _Move) -> DistanceResult:
@@ -385,30 +394,15 @@ def _transposed(perm: np.ndarray, neg: np.ndarray) -> _Move:
 
 
 @functools.lru_cache(maxsize=None)
-def _isodual_q(k: int, bordered: bool, signed: bool) -> _Move:
-    """`_transposed` of the isodual map Q of a dc or bdc block of order k:
-    the reversal i -> -i mod k for a circulant; for a bordered block,
-    coordinate 0 fixed, and negated when `signed` (gamma = -beta != beta),
-    and the reversal on the k-1 circulant ones."""
+def _isodual_q(k: int, bordered: bool) -> tuple[_Move, _Move]:
+    """`_transposed` of the isodual map Q of a dc or bdc block of order k,
+    indexed by whether the border is signed (gamma = -beta != beta): the
+    reversal i -> -i mod k for a circulant; for a bordered block,
+    coordinate 0 fixed, and negated when signed, and the reversal on the
+    k-1 circulant ones."""
     m = k - bordered
     perm = np.concatenate([np.zeros(int(bordered), np.intp), bordered + (-np.arange(m) % m)])
-    neg = np.zeros(k, dtype=bool)
-    neg[0] = signed
-    return _transposed(perm, neg)
-
-
-def _check_isodual(blocks: np.ndarray, bordered: bool, signed: np.ndarray, names) -> None:
-    """Each block of the (N, k, k) stack must equal Q^-1 B^T Q, which
-    proves its code isodual (module docstring): one gather per distinct Q,
-    signed per block.  A failure is a fault in the program: AssertionError,
-    naming the spec by `names(i)`."""
-    for s in np.unique(signed).tolist():
-        members = np.flatnonzero(signed == s)
-        mine = blocks[members]
-        bad = (_isodual_q(blocks.shape[-1], bordered, s).block(mine) != mine).any(axis=(1, 2))
-        if bad.any():
-            raise AssertionError(
-                f"isodual map does not hold for {names(members[int(bad.argmax())])}")
+    return _transposed(perm, np.zeros(k, dtype=bool)), _transposed(perm, np.arange(k) == 0)
 
 
 def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
@@ -419,8 +413,8 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
 
     Only one candidate per isometry orbit is evaluated, by the worker pool;
     every result is then carried back out in candidate order, so the
-    outcome is worker-count independent.  Every candidate's block passed
-    its isodual check (`_check_isodual` raises otherwise).
+    outcome is worker-count independent.  Every candidate's orbit move and
+    isodual block identity passed `_check`, which raises otherwise.
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -432,17 +426,22 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     cands = _candidates(kind, n, alpha)
     bordered = kind == "bdc"
     signed = (cands[:, -1] != cands[:, -2]) if bordered else np.zeros(len(cands), dtype=bool)
-    owner, moves = _orbits(kind, cands, signed)
-    blocks = circulant(cands) if kind == "dc" else bordered_block(cands[:, :-3], *cands[:, -3:].T)
+    owner, index = _orbits(kind, cands, signed)
+    moves = [move for s in (False, True) for *_, move in _moves(n - bordered, bordered, s)]
+
+    def block_of(i: np.ndarray) -> np.ndarray:
+        rows = cands[i]
+        return circulant(rows) if kind == "dc" else bordered_block(rows[:, :-3], *rows[:, -3:].T)
 
     def names(i: int) -> str:
         return _spec(kind, cands[i]).describe()
 
-    _check_moves(moves, blocks[owner], blocks, lambda i: f"{names(owner[i])} to {names(i)}")
-    _check_isodual(blocks, bordered, signed, names)
+    _check(moves, index, owner, block_of,
+           lambda i: f"orbit move does not send {names(owner[i])} to {names(i)}")
+    _check(_isodual_q(n, bordered), signed, np.arange(len(cands)), block_of,
+           lambda i: f"isodual map does not hold for {names(i)}")
     reps = np.flatnonzero(owner == np.arange(len(cands)))
-    k = blocks.shape[-1]
-    gens = np.concatenate([np.broadcast_to(identity(k), (len(reps), k, k)), blocks[reps]], axis=2)
+    gens = np.concatenate([np.broadcast_to(identity(n), (len(reps), n, n)), block_of(reps)], axis=2)
     evaluate = functools.partial(_evaluate, budget=budget)
     workers = min(threads, len(reps))
     if workers > 1:
@@ -454,7 +453,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
         done = evaluate(gens)
     rank = np.searchsorted(reps, owner)  # each candidate's representative in `done`
     value = np.array([d.value for d in done])[rank]
-    results = tuple(SearchResult(_spec(kind, cands[i]), _moved(done[rank[i]], moves[i]))
+    results = tuple(SearchResult(_spec(kind, cands[i]), _moved(done[rank[i]], moves[index[i]]))
                     for i in np.flatnonzero(value >= threshold).tolist())
     return SearchOutcome(kind, results, int(value.max()), _spec(kind, cands[value.argmax()]),
                          exhaustive=(alpha == tuple(range(16))),
@@ -475,7 +474,7 @@ class RowReport:
 
     def format_line(self) -> str:
         """fsd=yes: the spec's isodual map checked out, as it must for the
-        row to exist (`_check_isodual` raises otherwise)."""
+        row to exist (`_check` raises otherwise)."""
         verdict = "PASS" if self.ok else "FAIL"
         return (f"length {self.length:>2}  d={self.got.value:>2} ({self.got.label()})"
                 f"  recorded {self.recorded_d:>2}  {verdict}  fsd=yes  {self.spec.describe()}")
@@ -490,7 +489,8 @@ def verify_tables(table: int, max_length: int = 26,
             continue
         got = spec.build().min_lee_distance(budget)
         bordered = isinstance(spec, BorderSpec)
-        _check_isodual(spec.block()[None], bordered,
-                       np.array([bordered and spec.gamma != spec.beta]), lambda _: spec.describe())
+        block, signed = spec.block()[None], np.array([bordered and spec.gamma != spec.beta])
+        _check(_isodual_q(block.shape[-1], bordered), signed, np.zeros(1, dtype=np.intp),
+               lambda _: block, lambda _: f"isodual map does not hold for {spec.describe()}")
         reports.append(RowReport(length, spec, recorded, got, ok=(got.value == recorded)))
     return reports

@@ -476,11 +476,16 @@ def _check_swe_substitution() -> None:
             raise AssertionError(f"SWE step chain differs from transform form {v}")
 
 
+def guard_expansion(length: int) -> None:
+    """ExpansionTooLarge for a code longer than the SWE transform expands."""
+    if length > _EXPANSION_GUARD:
+        raise ExpansionTooLarge(f"SWE transform expansion guarded at n <= {_EXPANSION_GUARD}")
+
+
 def macwilliams_swe(e: SWE, size: int) -> SWE:
     """Dual SWE: (1/size) * swe(five substituted forms), by the step chain
     of `_swe_substitute`."""
-    if e.length > _EXPANSION_GUARD:
-        raise ExpansionTooLarge(f"SWE transform expansion guarded at n <= {_EXPANSION_GUARD}")
+    guard_expansion(e.length)
     _check_swe_substitution()
     out: dict = {}
     for key, v in _swe_substitute(e.terms).items():

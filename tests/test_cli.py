@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 
-from z4u import ring
+from z4u import ring, wenum
 from z4u.cli import main
 from z4u.code import LinearCode, identity, ring_matmul
 
@@ -157,13 +157,20 @@ def test_search_alphabet_flag():
     assert "exhaustive over full alphabet: no" in out
 
 
-def test_macwilliams_past_expansion_guard_exit_1(tmp_path, capsys):
-    # n = 25 is past the symbolic SWE transform's guard: an input error
-    path = tmp_path / "long.gen"
-    path.write_text(" ".join(["10"] * 25) + "\n")
-    status, out = run_cli("macwilliams", "--gen", str(path))
-    assert status == 1 and out == ""
-    assert capsys.readouterr().err.startswith("error: SWE transform expansion guarded")
+def test_macwilliams_past_expansion_guard_exit_1(tmp_path, capsys, monkeypatch):
+    # n = 25 is past the symbolic SWE transform's guard: an input error,
+    # reported before any enumeration (the complete enumerator must not run)
+    def no_cwe(*_):
+        raise AssertionError("cwe ran before the expansion guard")
+
+    monkeypatch.setattr(wenum, "cwe", no_cwe)
+    rng = np.random.default_rng(25)
+    for rows in (np.full((1, 25), ring.ONE), rng.integers(0, 16, size=(5, 25))):
+        path = tmp_path / "long.gen"
+        path.write_text(format_matrix(rows.astype(np.uint8)) + "\n")
+        status, out = run_cli("macwilliams", "--gen", str(path))
+        assert status == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: SWE transform expansion guarded")
 
 
 def test_search_empty_alphabet_exit_1(capsys):

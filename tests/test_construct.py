@@ -7,8 +7,8 @@ from oracles import candidate_specs, isodual_map, maps_dual_into, search_unreduc
 from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET, LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
-                           _candidates, _check_isodual, _check_moves, _isodual_q,
-                           _Move, _moved, _moves, _orbits, _transposed, bordered_code,
+                           _candidates, _check, _isodual_q, _Move, _moved, _moves,
+                           _orbits, _transposed, bordered_code,
                            circulant, double_circulant_code, search, symmetric_code,
                            table_specs, verify_tables)
 from z4u.errors import BadBorder, NotSymmetric
@@ -216,24 +216,55 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet, budget):
 def test_one_sweep_and_certificate_per_orbit(monkeypatch):
     # the benchmark's n = 3 search: 8^3 first rows in 60 orbits, each code
     # passed once to the batched distance kernel, and every candidate's
-    # block certified
-    calls = {"distance": 0, "certificate": 0}
-    batched, map_check = construct.lee_levels, construct._check_isodual
+    # move and isodual block identity checked
+    calls = {"distance": 0, "orbit": 0, "isodual": 0}
+    batched, check = construct.lee_levels, construct._check
 
-    def counted(name, fn, weight):
-        def wrapper(*args, **kwargs):
-            calls[name] += weight(*args)
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted(moves, index, source, block_of, fail):
+        calls[fail(0).split()[0]] += len(index)  # "orbit ..." or "isodual ..."
+        return check(moves, index, source, block_of, fail)
 
-    monkeypatch.setattr(construct, "lee_levels",
-                        counted("distance", batched, lambda gens, *_: len(gens)))
-    monkeypatch.setattr(construct, "_check_isodual",
-                        counted("certificate", map_check, lambda blocks, *_: len(blocks)))
+    def distance(gens, *args):
+        calls["distance"] += len(gens)
+        return batched(gens, *args)
+
+    monkeypatch.setattr(construct, "lee_levels", distance)
+    monkeypatch.setattr(construct, "_check", counted)
     out = search("dc", 3, UNITS, threshold=6)
     assert out.candidates == 512 and len(out.results) == 144
-    assert calls == {"distance": 60, "certificate": 512}
+    assert calls == {"distance": 60, "orbit": 512, "isodual": 512}
     assert all(r.distance.exact for r in out.results)
+
+
+@pytest.mark.parametrize("kind,n", [("dc", 3), ("bdc", 2)])
+def test_search_independent_of_slice(monkeypatch, kind, n):
+    # 4096 dc and 7168 bdc candidates: owners, moves and both checks cut
+    # into slices of one candidate, of 7 (partial last slices) and of the
+    # default size give the same outcome, witnesses included
+    want = search(kind, n, threshold=2 * n)
+    assert want.results
+    for size in (1, 7):
+        monkeypatch.setattr(construct, "_SLICE", size)
+        assert search(kind, n, threshold=2 * n) == want  # DistanceResult == compares witnesses
+
+
+def test_corrupted_move_in_last_partial_slice_raises(monkeypatch):
+    # the last candidate (33 33 33) is the negation of (11 11 11); its move
+    # swapped for the same shift without the negation, and it falls in the
+    # partial last slice of that move's members
+    orbits = construct._orbits
+    monkeypatch.setattr(construct, "_SLICE", 7)
+
+    def corrupted(*args):
+        owner, index = orbits(*args)
+        index[-1] ^= 1
+        assert np.count_nonzero(index == index[-1]) % construct._SLICE != 0
+        return owner, index
+
+    monkeypatch.setattr(construct, "_orbits", corrupted)
+    with pytest.raises(AssertionError, match=r"orbit move does not send dc first_row=\(11 11 11\) "
+                                             r"to dc first_row=\(33 33 33\)"):
+        search("dc", 3, UNITS)
 
 
 def _image(spec, rev, perm, negated):
@@ -278,20 +309,25 @@ def test_orbits_match_first_images(kind, n, alphabet):
                 j = index.get(_image(spec, rev, perm, negated))
                 if j is not None and want[j] is None:
                     want[j] = (i, move)
-    owner, moves = _orbits(kind, cands, np.array(signed))
+    owner, index = _orbits(kind, cands, np.array(signed))
+    m = len(specs[0].first_row)
+    table = [move for s in (False, True) for *_, move in _moves(m, kind == "bdc", s)]
     assert [construct._spec(kind, row) for row in cands] == specs
     assert owner.tolist() == [i for i, _ in want]
-    assert all(got is move for got, (_, move) in zip(moves, want))
+    assert all(table[g] is move for g, (_, move) in zip(index.tolist(), want))
 
 
 def test_corrupted_orbit_move_raises():
     spec = BorderSpec((R("02"), R("10"), R("33")), R("31"), R("13"), R("31"))
     reversed_spec = BorderSpec((R("02"), R("33"), R("10")), R("31"), R("31"), R("13"))
     rep = spec.build().min_lee_distance()
+    blocks = np.stack([spec.block(), reversed_spec.block()])
+    identity_move = _moves(3, True, True)[0][3]
 
     def carry(move):
-        _check_moves([move], spec.block()[None], reversed_spec.block()[None],
-                     lambda _: f"{spec.describe()} to {reversed_spec.describe()}")
+        # candidate 0 is its own representative, candidate 1 its image
+        _check([identity_move, move], np.array([0, 1]), np.array([0, 0]), blocks.__getitem__,
+               lambda i: f"orbit move does not send {spec.describe()} to {reversed_spec.describe()}")
         return _moved(rep, move)
 
     move = next(move for rev, perm, negated, move in _moves(3, True, True)
@@ -306,7 +342,7 @@ def test_corrupted_orbit_move_raises():
     swapped = move.take.copy()
     swapped[1, [1, 2]] = swapped[1, [2, 1]]
     for bad in (unsigned, _Move(move.coords, swapped)):
-        with pytest.raises(AssertionError, match="orbit"):
+        with pytest.raises(AssertionError, match="orbit move does not send bdc"):
             carry(bad)
 
 
@@ -369,12 +405,19 @@ def test_isodual_map_keeps_lee_weight():
         assert (table.LEE[table.NEG] == table.LEE).all()
 
 
+def _certify(spec, signed):
+    # the isodual block identity on one block, as `verify_tables` checks it
+    block = spec.block()[None]
+    _check(_isodual_q(block.shape[-1], isinstance(spec, BorderSpec)), np.array([signed]),
+           np.zeros(1, dtype=np.intp), lambda _: block, str)
+
+
 @settings(max_examples=40, deadline=None)
 @given(row=st.lists(ELEMENT, min_size=1, max_size=4))
 def test_dc_certificate_agrees_with_fixed_point(row):
     spec = CirculantSpec(tuple(row))
     c = spec.build()
-    _check_isodual(spec.block()[None], False, np.zeros(1, dtype=bool), str)
+    _certify(spec, False)
     assert maps_dual_into(c, *isodual_map(spec))
     assert is_formally_self_dual(c)
 
@@ -388,7 +431,7 @@ def test_bdc_certificate_agrees_with_fixed_point(negated, data):
     beta = data.draw(SIGNED_BETA if negated else ELEMENT)
     spec = BorderSpec(tuple(row), alpha, beta, ring.neg(beta) if negated else beta)
     c = spec.build()
-    _check_isodual(spec.block()[None], True, np.array([negated]), str)
+    _certify(spec, negated)
     assert maps_dual_into(c, *isodual_map(spec))
     assert is_formally_self_dual(c)
 
@@ -441,14 +484,14 @@ def test_failed_certificate_raises(monkeypatch):
     # bdc map without its border sign, which only fits gamma = beta
     right = construct._isodual_q
     monkeypatch.setattr(construct, "_isodual_q",
-                        lambda k, bordered, signed: _transposed(np.arange(k), np.zeros(k, bool)))
+                        lambda k, bordered: (_transposed(np.arange(k), np.zeros(k, bool)),) * 2)
     with pytest.raises(AssertionError,
                        match=r"isodual map does not hold for dc first_row=\(20 10 03\)"):
         verify_tables(2, max_length=6)
     with pytest.raises(AssertionError, match="isodual map does not hold for dc"):
         search("dc", 3, [ring.ZERO, R("10"), R("20")])
     monkeypatch.setattr(construct, "_isodual_q",
-                        lambda k, bordered, signed: right(k, bordered, False))
+                        lambda k, bordered: (right(k, bordered)[0],) * 2)
     with pytest.raises(AssertionError, match=r"does not hold for bdc first_row=\(11\) "
                                              r"border=\(11,11,33\)"):
         search("bdc", 2, [R("11")])
