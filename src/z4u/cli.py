@@ -5,13 +5,16 @@ line-oriented report with stable field order to stdout, so runs are
 byte-for-byte reproducible (worker count included).  Budgets are given as
 exponents: --budget 7 means 16^7 enumerated messages.
 
-Exit status: 0 on success, 1 on parse/budget problems, 2 when a
-verification verdict is FAIL.
+Exit status: 0 on success, 1 on parse/budget problems (a usage error
+included: the usage and the message go to stderr), 2 when a verification
+verdict is FAIL.  `main(argv)` returns the status, so it can be called
+again and again in one process; the parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -278,7 +281,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="worker processes for `search` (results are thread-count independent)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: `parse_args` leaves it unchanged and
+    returns a new namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="z4u",
         description="Linear codes over Z4+uZ4: analysis, transforms, projections, search.")
@@ -349,7 +355,12 @@ def _check_numbers(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code == 0:  # --help
+            raise
+        return 1  # a usage error: argparse printed the usage and the message to stderr
     try:
         _check_numbers(args)
         args.func(args)

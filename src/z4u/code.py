@@ -457,6 +457,10 @@ def information_sets(gen: np.ndarray, ring: RingTable = R) -> tuple[tuple[int, .
     two when the columns hold such a pair, else one (greedy: the identity
     columns in standard form).  r = k proves the rows a free basis; below
     it `systematic` leaves k - r torsion rows in the maximal ideal.
+
+    The sets depend only on that pattern, G modulo the maximal ideal (<2, u>
+    over R): generators with the same pattern get the same sets, which lets
+    `construct.search` find them once per pattern.
     """
     vec = _unit_columns(gen, ring)
     r = _rank(vec)

@@ -43,8 +43,12 @@ representative's witness under the element's signed permutation of the
 The representatives' generators [I | B] are grouped by their information
 sets, and each group is one batched call of the Lee-level kernel
 (`code.lee_levels`); with several workers, each worker groups and batches
-its own share.  Results come back in candidate order, so they do not
-depend on worker count or on how the batches fall.
+its own share.  R is local, its maximal ideal <2, u> holds every non-unit
+and its residue field is F2, so the sets depend only on G modulo <2, u>,
+its unit pattern: they are found once per distinct pattern in the stack
+(at most 2^n for circulants), not once per code.  Results come back in
+candidate order, so they do not depend on worker count or on how the
+batches fall.
 
 `verify_tables` rebuilds each catalogued code and compares its minimum
 distance against the recorded value.  Both it and `search` take the
@@ -59,7 +63,6 @@ comes back exact while its 16^k messages fit the budget.
 from __future__ import annotations
 
 import functools
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
@@ -243,15 +246,19 @@ def _spec(kind: str, row: np.ndarray) -> "CirculantSpec | BorderSpec":
 
 
 def _evaluate(gens: np.ndarray, budget: int) -> list[DistanceResult]:
-    """Distances of a (B, k, n) stack of generators over R, in order: they
-    are grouped by their information sets, and each group is one batched
-    `lee_levels` call."""
-    groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-    for i, gen in enumerate(gens):
-        groups.setdefault(information_sets(gen, ring.R), []).append(i)
+    """Distances of a (B, k, n) stack of generators over R, in order:
+    `information_sets` runs once per distinct unit pattern, the codes are
+    grouped by their sets, each group in index order, and each group is
+    one batched `lee_levels` call."""
+    pattern = np.packbits((ring.R.INV[gens] != 0).reshape(len(gens), -1), axis=1)
+    _, first, pattern_of = np.unique(pattern, axis=0, return_index=True, return_inverse=True)
+    groups: dict[tuple[tuple[int, ...], ...], int] = {}
+    group = np.array([groups.setdefault(information_sets(gens[i], ring.R), len(groups))
+                      for i in first.tolist()])[pattern_of.ravel()]
     dist: list = [None] * len(gens)
-    for sets, members in groups.items():
-        for i, d in zip(members, lee_levels(gens[members], ring.R, sets, budget)):
+    for sets, g in groups.items():
+        members = np.flatnonzero(group == g)
+        for i, d in zip(members.tolist(), lee_levels(gens[members], ring.R, sets, budget)):
             dist[i] = d
     return dist
 
@@ -445,6 +452,8 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     evaluate = functools.partial(_evaluate, budget=budget)
     workers = min(threads, len(reps))
     if workers > 1:
+        import multiprocessing  # only here: one worker, the default, never needs it
+
         size = max(1, len(reps) // (8 * workers))
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             parts = pool.map(evaluate, [gens[i:i + size] for i in range(0, len(reps), size)])

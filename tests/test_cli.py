@@ -1,11 +1,15 @@
 import importlib.resources as res
 import io
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from z4u import ring, wenum
-from z4u.cli import main
+from z4u import cli, ring, wenum
+from z4u.cli import build_parser, main
 from z4u.code import LinearCode, identity, ring_matmul
 
 from oracles import dual_bruteforce, format_matrix
@@ -212,6 +216,57 @@ def test_verify_tables_fail_exit_code(monkeypatch):
     status, out = run_cli("verify-tables", "--table", "2", "--max-length", "4")
     assert status == 2
     assert "FAIL" in out
+
+
+def test_usage_errors_exit_1(capsys):
+    # argparse's own errors are bad input, status 1 (2 is a FAIL verdict):
+    # returned by `main`, with the usage and the message on stderr
+    for argv in (("search", "--kind", "xx", "--n", "3"),
+                 ("search", "--kind", "dc", "--n", "3", "--threads", "abc"),
+                 ("search", "--kind", "dc"),
+                 ("verify-tables", "--table", "4"),
+                 ("no-such-command",),
+                 ()):
+        status, out = run_cli(*argv)
+        assert status == 1 and out == "", argv
+        err = capsys.readouterr().err
+        assert err.startswith("usage: z4u") and "error: " in err, argv
+
+
+def test_help_exits_0():
+    for argv in (["--help"], ["search", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_same_output_after_usage_error_and_fail(monkeypatch):
+    # the parser is reused across calls: a good call prints the same bytes
+    # after a usage error and after a FAIL verdict
+    good = ("verify-tables", "--table", "2", "--max-length", "6")
+    want = run_cli(*good)
+    assert want[0] == 0
+    assert run_cli("verify-tables", "--table", "9")[0] == 1
+    assert run_cli(*good) == want
+    import z4u.construct as construct
+    with monkeypatch.context() as m:
+        m.setattr(construct, "DC_TABLE", ((4, construct.DC_TABLE[0][1], 5),) + construct.DC_TABLE[1:])
+        assert run_cli(*good)[0] == 2
+    assert run_cli(*good) == want
+
+
+def test_import_leaves_multiprocessing_out():
+    # one worker, the default, never needs the multiprocessing package; a
+    # fresh interpreter shows what importing the CLI alone pulls in
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, z4u.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout == "False\n"
 
 
 def test_bad_numeric_flags_exit_1():

@@ -8,7 +8,7 @@ from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET, LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
                            _candidates, _check, _isodual_q, _Move, _moved, _moves,
-                           _orbits, _transposed, bordered_code,
+                           _orbits, _transposed, bordered_block, bordered_code,
                            circulant, double_circulant_code, search, symmetric_code,
                            table_specs, verify_tables)
 from z4u.errors import BadBorder, NotSymmetric
@@ -208,17 +208,55 @@ def test_orbit_search_matches_unreduced(kind, n, alphabet, budget):
             [(r.spec, r.distance.value, r.distance.exact) for r in want.results]
         witnesses.append([r.distance.witness for r in got.results])
     assert witnesses[0] == witnesses[1]
-    for r in got.results:  # orbit members carry their representative's witness, moved
-        assert r.spec.build().contains([r.distance.witness]).all()
-        assert lee_weight_vector(r.distance.witness) == r.distance.value
+    # orbit members carry their representative's witness, moved: each is a
+    # codeword of weight `value`, checked for every result at once
+    if got.results:
+        words = np.array([r.distance.witness for r in got.results], dtype=np.uint8)
+        assert _codewords_of_results(got.results, words).all()
+        assert (ring.R.LEE[words].sum(axis=1, dtype=np.int64)
+                == [r.distance.value for r in got.results]).all()
 
 
-def test_one_sweep_and_certificate_per_orbit(monkeypatch):
-    # the benchmark's n = 3 search: 8^3 first rows in 60 orbits, each code
-    # passed once to the batched distance kernel, and every candidate's
-    # move and isodual block identity checked
-    calls = {"distance": 0, "orbit": 0, "isodual": 0}
-    batched, check = construct.lee_levels, construct._check
+def _codewords_of_results(results, words: np.ndarray) -> np.ndarray:
+    """Whether words[i] lies in the code of results[i].  Every result's
+    generator is [I | B], so w is a codeword iff w[k:] = w[:k].B: `contains`
+    for these codes, on the stacked blocks."""
+    specs = [r.spec for r in results]
+    if isinstance(specs[0], CirculantSpec):
+        blocks = circulant(np.array([s.first_row for s in specs], dtype=np.uint8))
+    else:
+        blocks = bordered_block(np.array([s.first_row for s in specs], dtype=np.uint8),
+                                *np.array([(s.alpha, s.beta, s.gamma) for s in specs]).T)
+    k = blocks.shape[-1]
+    right = np.zeros((len(words), k), dtype=np.uint8)
+    for i in range(k):
+        right = ring.R.ADD[right, ring.R.MUL[words[:, i, None], blocks[:, i]]]
+    return (right == words[:, k:]).all(axis=1)
+
+
+def test_stacked_membership_matches_contains():
+    # the stacked check of the test above against `contains`, on codewords
+    # and on words with one entry changed, dc and bdc
+    rng = np.random.default_rng(7)
+    for kind, n in (("dc", 3), ("bdc", 3)):
+        results = search(kind, n, sorted(ring.UNITS), threshold=0).results[::37]
+        words = np.array([r.distance.witness for r in results], dtype=np.uint8)
+        at = rng.integers(0, words.shape[1], len(words))
+        bent = words.copy()
+        bent[np.arange(len(words)), at] ^= rng.integers(1, 16, len(words)).astype(np.uint8)
+        for w in (words, bent):
+            assert _codewords_of_results(results, w).tolist() == \
+                [bool(r.spec.build().contains([x])[0]) for r, x in zip(results, w)]
+        assert _codewords_of_results(results, words).all()
+        assert not _codewords_of_results(results, bent).any()
+
+
+def _count_calls(monkeypatch, n, alphabet):
+    """A dc search at threshold 2n, with the codes sent to the distance
+    kernel, the candidates orbit-checked and isodual-certified, and the
+    `information_sets` calls counted."""
+    calls = {"distance": 0, "orbit": 0, "isodual": 0, "sets": 0}
+    batched, check, sets = construct.lee_levels, construct._check, construct.information_sets
 
     def counted(moves, index, source, block_of, fail):
         calls[fail(0).split()[0]] += len(index)  # "orbit ..." or "isodual ..."
@@ -228,12 +266,34 @@ def test_one_sweep_and_certificate_per_orbit(monkeypatch):
         calls["distance"] += len(gens)
         return batched(gens, *args)
 
+    def information_sets(gen, table):
+        calls["sets"] += 1
+        return sets(gen, table)
+
     monkeypatch.setattr(construct, "lee_levels", distance)
     monkeypatch.setattr(construct, "_check", counted)
-    out = search("dc", 3, UNITS, threshold=6)
+    monkeypatch.setattr(construct, "information_sets", information_sets)
+    out = search("dc", n, alphabet, threshold=2 * n)
+    assert out.results and all(r.distance.exact for r in out.results)
+    return out, calls
+
+
+def test_one_sweep_and_certificate_per_orbit(monkeypatch):
+    # the benchmark's n = 3 search: 8^3 first rows in 60 orbits, each code
+    # passed once to the batched distance kernel, and every candidate's
+    # move and isodual block identity checked; every unit is 1 modulo
+    # <2, u>, so one unit pattern and one search for information sets
+    out, calls = _count_calls(monkeypatch, 3, UNITS)
     assert out.candidates == 512 and len(out.results) == 144
-    assert calls == {"distance": 60, "orbit": 512, "isodual": 512}
-    assert all(r.distance.exact for r in out.results)
+    assert calls == {"distance": 60, "orbit": 512, "isodual": 512, "sets": 1}
+
+
+def test_information_sets_once_per_unit_pattern(monkeypatch):
+    # all 16 elements at n = 4: 16^4 first rows in 4756 orbits, whose
+    # circulants take 16 unit patterns
+    out, calls = _count_calls(monkeypatch, 4, None)
+    assert out.candidates == 65536
+    assert calls == {"distance": 4756, "orbit": 65536, "isodual": 65536, "sets": 16}
 
 
 @pytest.mark.parametrize("kind,n", [("dc", 3), ("bdc", 2)])

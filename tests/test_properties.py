@@ -39,7 +39,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from z4u import code as code_module
-from z4u import ring
+from z4u import construct, ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
                       lee_levels, lee_weight_vector, pack_words, ring_matmul)
 from z4u.errors import BudgetExceeded, ZeroCode
@@ -377,6 +377,45 @@ def test_batched_levels_match_single_codes(name, data):
     for c, got in zip(codes, batch):
         assert got == lee_levels(c.gen[None], table, sets, cap)[0]
         _check_against_sweep(c, got)
+    if name == "R":
+        _check_evaluate(data, [c.gen for c in codes], r, cap)
+
+
+def _check_evaluate(data, gens, r, cap):
+    """The search's `construct._evaluate`, which finds information sets once
+    per unit pattern, on a shuffled stack against `lee_levels` on one code
+    at a time, field by field.  The stack holds `gens` (one unit pattern,
+    rows r.. non-free), each again with a free row added to another row
+    (E.G: the same code, another unit pattern, and the same sets, since E
+    keeps every F2 dependence among the columns), and two copies of the
+    first with the last row drawn apart (most often other sets).  The sets
+    are found once per distinct unit pattern."""
+    k, n = gens[0].shape
+    stack = list(gens)
+    if r and k > 1:
+        i = data.draw(st.integers(0, r - 1))
+        j = data.draw(st.sampled_from([x for x in range(k) if x != i]))
+        c = data.draw(st.sampled_from(_units(R)))
+        for g in gens:
+            moved = g.copy()
+            moved[j] = R.ADD[moved[j], R.MUL[c, g[i]]]
+            assert information_sets(moved, R) == information_sets(g, R)
+            assert not np.array_equal(R.INV[moved] != 0, R.INV[g] != 0)
+            stack.append(moved)
+    for _ in range(2):
+        drawn = gens[0].copy()
+        drawn[-1] = data.draw(st.lists(st.integers(0, 15), min_size=n, max_size=n))
+        stack.append(drawn)
+    order = data.draw(st.permutations(range(len(stack))))
+    stack = np.array([stack[i] for i in order])
+    with mock.patch.object(construct, "information_sets", wraps=information_sets) as sets:
+        got = construct._evaluate(stack, cap)
+    assert sets.call_count == len(np.unique(R.INV[stack] != 0, axis=0))
+    assert len(got) == len(stack)
+    for g, d in zip(stack, got):
+        want, = lee_levels(g[None], R, information_sets(g, R), cap)
+        assert (d.value, d.lower_bound, d.witness, d.certificate) == \
+            (want.value, want.lower_bound, want.witness, want.certificate)
 
 
 def _invertible(data, table, k):
