@@ -134,7 +134,7 @@ def cmd_macwilliams(args) -> None:
     print(f"lee transform fixed point (formally self-dual): {'yes' if fsd else 'no'}")
     failures = []
     if 16 ** code.n <= budget:
-        dcwe = wenum.CWE.of_blocks(code.dual_blocks(budget), code.n)
+        dcwe = wenum.dual_cwe(code, budget)
         ds = wenum.cwe_to_swe(dcwe)
         dp = wenum.swe_to_lee(ds)
         ok_s = ds.terms == ts.terms

@@ -20,18 +20,25 @@ and the same sweep.  A free code (r = k) sweeps the zero word alone.
 Enumeration kernels are table-driven numpy.  Messages x in ring^j run in
 odometer order (last coordinate fastest), and a whole message space is
 never written out as digits: `span_table` builds the products x.rows for
-every x directly, one broadcast gather ADD[t, MUL[:, r]] per row r, so the
-table for j digits costs about size/(size-1) gathers of its own size.
-`span_blocks` splits a large space into blocks of at most 2^20 rows (5
-digits over R, 10 over a 4-element ring): each high prefix comes from a
+every x directly, as rows of packed Gray words (`pack_rows`: element c in
+word c // per at bit bits*(c % per), per = 64 // bits, so 16 elements to a
+word over R and 32 over Z4 and F2+uF2).  It adds one row at a time: the
+table so far, as a column of prefixes, plus every multiple of the row, a
+field-wise packed sum (`ring.packed_split`; the Gray packing is additive),
+so the table for j digits costs about size/(size-1) passes of its own
+size.  `span_blocks` splits a large space into blocks of at most 2^20 rows
+(5 digits over R, 10 over a 4-element ring): each high prefix comes from a
 small span table, and a block is the low-digit span table grown from that
-prefix.  The torsion sweep and the complete enumerator run on it.  The
-dual, the x with x G^T = 0, is a meet-in-the-middle join of two
-span tables of G^T, one per half of x's coordinates, on packed keys
-(`_null_blocks`).  Message digits are decoded from the flat odometer
-index only where they are reported: the dual's vectors.  Explicit message
-lists (encoding, membership's product, the Gram matrix) go through
-`ring_matmul`.
+prefix.  Membership, the size count, the torsion sweep and the complete
+enumerator read the words as they are; element values are unpacked
+(`unpack_rows`) only where they are read one by one.  The dual, the x with
+x G^T = 0, is a meet-in-the-middle join of two span tables of G^T, one per
+half of x's coordinates, on their packed words (`_null_blocks`), which
+hands each solution on as the odometer indices of its two halves.  Message
+digits are decoded from those only where they are reported, the dual's
+vectors; the dual's complete enumerator adds the halves' composition keys
+instead (`wenum.dual_cwe`).  Explicit message lists (encoding,
+membership's product, the Gram matrix) go through `ring_matmul`.
 
 The minimum distance comes from the Lee-level kernel (Brouwer-Zimmermann)
 alone.  `information_sets` finds one or two disjoint sets of r columns
@@ -85,7 +92,8 @@ from .ring import R, RingTable, packed_split, packed_weight, parse_matrix_text
 DEFAULT_BUDGET = 16 ** 7
 
 #: A span block holds at most 2^_LO_BITS rows: 5 digits over R, 10 over a
-#: 4-element ring.
+#: 4-element ring; a block of the dual join's pairs starts within a stretch
+#: of 2^(_LO_BITS - 4) solutions.
 _LO_BITS = 20
 _BIG = 1 << 30
 
@@ -140,71 +148,118 @@ def lee_weight_vector(v: Sequence[int], ring: RingTable = R) -> int:
 # Message enumeration
 # ---------------------------------------------------------------------------
 
+def pack_rows(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
+    """(..., N, m) element vectors -> (..., N, W) uint64 words of their Gray
+    images (`ring.PACK`): element c in word c // per at bit bits*(c % per),
+    per = 64 // bits, and zero past the last element."""
+    per, each = 64 // ring.bits, 8 // ring.bits  # elements per word and per byte
+    m = v.shape[-1]
+    fields = np.zeros((*v.shape[:-1], per * -(-m // per)), np.uint8)
+    fields[..., :m] = ring.PACK[v]
+    fields = fields.reshape(-1, each)  # one long strided pass per place in a byte
+    out = fields[:, 0].copy()
+    for i in range(1, each):
+        out |= fields[:, i] << (ring.bits * i)
+    return out.reshape(*v.shape[:-1], 8 * -(-m // per)).view("<u8")
+
+
+def unpack_rows(words: np.ndarray, m: int, ring: RingTable = R) -> np.ndarray:
+    """(..., N, W) packed words -> (..., N, m) element values (uint8): the
+    first m elements of each row, `pack_rows` inverted."""
+    each = 8 // ring.bits
+    b = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    out = np.empty((*b.shape[:-1], m), np.uint8)
+    for i in range(each):
+        out[..., i::each] = (b[..., :-(-(m - i) // each)] >> (ring.bits * i)) & (ring.size - 1)
+    return ring.UNPACK[out]
+
+
 def span_table(rows: np.ndarray, ring: RingTable = R, base: np.ndarray | None = None) -> np.ndarray:
-    """(size^j, m) words base + x.rows for every x in ring^j, odometer
-    order (base zero when None).
+    """(size^j, W) packed words (`pack_rows`) of base + x.rows for every x
+    in ring^j, odometer order (base, a row of packed words, zero when None).
 
     Built one row at a time: the table for the first i rows, taken as a
-    column of prefixes, plus every multiple of row i.
+    column of prefixes, plus every multiple of row i, field by field
+    (`ring.packed_split`).
     """
-    m = rows.shape[1]
-    t = np.zeros((1, m), dtype=np.uint8) if base is None else base[None]
-    for r in rows:
-        t = ring.ADD[t[:, None, :], ring.MUL[:, r][None, :, :]].reshape(len(t) * ring.size, m)
+    low = ring.low_mask
+    t = np.zeros((1, -(-rows.shape[1] // (64 // ring.bits))), np.uint64) if base is None \
+        else base[None]
+    for mult in pack_rows(ring.MUL[:, rows].swapaxes(0, 1), ring):  # (size, W): e * row
+        (tl, th), (ml, mh) = packed_split(t, low), packed_split(mult, low)
+        s = tl[:, None] + ml
+        s ^= th[:, None]
+        s ^= mh
+        t = s.reshape(len(t) * ring.size, t.shape[1])
     return t
 
 
 def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np.ndarray]]:
-    """The span table of `rows` in (first index, products) blocks of <= 2^20
-    rows: the codewords of every message, and the high half of the dual's
-    join."""
+    """The span table of `rows` in (first index, packed words) blocks of
+    <= 2^20 rows: the codewords of every message, and the high half of the
+    dual's join."""
     khi = max(0, rows.shape[0] - _LO_BITS // ring.bits)  # the digits past the block
     for h, prefix in enumerate(span_table(rows[:khi], ring)):
         yield h * ring.size ** (len(rows) - khi), span_table(rows[khi:], ring, prefix)
 
 
+def _keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per row of the (N, W) packed `words`, equal iff
+    the rows are: the word itself, or one void of all W."""
+    if words.shape[1] == 1:
+        return words[:, 0]
+    return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
+
+
 def _row_keys(t: np.ndarray, ring: RingTable = R) -> np.ndarray:
     """One sortable key per row of the (N, k) `t`, equal iff the rows are:
-    64 // bits elements to a uint64 word, and a row of several words as
-    one void of all of them."""
+    64 // bits element values to a uint64 word, and a row of several words
+    as one void of all of them.  The orbit lookup of `construct` sorts and
+    searches these: element values in product order keep its searches
+    local, where Gray images (`pack_rows`) made them 45% slower."""
     per = 64 // ring.bits
     words = np.zeros((-(-t.shape[1] // per), len(t)), dtype=np.uint64)
     for c in range(t.shape[1]):
         words[c // per] |= t[:, c].astype(np.uint64) << np.uint64(ring.bits * (c % per))
-    if len(words) == 1:
-        return words[0]
-    return np.ascontiguousarray(words.T).view(np.dtype((np.void, 8 * len(words)))).ravel()
+    return _keys(words.T)
 
 
-def _null_blocks(cols: np.ndarray, ring: RingTable = R) -> Iterator[np.ndarray]:
-    """The x in ring^m with x.cols = 0, cols an (m, k) matrix, as (B, m)
-    blocks in odometer order, by meet in the middle.
+def dual_split(n: int) -> int:
+    """Coordinates in the high half of the dual's join: ceil(n / 2)."""
+    return (n + 1) // 2
 
-    With x = (x_hi, x_lo), x_hi the first ceil(m/2) digits, x.cols = 0 iff
-    x_hi.cols_hi = -x_lo.cols_lo.  The keys (`_row_keys`) of the low span
-    table of -cols_lo are sorted once, stably, and each `span_blocks` block
-    of high products finds its partners by searchsorted: size^ceil(m/2)
-    products and one row per solution, not a size^m sweep.  High keys run
-    in odometer order and equal low keys keep theirs, so the solutions
-    come out in odometer order.  A yielded block holds the solutions of a
-    run of high keys whose first solution falls in one stretch of 2^20, so
-    it has fewer than 2^20 + size^(m - ceil(m/2)) rows.
+
+def _null_blocks(cols: np.ndarray, ring: RingTable = R) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The x in ring^m with x.cols = 0, cols an (m, k) matrix, by meet in
+    the middle, as blocks of (high, low) index pairs in odometer order: x
+    is high index i of ring^h, h = `dual_split(m)`, followed by low index j
+    of ring^(m - h).
+
+    x.cols = 0 iff x_hi.cols_hi = -x_lo.cols_lo.  The keys (`_keys`) of the
+    low span table of -cols_lo are sorted once, stably, and each
+    `span_blocks` block of high products finds its partners by
+    searchsorted: size^h products and one pair per solution, not a size^m
+    sweep.  High keys run in odometer order and equal low keys keep theirs,
+    so the solutions come out in odometer order.  A yielded block holds the
+    solutions of a run of high keys whose first solution falls in one
+    stretch of 2^16 (a span block's 2^20 / 16), so it has fewer than
+    2^16 + size^(m - h) pairs.
     """
-    m = len(cols)
-    h = (m + 1) // 2
-    low = _row_keys(span_table(ring.NEG[cols[h:]], ring), ring)
+    h = dual_split(len(cols))
+    low = _keys(span_table(ring.NEG[cols[h:]], ring))
     order = np.argsort(low, kind="stable")
     low = low[order]
     for start, blk in span_blocks(cols[:h], ring):
-        keys = _row_keys(blk, ring)
+        keys = _keys(blk)
         first = np.searchsorted(low, keys, "left")
         count = np.searchsorted(low, keys, "right") - first
         hit = np.flatnonzero(count)
         offset = np.cumsum(count[hit]) - count[hit]
-        for part in np.split(hit, np.flatnonzero(np.diff(offset >> _LO_BITS)) + 1):
+        for part in np.split(hit, np.flatnonzero(np.diff(offset >> (_LO_BITS - 4))) + 1):
             c = count[part]
-            pos = np.repeat(first[part] - (np.cumsum(c) - c), c) + np.arange(c.sum())
-            yield _digits(np.repeat(start + part, c) * len(order) + order[pos], m, ring)
+            pos = np.repeat(first[part] - (np.cumsum(c) - c), c)
+            pos += np.arange(len(pos))
+            yield np.repeat(start + part, c), order[pos]
 
 
 def _digits(index: np.ndarray, j: int, ring: RingTable = R) -> np.ndarray:
@@ -294,8 +349,9 @@ class LinearCode:
     # -- enumeration ------------------------------------------------------
 
     def codeword_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[int, np.ndarray]]:
-        """`span_blocks` of G: the codeword of every message, so each
-        codeword appears |K| times; raises BudgetExceeded past the budget."""
+        """`span_blocks` of G: the packed codeword of every message, so
+        each codeword appears |K| times; raises BudgetExceeded past the
+        budget."""
         total = self.ring.size ** self.k
         if total > budget:
             raise BudgetExceeded(total, budget, "codeword enumeration")
@@ -309,8 +365,8 @@ class LinearCode:
         return sets, systematic(self.gen[None], sets[0], self.ring)[0]
 
     def _torsion_blocks(self, budget: int, what: str) -> Iterator[np.ndarray]:
-        """The words of all size^(k-r) torsion messages, as `span_blocks`
-        blocks; raises BudgetExceeded past the budget."""
+        """The packed words of all size^(k-r) torsion messages, as
+        `span_blocks` blocks; raises BudgetExceeded past the budget."""
         (cols, *_), g = self._reduced
         total = self.ring.size ** (self.k - len(cols))
         if total > budget:
@@ -322,18 +378,19 @@ class LinearCode:
 
         w is a codeword iff w - w[P].F lies in T: one product, then one
         sweep of the torsion messages for all rows together (the zero word
-        alone for a free code), rows compared by their `_row_keys`.  Raises
-        ValueError for an entry that is no element value.
+        alone for a free code), rows compared by their packed words
+        (`pack_rows`, `_keys`).  Raises ValueError for an entry that is no
+        element value.
         """
         q = _elements(words, self.ring)
         if q.ndim != 2 or q.shape[1] != self.n:
             raise ValueError(f"expected an (N, {self.n}) array of words, got shape {q.shape}")
         (cols, *_), g = self._reduced
         rest = self.ring.ADD[q, self.ring.NEG[ring_matmul(q[:, cols], g[:len(cols)], self.ring)]]
-        qv = _row_keys(rest, self.ring)
+        qv = _keys(pack_rows(rest, self.ring))
         found = np.zeros(len(qv), dtype=bool)
         for blk in self._torsion_blocks(budget, "torsion sweep"):
-            bv = _row_keys(blk, self.ring)
+            bv = _keys(blk)
             found |= np.isin(qv, bv[np.isin(bv, qv)])
         return found
 
@@ -359,9 +416,10 @@ class LinearCode:
         """C subseteq C-perp: the Gram matrix G G^T is zero."""
         return not ring_matmul(self.gen, self.gen.T, self.ring).any()
 
-    def dual_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
-        """The vectors orthogonal to every generator row, as (B, n) uint8
-        blocks in odometer order, which is lexicographic (`_null_blocks`).
+    def dual_pairs(self, budget: int = DEFAULT_BUDGET) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The vectors orthogonal to every generator row, as blocks of
+        (high, low) odometer index pairs of their first `dual_split(n)`
+        coordinates and the rest, in odometer order (`_null_blocks`).
         Raises BudgetExceeded when size^n, the vectors of the space the
         dual lies in, passes the budget.
         """
@@ -369,6 +427,12 @@ class LinearCode:
         if total > budget:
             raise BudgetExceeded(total, budget, "dual enumeration")
         return _null_blocks(self.gen.T, self.ring)
+
+    def dual_blocks(self, budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+        """`dual_pairs` decoded: (B, n) uint8 blocks of the dual's vectors
+        in odometer order, which is lexicographic."""
+        width = self.ring.size ** (self.n - dual_split(self.n))
+        return (_digits(hi * width + lo, self.n, self.ring) for hi, lo in self.dual_pairs(budget))
 
     def self_duality(self, budget: int = DEFAULT_BUDGET) -> SelfDuality:
         if not self.is_self_orthogonal():
@@ -553,15 +617,8 @@ def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.
 
 def pack_words(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
     """(..., N, m) element vectors -> (..., W, N) uint64 words of their Gray
-    images, 64 // bits elements per word."""
-    per = 64 // ring.bits
-    *lead, count, m = v.shape
-    words = -(-m // per)
-    fields = np.zeros((*lead, count, words, per), dtype=np.uint64)
-    fields.reshape(*lead, count, words * per)[..., :m] = ring.PACK[v]
-    shifts = np.arange(0, 64, ring.bits, dtype=np.uint64)
-    return np.ascontiguousarray(np.swapaxes((fields << shifts).sum(axis=-1, dtype=np.uint64),
-                                            -1, -2))
+    images: `pack_rows`, one row per word."""
+    return np.ascontiguousarray(np.swapaxes(pack_rows(v, ring), -1, -2))
 
 
 class _Half:

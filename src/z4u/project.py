@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, DistanceResult, LinearCode, SelfDuality
+from .code import DEFAULT_BUDGET, DistanceResult, LinearCode, SelfDuality, unpack_rows
 from .errors import BudgetExceeded, NotSelfDual, ZeroCode
 from .gray import gray_image
 from .wenum import is_formally_self_dual
@@ -168,7 +168,8 @@ def self_dual_image_report(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Se
     if code.standard_form and code.n == 2 * code.k:
         proj_sd = (self_dual(d), self_dual(e))
     all2u, even = False, True
-    for _, blk in code.codeword_blocks(budget):
+    for _, words in code.codeword_blocks(budget):
+        blk = unpack_rows(words, code.n)
         all2u |= bool((blk == ring.TWO_U).all(axis=1).any())
         if even:
             types = ring.UNIT_TYPE_CODE[blk]

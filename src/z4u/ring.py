@@ -245,7 +245,7 @@ class RingTable:
     inverse of each unit and 0 for every non-unit: each ring here is local
     with residue field F2, so a square matrix is invertible iff its unit
     pattern is invertible over F2.  PACK is the Gray image of each element
-    in `bits` bits, and LOW marks the low bit of each 2-bit Z4 field in it
+    in `bits` bits (UNPACK inverts it), and LOW marks the low bit of each 2-bit Z4 field in it
     (0 when the image is F2 bits).  `name` is the module-level name of the
     instance, so a record pickles by reference (pool workers) and compares
     by identity.
@@ -274,6 +274,11 @@ class RingTable:
     def low_mask(self) -> np.uint64:
         """LOW repeated over all 64 bits of a packed word."""
         return np.uint64(sum(self.LOW << s for s in range(0, 64, self.bits)))
+
+    @functools.cached_property
+    def UNPACK(self) -> np.ndarray:
+        """The element with each Gray image: PACK inverted (uint8)."""
+        return np.argsort(self.PACK).astype(np.uint8)
 
     @functools.cached_property
     def by_lee(self) -> tuple[np.ndarray, ...]:

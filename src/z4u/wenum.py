@@ -5,7 +5,11 @@ For a code C of length n:
   * the complete enumerator (CWE) counts, per codeword, how often each of
     the 16 ring elements appears: a sparse homogeneous degree-n polynomial
     in 16 variables indexed by the canonical element order, held as arrays
-    of exponent rows and counts;
+    of exponent rows and counts.  It is counted on composition keys: the
+    16 counts as fields of uint64 words, element 0's the most significant,
+    so a key is the sum of its coordinates' keys, read four coordinates at
+    a time from the packed span words (`code.span_table`) with one lookup
+    per 16-bit chunk;
   * the symmetrized enumerator (SWE) merges variables by Lee weight class
     into (X, Y, Z, W, S) = weights (0, 4, 3, 1, 2);
   * the Lee enumerator collects codewords by total Lee weight w into
@@ -17,10 +21,12 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
   * CWE: substitute T.(X_1..X_16), T the 16x16 character table.  Kept
     evaluation-only (16-variable symbolic expansion is combinatorial);
     equality of the two sides is certified at random Gaussian points.  A
-    batch of points is evaluated at once, exactly: residues modulo primes
-    below 2^31, each term a chain of Gaussian products over its elements in
-    ascending order, combined by the Chinese remainder theorem.  A rational
-    point is scaled to a Gaussian-integer one, the CWE being homogeneous.
+    batch of points is evaluated at once, exactly: residues modulo 2^64
+    (wrapping uint64 arithmetic) and, for values too large for that, odd
+    primes below 2^31, each term a chain of Gaussian products over its
+    elements in ascending order, combined by the Chinese remainder theorem.
+    A rational point is scaled to a Gaussian-integer one, the CWE being
+    homogeneous.
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
     class, which is what makes the symmetrization well defined).  No
@@ -46,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode
+from .code import DEFAULT_BUDGET, LinearCode, dual_split, identity, pack_rows, span_table
 from .errors import ExpansionTooLarge, NonExactDivision
 from .ring import R, RingTable
 from .scalars import GaussianInt, GaussianRational
@@ -59,15 +65,9 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
                       for x in ring.ELEMENTS)
 
 _EXPANSION_GUARD = 24
-_COMPOSITION_ROWS = 1 << 16   # words per key pass: a (rows * 16) int64 bincount at most
+_COMPOSITION_ROWS = 1 << 16   # keys per sort pass
 _MERGE_KEYS = 1 << 18         # pending distinct keys that trigger a merge at the least
-_PACKED_MAX_N = 15            # longest word whose 16 counts fit 4 bits each
-#: element v's count sits in bits 4*(15-v) and up of a packed key
-_NIBBLE_SHIFT = np.arange(60, -1, -4, dtype=np.uint64)
-_NIBBLE_UNIT = np.left_shift(np.uint64(1), _NIBBLE_SHIFT)
-#: one row per ring element: the one-hot vector of its SWE class
-_CLASS_ONE_HOT = np.eye(5, dtype=np.int64)[list(ELEMENT_CLASS)]
-#: terms x points per residue pass of `CWE._values`: int64 temporaries of 1 MB
+#: terms x points per residue pass of `CWE._values`: 64-bit temporaries of 1 MB
 _EVAL_CELLS = 1 << 17
 
 
@@ -85,13 +85,8 @@ class CWE:
     def of_words(cls, words, length: int) -> "CWE":
         """Composition census of the rows of an (N, length) array of R
         words (element values 0..15), each row counted once."""
-        return cls.of_blocks([np.asarray(words, dtype=np.uint8)], length)
-
-    @classmethod
-    def of_blocks(cls, blocks: Iterable[np.ndarray], length: int) -> "CWE":
-        """`of_words` over the rows of a stream of (B, length) uint8
-        blocks; memory follows one block, not the stream."""
-        return cls(length, *_compositions(blocks, length))
+        packed = pack_rows(np.asarray(words, dtype=np.uint8))
+        return cls(length, *_compositions([_composition_keys(packed, length, length)], length))
 
     @functools.cached_property
     def terms(self) -> dict[tuple[int, ...], int]:
@@ -148,31 +143,38 @@ class CWE:
         A term's value has absolute value at most L^n, L the largest
         |re| + |im| of any coordinate, so both parts of the sum lie in
         [-B, B], B = L^n times the sum of |count|.  They are computed
-        modulo enough primes below 2^31 that the product M of the primes
-        passes 2B, then combined by the Chinese remainder theorem and read
-        in (-M/2, M/2].  Modulo p every value is below 2^31, so a product
-        of two and the sum ac - bd or ad + bc fit int64 before reduction.
-        A term costs at most n - 1 Gaussian products along `_chain`, fewer
-        where it shares a prefix with the term before it.
+        modulo 2^64 first, in wrapping uint64 arithmetic (an unsigned
+        overflow is the reduction), then modulo odd primes below 2^31 only
+        while the product M of the moduli is at most 2B; the residues are
+        combined by the Chinese remainder theorem and read in (-M/2, M/2].
+        Modulo a prime p every value is below 2^31, so a product of two and
+        the sum ac - bd or ad + bc fit int64 before reduction.  A term costs
+        at most n - 1 Gaussian products along `_chain`, fewer where it
+        shares a prefix with the term before it.
         """
         count = point.shape[2]
         span = int(np.abs(point).sum(axis=0).max(initial=0))
         bound = int(np.abs(self.counts).sum()) * span ** self.length
         step = max(1, _EVAL_CELLS // max(len(self.counts), 1))
         (first, _), *chain = self._chain
+        moduli = [1 << 64]
+        for p in _residue_primes(-(-((2 * bound) >> 64).bit_length() // 30)):
+            if math.prod(moduli) <= 2 * bound:
+                moduli.append(p)
         modulus, total = 1, np.zeros((2, count), dtype=object)
-        for p in _residue_primes((2 * bound).bit_length() // 30 + 1):
-            acc = np.zeros((2, count), dtype=np.int64)
-            c = (self.counts % p)[:, None]
+        for p in moduli:
+            dtype, red = (np.uint64, lambda v: v) if p == 1 << 64 else (np.int64, lambda v: v % p)
+            acc = np.zeros((2, count), dtype=dtype)
+            c = red(self.counts.astype(dtype))[:, None]
             for s in range(0, count, step):
-                a, b = (point[:, :, s:s + step] % p).astype(np.int64)
+                a, b = (point[:, :, s:s + step] % p).astype(dtype)
                 re, im = a[first], b[first]
                 for elem, parent in chain:
                     x, y, re, im = a[elem], b[elem], re[parent], im[parent]
-                    re, im = (re * x - im * y) % p, (re * y + im * x) % p
-                acc[:, s:s + step] = [(re * c % p).sum(axis=0) % p, (im * c % p).sum(axis=0) % p]
+                    re, im = red(re * x - im * y), red(re * y + im * x)
+                acc[:, s:s + step] = [red(red(re * c).sum(axis=0)), red(red(im * c).sum(axis=0))]
             # CRT: the residue modulo modulus * p that agrees with both
-            total = total + modulus * ((acc - total) * pow(modulus, -1, p) % p)
+            total = total + modulus * ((acc.astype(object) - total) * pow(modulus, -1, p) % p)
             modulus *= p
         total = np.where(total > modulus // 2, total - modulus, total)
         return total[0].tolist(), total[1].tolist()
@@ -204,7 +206,7 @@ def _integral(batch: list) -> tuple[list[int], np.ndarray]:
 
 @functools.lru_cache(maxsize=None)
 def _residue_primes(count: int) -> tuple[int, ...]:
-    """The `count` largest primes below 2^31, descending, each above 2^30:
+    """The `count` largest odd primes below 2^31, descending, each above 2^30:
     trial division by every prime up to 46341 > sqrt(2^31)."""
     sieve = np.ones(46342, dtype=bool)
     sieve[:2] = False
@@ -260,56 +262,114 @@ class LeePoly:
 # Building enumerators from codes
 # ---------------------------------------------------------------------------
 
-def _compositions(blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct compositions (16 element counts per word) among the rows of
-    (B, n) word blocks, with how many rows have each, in the byte order of
-    the 16 counts.
+def _field_bits(n: int) -> int:
+    """Bits per count in the composition key of a length-n word: 4 while
+    n <= 15, else the width of np.min_scalar_type(n)."""
+    return 4 if n <= 15 else 8 * np.min_scalar_type(n).itemsize
 
-    While n <= _PACKED_MAX_N a composition is one uint64 key: the count of
-    element v in bits 4*(15-v) and up, so numeric order is byte order, and a
-    word's key is the sum of its elements' nibble units.  Longer words use
-    16-count byte keys from a bincount.  Each key pass covers at most
-    _COMPOSITION_ROWS words, so a bincount's int64 output is 8 MB where a
-    whole 2^20-word block would need 128 MB.  The distinct keys of each
-    pass wait until they outnumber both the running totals and _MERGE_KEYS,
-    then all merge in one sort: memory follows the distinct compositions,
-    and a stream of many small blocks does not re-sort the totals per block.
+
+@functools.cache
+def _count_units(bits: int) -> np.ndarray:
+    """(16, bits // 4) uint64: the key of element v alone, a one in field v
+    of `bits` bits, fields from the most significant bits of word 0 on, so
+    keys sort as their 16 counts do."""
+    per = 64 // bits  # fields per word
+    units = np.zeros((16, bits // 4), np.uint64)
+    for v in range(16):
+        units[v, v // per] = 1 << bits * (per - 1 - v % per)
+    return units
+
+
+@functools.cache
+def _chunk_keys(bits: int) -> np.ndarray:
+    """(2^16, bits // 4) uint64: the key of each 16-bit chunk of a packed R
+    word, the four elements whose Gray images it holds.  Built on first use
+    (512 KB while n <= 15), never at import."""
+    chunk = np.arange(1 << 16)
+    units = _count_units(bits)
+    return sum(units[R.UNPACK[(chunk >> s) & 15]] for s in range(0, 16, 4))
+
+
+def _composition_keys(words: np.ndarray, length: int, n: int) -> np.ndarray:
+    """(N, K) composition keys of the first `length` coordinates of (N, W)
+    packed R words, with fields for words of length n: one lookup per
+    16-bit chunk, four coordinates.
+
+    The zero fields of a last chunk past `length` read as element 0, and
+    one unit of element 0 per such field comes off at the end.  Element 0's
+    field is the most significant of its word, so a count that overflows
+    it on the way wraps modulo 2^64 and comes back exact.
     """
-    dtype = np.min_scalar_type(n)  # a count is at most n: no wraparound
-    if n <= _PACKED_MAX_N:
-        key = np.dtype(np.uint64)
+    table = _chunk_keys(_field_bits(n))
+    chunks = np.ascontiguousarray(words, dtype="<u8").view("<u2")  # chunk j: coordinates 4j..
+    keys = np.zeros((len(words), table.shape[1]), np.uint64)
+    for j in range(-(-length // 4)):
+        keys += table[chunks[:, j]]
+    keys -= np.uint64(-length % 4) * _count_units(_field_bits(n))[0]
+    return keys
 
-        def keys_of(part):
-            return _NIBBLE_UNIT[part].sum(axis=1, dtype=np.uint64)
-    else:
-        key = np.dtype((np.void, 16 * dtype.itemsize))
 
-        def keys_of(part):
-            flat = (np.arange(len(part))[:, None] * 16 + part).ravel(order="K")
-            return np.bincount(flat, minlength=16 * len(part)).astype(dtype).view(key)
-    found, total = np.empty(0, key), np.empty(0, np.int64)
+def _compositions(key_blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct compositions (16 element counts per word, of dtype
+    np.min_scalar_type(n)) among a stream of (B, K) composition key blocks
+    of length-n words (`_composition_keys`), with how many words have each,
+    in the byte order of the 16 counts.
+
+    Keys sort as their counts do, so while a count fits one byte the key
+    order is the byte order; wider counts are put in the order of their
+    bytes at the end.  Each sort pass covers at most _COMPOSITION_ROWS
+    keys.  The distinct keys of each pass wait until they outnumber both
+    the running totals and _MERGE_KEYS, then all merge in one sort: memory
+    follows the distinct compositions, a stream of many small blocks does
+    not re-sort the totals per block, and a stream of one pass needs no
+    merge.
+    """
+    bits, dtype = _field_bits(n), np.min_scalar_type(n)
+    found, total = np.zeros((0, bits // 4), np.uint64), np.zeros(0, np.int64)
     keys, counts, pending = [], [], 0
-    for blk in blocks:
+    for blk in key_blocks:
         for s in range(0, len(blk), _COMPOSITION_ROWS):
-            u, c = np.unique(keys_of(blk[s:s + _COMPOSITION_ROWS]), return_counts=True)
+            u, c = _merge_counts(blk[s:s + _COMPOSITION_ROWS])
             keys.append(u)
             counts.append(c)
             pending += len(u)
             if pending >= max(len(found), _MERGE_KEYS):
-                found, total = _merge_counts([found, *keys], [total, *counts])
+                found, total = _merge_counts(np.concatenate([found, *keys]),
+                                             np.concatenate([total, *counts]))
                 keys, counts, pending = [], [], 0
-    found, total = _merge_counts([found, *keys], [total, *counts])
-    if n <= _PACKED_MAX_N:
-        return ((found[:, None] >> _NIBBLE_SHIFT) & np.uint64(15)).astype(dtype), total
-    return found.view(dtype).reshape(-1, 16), total
+    if len(found) or len(keys) > 1:
+        found, total = _merge_counts(np.concatenate([found, *keys]), np.concatenate([total, *counts]))
+    elif keys:
+        (found,), (total,) = keys, counts
+    shifts = (bits * np.arange(64 // bits - 1, -1, -1)).astype(np.uint64)
+    comps = ((found[:, :, None] >> shifts) & np.uint64((1 << bits) - 1)).reshape(-1, 16)
+    comps = comps.astype(dtype)
+    if dtype.itemsize > 1:
+        order = np.lexsort(comps.view(np.uint8).T[::-1])
+        comps, total = comps[order], total[order]
+    return comps, total
 
 
-def _merge_counts(keys: list[np.ndarray], counts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys among `keys`, each with the sum of its counts."""
-    found, inv = np.unique(np.concatenate(keys), return_inverse=True)
-    total = np.zeros(len(found), dtype=np.int64)
-    np.add.at(total, inv, np.concatenate(counts))
-    return found, total
+def _merge_counts(keys: np.ndarray, counts: np.ndarray | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the (N, K) integer `keys` in lexicographic order,
+    each with the sum of its `counts` (one per row when None): one sort,
+    then np.add.reduceat.  One-column keys without counts go to np.unique,
+    which sorts the values themselves, not an index."""
+    if keys.shape[1] == 1 and counts is None:
+        found, total = np.unique(keys[:, 0], return_counts=True)
+        return found[:, None], total
+    order = np.argsort(keys[:, 0]) if keys.shape[1] == 1 else np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)])
+    return keys[first], np.add.reduceat(
+        np.ones(len(keys), np.int64) if counts is None else counts[order], first)
+
+
+def _check_r(code: LinearCode) -> None:
+    """The 16 CWE variables are R's elements: ValueError for another ring."""
+    if code.ring is not R:
+        raise ValueError(f"complete enumerators count the 16 elements of R, not {code.ring.name}")
 
 
 def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
@@ -317,26 +377,43 @@ def cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
 
     Counted over all messages, then divided by the count of the zero word's
     composition (n, 0, ..., 0): every codeword has that many messages.
-    The 16 variables are R's elements, so only codes over R are accepted.
     """
-    if code.ring is not R:
-        raise ValueError(f"complete enumerators count the 16 elements of R, not {code.ring.name}")
-    comps, counts = _compositions((blk for _, blk in code.codeword_blocks(budget)), code.n)
-    zero = int(counts[comps[:, 0] == code.n][0])
-    return CWE(code.n, comps, counts // zero)
+    _check_r(code)
+    n = code.n
+    comps, counts = _compositions((_composition_keys(blk, n, n)
+                                   for _, blk in code.codeword_blocks(budget)), n)
+    zero = int(counts[comps[:, 0] == n][0])
+    return CWE(n, comps, counts // zero)
+
+
+def dual_cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
+    """Exact composition census of the dual code (each word once), from the
+    dual join's index pairs (`LinearCode.dual_pairs`), no word decoded.
+
+    A composition adds over disjoint coordinates, so a dual word's key is
+    its high half's plus its low half's.  Each half's keys are read once
+    from the packed span of the identity rows of its length: the words of
+    that half in odometer order, as the pairs index them.
+    """
+    _check_r(code)
+    n = code.n
+    h = dual_split(n)
+    pairs = code.dual_pairs(budget)  # the budget check, before the tables
+    hi, lo = (_composition_keys(span_table(identity(j)), j, n) for j in (h, n - h))
+    return CWE(n, *_compositions((hi[a] + lo[b] for a, b in pairs), n))
 
 
 def cwe_to_swe(e: CWE) -> SWE:
     """Merge the CWE's variables by weight class: each composition's class
-    counts (a product with the one-hot class matrix), grouped by one int64
-    key, the counts of Y, Z, W and S in base n + 1 (X's is n minus them)."""
+    key, the counts of Y, Z, W and S in base n + 1 (X's is n minus them), is
+    one dot product with the place of each element's class."""
     base = e.length + 1
     if base ** 4 > np.iinfo(np.int64).max:
         raise ValueError(f"length {e.length} overflows the 64-bit symmetrized key")
     place = base ** np.arange(3, -1, -1, dtype=np.int64)
-    keys, total = _merge_counts([e.comps.astype(np.int64) @ _CLASS_ONE_HOT[:, 1:] @ place],
-                                [e.counts])
-    rest = (keys[:, None] // place % base).tolist()
+    keys, total = _merge_counts((e.comps @ np.append(0, place)[list(ELEMENT_CLASS)])[:, None],
+                                e.counts)
+    rest = (keys // place % base).tolist()
     return SWE(e.length, {(e.length - sum(r), *r): c for r, c in zip(rest, total.tolist())})
 
 

@@ -3,6 +3,10 @@
 `span` builds a code's codeword set from a ring's scalar functions alone;
 `members` reads the codeword set back from `LinearCode.contains` by asking
 about every vector of ring^n, so the two can be compared as sets.
+`span_table` and `span_blocks` are the message span as digit rows, built
+by byte-table gathers ADD[t, MUL[:, r]]: the reference for the packed span
+words of `z4u.code`, and what the sweeps below read, so none of them
+shares code with the packed path.
 `sweep_contains` is membership by one sweep over every message, whatever
 the generator's shape: the reference for `contains`, which takes one
 product on an information set and sweeps the torsion span alone.
@@ -15,6 +19,8 @@ reference for both: `sweep_distance` reads the minimum distance off it.
 whose row in a `span_blocks` block of G^T is zero, decoded by
 `np.unravel_index`; it shares no code with the meet-in-the-middle join of
 `dual_blocks`, and is its reference.
+`compositions` is the composition census of a list of words by a
+`Counter`, the reference for `wenum`'s packed composition keys.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
@@ -27,12 +33,13 @@ writes a generator file and `swe_of_words` is the SWE of a list of words.
 """
 
 import multiprocessing
+from collections import Counter
 from itertools import product
 
 import numpy as np
 
 from z4u import construct, ring
-from z4u.code import DEFAULT_BUDGET, dual_of_standard_form, span_blocks, span_table
+from z4u.code import DEFAULT_BUDGET, dual_of_standard_form
 from z4u.errors import BudgetExceeded
 from z4u.ring import R, RingTable, format_vector, packed_split
 from z4u.scalars import GaussianInt, GaussianRational
@@ -48,6 +55,27 @@ def span(rows, size, add, mul):
     return words
 
 
+_LO_BITS = 20  # a span block, and the census's low span table, hold at most 2^20 rows
+
+
+def span_table(rows, ring: RingTable = R, base=None):
+    """(size^j, m) digit rows base + x.rows for every x in ring^j, odometer
+    order (base zero when None): one broadcast gather per row."""
+    m = rows.shape[1]
+    t = np.zeros((1, m), dtype=np.uint8) if base is None else base[None]
+    for r in rows:
+        t = ring.ADD[t[:, None, :], ring.MUL[:, r][None, :, :]].reshape(len(t) * ring.size, m)
+    return t
+
+
+def span_blocks(rows, ring: RingTable = R):
+    """`span_table` in (first index, digit rows) blocks of at most 2^20
+    rows: a high prefix from a small span table, grown by the low digits."""
+    khi = _high_digits(len(rows), ring)
+    for h, prefix in enumerate(span_table(rows[:khi], ring)):
+        yield h * ring.size ** (len(rows) - khi), span_table(rows[khi:], ring, prefix)
+
+
 def members(code):
     """Every vector of ring^n that the code contains (small n only)."""
     vectors = np.array(list(product(range(code.ring.size), repeat=code.n)), dtype=np.uint8)
@@ -61,7 +89,10 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
     key = np.dtype((np.void, code.n))
     qv = np.ascontiguousarray(q).view(key).ravel()
     found = np.zeros(len(qv), dtype=bool)
-    for _, blk in code.codeword_blocks(budget):
+    total = code.ring.size ** code.k
+    if total > budget:
+        raise BudgetExceeded(total, budget, "codeword enumeration")
+    for _, blk in span_blocks(code.gen, code.ring):
         bv = np.ascontiguousarray(blk).view(key).ravel()
         found |= np.isin(qv, bv[np.isin(bv, qv)])
     return found
@@ -84,7 +115,16 @@ def swe_of_words(words, length: int) -> SWE:
     return cwe_to_swe(CWE.of_words(words, length))
 
 
-_LO_BITS = 20  # the low span table holds at most 2^20 rows
+def compositions(words, n):
+    """Distinct compositions (16 element counts, dtype np.min_scalar_type(n))
+    of the rows of an (N, n) array of R words and how many rows have each,
+    by a Counter, in the order of the counts' bytes."""
+    dtype = np.min_scalar_type(n)
+    found = Counter(np.bincount(w, minlength=16).astype(dtype).tobytes()
+                    for w in np.asarray(words, dtype=np.intp))
+    keys = sorted(found)
+    return (np.frombuffer(b"".join(keys), dtype).reshape(-1, 16),
+            np.array([found[k] for k in keys], np.int64))
 
 
 def _info_weights(j: int, ring: RingTable) -> np.ndarray:

@@ -8,7 +8,7 @@ from z4u import code as code_module
 from z4u import ring
 from z4u.code import (DEFAULT_BUDGET, LinearCode, SelfDuality, _InfoSet, dual_of_standard_form,
                       identity, information_sets, inner, lee_levels, lee_weight_vector,
-                      pack_words, ring_matmul, span_blocks)
+                      pack_words, ring_matmul, span_blocks, unpack_rows)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
@@ -64,7 +64,7 @@ def test_iter_codewords_no_duplicates_and_odometer_order():
     # the codeword blocks of a standard-form code: one word per message
     c = LinearCode(np.hstack([np.eye(1, dtype=np.uint8) * ring.ONE,
                               np.array([[ring.U]], dtype=np.uint8)]))
-    words = [tuple(w) for _, blk in c.codeword_blocks() for w in blk.tolist()]
+    words = [tuple(w) for _, blk in c.codeword_blocks() for w in unpack_rows(blk, 2).tolist()]
     assert len(words) == len(set(words)) == 16
     assert words[0] == (0, 0)
     # messages iterate 0..15, so first coordinate of word i is i
@@ -510,7 +510,7 @@ def test_span_blocks_equal_ring_matmul(table, k, m):
     assert [start for start, _ in blocks] == [i * len(blocks[0][1])
                                               for i in range(len(blocks))]
     assert len(blocks) == (4 if k == 11 else 1)
-    got = np.concatenate([blk for _, blk in blocks], axis=0)
+    got = unpack_rows(np.concatenate([blk for _, blk in blocks], axis=0), m, table)
     assert got.shape == (table.size ** k, m)
     assert np.array_equal(got, ring_matmul(all_messages(k, table), rows, table))
 

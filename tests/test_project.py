@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from z4u import ring
-from z4u.code import LinearCode, inner, span_blocks
+from z4u.code import LinearCode, inner
 from z4u.errors import BudgetExceeded, NotSelfDual, ZeroCode
 from z4u.project import (LiftTriple, lift_bound_check, project_constant,
                          project_mod2, project_u_coeff, self_dual_image_report)
 from z4u.ring import F2U, Z4
 from z4u.scalars import f2u_parse
 
-from oracles import dual_bruteforce, members, span
+from oracles import dual_bruteforce, members, span, span_blocks
 
 
 def R(tok):

@@ -22,9 +22,10 @@ generators, exact whenever size^k fits the budget, and bounded past it;
 batches of codes that share their information sets, against the same
 codes one at a time and the census; every witness a codeword (read back
 through `contains`) of Lee weight `value`, on both generator shapes, at
-size^k messages and at a cap that may leave an upper bound; and the Gray
+size^k messages and at a cap that may leave an upper bound; the Gray
 packing, its field-wise sum (`oracles.packed_add`) and `packed_weight`
-against the ring tables.
+against the ring tables; and the packed span blocks against the
+byte-table span of `oracles`, block for block.
 """
 
 from collections import Counter
@@ -41,13 +42,15 @@ from hypothesis import strategies as st
 from z4u import code as code_module
 from z4u import construct, ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
-                      lee_levels, lee_weight_vector, pack_words, ring_matmul)
+                      lee_levels, lee_weight_vector, pack_rows, pack_words, ring_matmul,
+                      span_blocks, unpack_rows)
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, R, Z4, packed_weight
 from z4u.scalars import (f2u_add, f2u_lee_weight, f2u_mul, z4_add, z4_lee_weight,
                          z4_mul)
 from z4u.wenum import cwe, lee, macwilliams_lee
 
+import oracles
 from oracles import (dual_bruteforce, members, packed_add, span, sweep_contains,
                      sweep_distance)
 
@@ -532,3 +535,26 @@ def test_packed_add_and_weight_match_tables(table):
         assert px.shape == (-(-m * table.bits // 64), 200)
         assert (packed_add(px, py, low) == pack_words(table.ADD[x, y], table)).all()
         assert (packed_weight(px, low).sum(axis=0) == table.LEE[x].sum(axis=1)).all()
+
+
+@pytest.mark.parametrize("name", RINGS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_packed_span_blocks_match_byte_tables(name, data):
+    # the packed words, unpacked, are the oracle's digit rows block for
+    # block: rows of one word and of several, and blocks cut after one or
+    # two digits as well as at 2^20 rows
+    table, *_, kmax, _ = SCALARS[name]
+    k, m = data.draw(st.integers(0, kmax + 1)), data.draw(st.integers(0, 70))
+    rows = np.array(data.draw(st.lists(st.integers(0, table.size - 1),
+                                       min_size=k * m, max_size=k * m)), np.uint8).reshape(k, m)
+    lo_bits = data.draw(st.sampled_from([code_module._LO_BITS, table.bits, 2 * table.bits]))
+    with mock.patch.object(code_module, "_LO_BITS", lo_bits), \
+            mock.patch.object(oracles, "_LO_BITS", lo_bits):
+        got, want = list(span_blocks(rows, table)), list(oracles.span_blocks(rows, table))
+    assert [start for start, _ in got] == [start for start, _ in want]
+    for (_, words), (_, digits) in zip(got, want):
+        assert words.dtype == np.uint64
+        assert words.shape == (len(digits), -(-m * table.bits // 64))
+        assert np.array_equal(unpack_rows(words, m, table), digits)
+        assert np.array_equal(words, pack_rows(digits, table))

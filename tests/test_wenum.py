@@ -1,11 +1,13 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import cwe_value, dual_bruteforce, swe_of_words, swe_substitution
+from oracles import (compositions, cwe_value, dual_bruteforce, span_blocks, swe_of_words,
+                     swe_substitution)
 from z4u import ring, wenum
-from z4u.code import LinearCode
+from z4u.code import LinearCode, identity, pack_rows
 from z4u.errors import ExpansionTooLarge, NonExactDivision
 from z4u.scalars import GaussianInt, GaussianRational
 from z4u.wenum import (CWE, SWE, LeePoly, cwe, cwe_to_swe,
@@ -51,23 +53,48 @@ def test_cwe_counts_past_255_do_not_wrap():
                                               (0, 300) + (0,) * 14: 1}
 
 
-@pytest.mark.parametrize("n", [1, 7, 15])
-def test_packed_composition_keys_match_byte_keys(n, monkeypatch):
-    # words of length <= 15 take one uint64 key each; forcing the 16-byte
-    # keys must give the same compositions, counts and order, also when
-    # small passes make the stream merge many times
+@pytest.mark.parametrize("n", [1, 7, 13, 15, 16, 20, 300])
+def test_composition_keys_match_counter(n, monkeypatch):
+    # one uint64 key while n <= 15 (13 and 15 leave a last chunk of 1 and 3
+    # coordinates), two past it, four past 255: the compositions, counts
+    # and order of a Counter, also when small passes make the stream merge
+    # many times
     rng = np.random.default_rng(n)
     words = rng.integers(0, 16, size=(3000, n), dtype=np.uint8)
     words[:16] = np.arange(16, dtype=np.uint8)[:, None]  # count n of each element
+    words[16:40, :n // 2] = 0
     monkeypatch.setattr(wenum, "_COMPOSITION_ROWS", 256)
     monkeypatch.setattr(wenum, "_MERGE_KEYS", 512)
-    blocks = [words[:1000], words[1000:]]
-    packed = wenum._compositions(blocks, n)
-    monkeypatch.setattr(wenum, "_PACKED_MAX_N", 0)
-    byte_keys = wenum._compositions(blocks, n)
-    for got, want in zip(packed, byte_keys):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert packed[1].sum() == len(words)
+    blocks = [wenum._composition_keys(pack_rows(part), n, n) for part in np.split(words, [1000])]
+    got, want = wenum._compositions(blocks, n), compositions(words, n)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    assert got[1].sum() == len(words)
+
+
+def _free_or_scaled(k, n, free, seed):
+    """A random [I_k | A] generator, or random rows with the first two times
+    u and 2, so they are no free basis."""
+    rng = np.random.default_rng(seed)
+    if free:
+        return np.hstack([identity(k), rng.integers(0, 16, size=(k, n - k), dtype=np.uint8)])
+    gen = rng.integers(0, 16, size=(k, n), dtype=np.uint8)
+    gen[0], gen[1] = ring.R.MUL[ring.U, gen[0]], ring.R.MUL[ring.make(2, 0), gen[1]]
+    return gen
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["free", "nonfree"])
+@pytest.mark.parametrize("n", [5, 15, 16, 20])
+def test_cwe_matches_counter_oracle(n, free):
+    # the composition census of every message's codeword (byte-table span),
+    # each divided by the zero word's count, terms in the same order
+    c = LinearCode(_free_or_scaled(3, n, free, n))
+    words = np.concatenate([blk for _, blk in span_blocks(c.gen)])
+    comps, counts = compositions(words, n)
+    e = cwe(c)
+    assert e.comps.dtype == comps.dtype and np.array_equal(e.comps, comps)
+    assert np.array_equal(e.counts, counts // counts[comps[:, 0] == n][0])
+    assert e.counts.sum() == c.cardinality()
 
 
 @pytest.mark.parametrize("table", [ring.Z4, ring.F2U])
@@ -323,6 +350,39 @@ def test_batched_evaluate_matches_oracle_at_huge_points(n, monkeypatch):
         assert max(abs(v.re) + abs(v.im) for v in got) > 2 ** 62
     monkeypatch.setattr(wenum, "_EVAL_CELLS", 1)
     assert e.evaluate(pts) == got
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["below", "above"])
+def test_evaluate_at_bound_around_2_63(above, monkeypatch):
+    # a bound B just below 2^63 reads back from the residues modulo 2^64
+    # alone; at 2^63 and past it one odd prime joins them by the CRT.  The
+    # reference is Gaussian arithmetic on Python ints.  A one-term CWE at
+    # one point keeps the wrapping chain on arrays (numpy warns on scalar
+    # wraparound).
+    used = []
+    primes = wenum._residue_primes
+    monkeypatch.setattr(wenum, "_residue_primes", lambda count: used.append(count) or primes(count))
+    one = CWE(3, np.array([[0] * 15 + [3]], np.uint8), np.array([1], np.int64))
+    side = 2 ** 21 - 1 + above  # the bound is side^3, and (2^21)^3 = 2^63
+    for pt in ([GaussianInt(0, 0)] * 15 + [GaussianInt(side - 1, -1)],
+               [GaussianInt(0, 0)] * 15 + [GaussianInt(-side, 0)]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert one.evaluate(pt) == cwe_value(one.terms, pt)
+    e = cwe(LinearCode(np.random.default_rng(5).integers(0, 16, size=(2, 3), dtype=np.uint8)))
+    size = sum(e.terms.values())
+    # |C| L^3 just below or just above 2^63, with coordinates of both signs
+    side = round((2 ** 63 / size) ** (1 / 3))
+    while size * side ** 3 >= 2 ** 63:
+        side -= 1
+    while size * (side + 1) ** 3 < 2 ** 63:
+        side += 1
+    side += above
+    rng = np.random.default_rng(7)
+    pts = [[GaussianInt(side, 0)] * 16, [GaussianInt(0, -side)] * 16,
+           [GaussianInt(int(a), side - abs(int(a))) for a in rng.integers(-side, side, 16)]]
+    assert e.evaluate(pts) == [cwe_value(e.terms, pt) for pt in pts]
+    assert (max(used) > 0) == above
 
 
 def test_batched_evaluate_matches_oracle_at_rational_points():
