@@ -211,19 +211,6 @@ def _keys(words: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * words.shape[1]))).ravel()
 
 
-def _row_keys(t: np.ndarray, ring: RingTable = R) -> np.ndarray:
-    """One sortable key per row of the (N, k) `t`, equal iff the rows are:
-    64 // bits element values to a uint64 word, and a row of several words
-    as one void of all of them.  The orbit lookup of `construct` sorts and
-    searches these: element values in product order keep its searches
-    local, where Gray images (`pack_rows`) made them 45% slower."""
-    per = 64 // ring.bits
-    words = np.zeros((-(-t.shape[1] // per), len(t)), dtype=np.uint64)
-    for c in range(t.shape[1]):
-        words[c // per] |= t[:, c].astype(np.uint64) << np.uint64(ring.bits * (c % per))
-    return _keys(words.T)
-
-
 def dual_split(n: int) -> int:
     """Coordinates in the high half of the dual's join: ceil(n / 2)."""
     return (n + 1) // 2
@@ -615,12 +602,6 @@ def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.
     return g
 
 
-def pack_words(v: np.ndarray, ring: RingTable = R) -> np.ndarray:
-    """(..., N, m) element vectors -> (..., W, N) uint64 words of their Gray
-    images: `pack_rows`, one row per word."""
-    return np.ascontiguousarray(np.swapaxes(pack_rows(v, ring), -1, -2))
-
-
 class _Half:
     """Messages on a run of rows of a stack of B systematic generators, by
     the weight of their restriction to the set (a torsion row's elements
@@ -647,8 +628,8 @@ class _Half:
         # class is a slice.
         self.classes = [ring.by_lee if f else (np.arange(ring.size, dtype=np.uint8),)
                         for f in free]
-        words = pack_words(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring).reshape(
-            self.h, rows, ring.size, 1)
+        words = pack_rows(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring).swapaxes(
+            -1, -2).reshape(self.h, rows, ring.size, 1)
         nfree = sum(free)
         words[:nfree] = words[:nfree, :, np.concatenate(ring.by_lee)]
         low, high = packed_split(words, self.low)

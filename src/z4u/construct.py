@@ -69,9 +69,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import ring
-from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, _row_keys, identity,
-                   information_sets, lee_levels)
-from .errors import BadBorder, NotSymmetric
+from .code import DEFAULT_BUDGET, DistanceResult, LinearCode, identity, information_sets, lee_levels
+from .errors import BadBorder, BudgetExceeded, NotSymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +239,10 @@ def _candidates(kind: str, n: int, alphabet: tuple[int, ...]) -> np.ndarray:
     return both[(np.arange(len(both)) % 2 == 0) | (both[:, -1] != both[:, -2])]
 
 
+#: The most candidates `search` builds: dc n = 6 and bdc n = 5 over R fit.
+_MAX_CANDIDATES = 1 << 25
+
+
 def _spec(kind: str, row: np.ndarray) -> "CirculantSpec | BorderSpec":
     vals = tuple(row.tolist())
     return CirculantSpec(vals) if kind == "dc" else BorderSpec(vals[:-3], *vals[-3:])
@@ -327,35 +330,41 @@ def _moves(m: int, bordered: bool,
     return tuple(out)
 
 
-def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray,
+            alphabet: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per candidate, the index of its orbit representative and the index
     of the move from the representative's block to its own, in the flat
     table `_moves(m, bordered, False) + _moves(m, bordered, True)`.
 
-    Each group element is one gather of the candidate columns (reversal
-    also swaps a bdc row's beta and gamma), and each image is looked up
-    among the candidates by its sorted row key, `_SLICE` candidates at a
-    time.  The representative is the smallest index among a candidate's
-    images; the move is the first group element, in `_moves` order, that
-    sends the representative to it, taken with the candidate's `signed`
-    border.
+    Each group element is one gather of the candidates' places in
+    `alphabet` (-1 outside it; reversal also swaps a bdc row's beta and
+    gamma), `_SLICE` candidates at a time.  Candidates come in `product`
+    order, so an image's index is the mixed-radix number p of its places;
+    for bdc, 2p less the gamma = -beta = beta rows dropped before it, plus
+    one when gamma != beta; len(cands), no candidate, where a place is -1.
+    The representative is the smallest index among a candidate's images;
+    the move is the first group element, in `_moves` order, that sends the
+    representative to it, taken with the candidate's `signed` border.
     """
     bordered = kind == "bdc"
     m = cands.shape[1] - 3 * bordered
-    keys = _row_keys(cands)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    border = np.arange(m, cands.shape[1])
-    swapped = border[[0, 2, 1]] if bordered else border
+    size = len(alphabet)
+    place = np.full(len(ring.ELEMENTS), -1)
+    place[list(alphabet)] = np.arange(size)
+    radix = size ** np.arange(cands.shape[1] - bordered - 1, -1, -1)
+    lone = np.cumsum([0] + [ring.R.NEG[x] == x for x in alphabet])  # self-negating before i
 
     def images(rows: np.ndarray) -> Iterator[np.ndarray]:
         """Per group element, the index of each row's image, len(cands)
         where the image is no candidate."""
+        at = place[rows], place[ring.R.NEG[rows]]
         for rev, perm, negated, _ in _moves(m, bordered, False):
-            image = rows[:, np.concatenate([perm, swapped if rev else border])]
-            key = _row_keys(ring.R.NEG[image] if negated else image)
-            at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-            yield np.where(keys[at] == key, order[at], len(cands))
+            digits = at[negated][:, np.append(perm, [m, m + 1 + rev]) if bordered else perm]
+            index = digits @ radix
+            if bordered:  # gamma != beta is the same in every image
+                index = (2 * index - index // size * lone[-1] - lone[digits[:, -1]]
+                         + (rows[:, -1] != rows[:, -2]))
+            yield np.where((digits < 0).any(axis=1), len(cands), index)
 
     owner = np.arange(len(cands))
     for start in range(0, len(cands), _SLICE):
@@ -422,6 +431,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     every result is then carried back out in candidate order, so the
     outcome is worker-count independent.  Every candidate's orbit move and
     isodual block identity passed `_check`, which raises otherwise.
+    BudgetExceeded past `_MAX_CANDIDATES` candidates, before any is built.
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -430,10 +440,14 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     alpha = ring.ELEMENTS if alphabet is None else tuple(sorted(set(int(x) for x in alphabet)))
     if not alpha or alpha[0] < 0 or alpha[-1] >= len(ring.ELEMENTS):
         raise ValueError(f"alphabet must be a nonempty set of elements 0..15, got {alphabet}")
-    cands = _candidates(kind, n, alpha)
     bordered = kind == "bdc"
+    lone = int((ring.R.NEG[list(alpha)] == alpha).sum())  # betas with one gamma row
+    count = len(alpha) ** n * (2 * len(alpha) - lone if bordered else 1)  # len(cands)
+    if count > _MAX_CANDIDATES:
+        raise BudgetExceeded(count, _MAX_CANDIDATES, "search candidates")
+    cands = _candidates(kind, n, alpha)
     signed = (cands[:, -1] != cands[:, -2]) if bordered else np.zeros(len(cands), dtype=bool)
-    owner, index = _orbits(kind, cands, signed)
+    owner, index = _orbits(kind, cands, signed, alpha)
     moves = [move for s in (False, True) for *_, move in _moves(n - bordered, bordered, s)]
 
     def block_of(i: np.ndarray) -> np.ndarray:

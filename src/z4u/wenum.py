@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode, dual_split, identity, pack_rows, span_table
+from .code import DEFAULT_BUDGET, LinearCode, dual_split, pack_rows
 from .errors import ExpansionTooLarge, NonExactDivision
 from .ring import R, RingTable
 from .scalars import GaussianInt, GaussianRational
@@ -391,16 +391,20 @@ def dual_cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
     dual join's index pairs (`LinearCode.dual_pairs`), no word decoded.
 
     A composition adds over disjoint coordinates, so a dual word's key is
-    its high half's plus its low half's.  Each half's keys are read once
-    from the packed span of the identity rows of its length: the words of
-    that half in odometer order, as the pairs index them.
+    its high half's plus its low half's, and a half's key is the sum of its
+    digits' units (`_count_units`): the keys of every word of j digits, in
+    odometer order as the pairs index them, are the running outer sum of
+    the units over j digits, the low half's (n - h <= h) on the way.
     """
     _check_r(code)
     n = code.n
     h = dual_split(n)
     pairs = code.dual_pairs(budget)  # the budget check, before the tables
-    hi, lo = (_composition_keys(span_table(identity(j)), j, n) for j in (h, n - h))
-    return CWE(n, *_compositions((hi[a] + lo[b] for a, b in pairs), n))
+    units = _count_units(_field_bits(n))
+    keys = [np.zeros((1, units.shape[1]), np.uint64)]  # words of 0, 1, .., h digits
+    for _ in range(h):
+        keys.append((keys[-1][:, None] + units).reshape(-1, units.shape[1]))
+    return CWE(n, *_compositions((keys[h][a] + keys[n - h][b] for a, b in pairs), n))
 
 
 def cwe_to_swe(e: CWE) -> SWE:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from z4u import cli, ring, wenum
+from z4u import cli, construct, ring, wenum
 from z4u.cli import build_parser, main
 from z4u.code import LinearCode, identity, ring_matmul
 
@@ -184,6 +184,18 @@ def test_search_empty_alphabet_exit_1(capsys):
         status, out = run_cli("search", "--kind", "dc", "--n", "1", "--alphabet", alphabet)
         assert status == 1 and out == "", alphabet
         assert "bad element token" in capsys.readouterr().err
+
+
+def test_search_past_candidate_cap_exit_1(capsys, monkeypatch):
+    # 16^3 dc candidates against a cap of 4095: refused before any is built
+    def no_candidates(*_):
+        raise AssertionError("candidates built past the cap")
+
+    monkeypatch.setattr(construct, "_MAX_CANDIDATES", 4095)
+    monkeypatch.setattr(construct, "_candidates", no_candidates)
+    status, out = run_cli("search", "--kind", "dc", "--n", "3")
+    assert status == 1 and out == ""
+    assert capsys.readouterr().err == "error: search candidates needs 4096 steps, budget is 4095\n"
 
 
 def test_verify_tables_command():

@@ -8,7 +8,7 @@ from z4u import code as code_module
 from z4u import ring
 from z4u.code import (DEFAULT_BUDGET, LinearCode, SelfDuality, _InfoSet, dual_of_standard_form,
                       identity, information_sets, inner, lee_levels, lee_weight_vector,
-                      pack_words, ring_matmul, span_blocks, unpack_rows)
+                      pack_rows, ring_matmul, span_blocks, unpack_rows)
 from z4u.construct import circulant
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
@@ -341,7 +341,7 @@ def test_low_weight_message_count():
                                   np.uint8).reshape(-1, half.h)
                 assert sorted(map(tuple, digits.tolist())) == \
                     sorted(map(tuple, every[weights == t].tolist()))
-                assert (words == pack_words(ring_matmul(digits, rows, table), table)).all()
+                assert (words == pack_rows(ring_matmul(digits, rows, table), table).T).all()
 
 
 def test_exact_kernel_crosses_block_split():

@@ -11,7 +11,7 @@ from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
                            _orbits, _transposed, bordered_block, bordered_code,
                            circulant, double_circulant_code, search, symmetric_code,
                            table_specs, verify_tables)
-from z4u.errors import BadBorder, NotSymmetric
+from z4u.errors import BadBorder, BudgetExceeded, NotSymmetric
 from z4u.wenum import is_formally_self_dual
 
 
@@ -354,12 +354,15 @@ def test_orbit_moves_send_block_to_image():
 
 @pytest.mark.parametrize("kind,n,alphabet", [
     ("dc", 3, None), ("dc", 4, [ring.ZERO, R("12")]), ("dc", 4, [R("11"), R("31")]),
-    ("bdc", 2, None), ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")])])
+    ("bdc", 2, None), ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")]),
+    # 02, 20 and 22 are self-negating betas; -11 = 33 is outside
+    ("bdc", 4, [R("02"), R("11"), R("20"), R("22")])])
 def test_orbits_match_first_images(kind, n, alphabet):
     # per candidate, in candidate order: the owner is the first candidate
     # whose images reach it, the move the first group element that does
-    specs = candidate_specs(kind, n, alphabet or ring.ELEMENTS)
-    cands = _candidates(kind, n, tuple(alphabet or ring.ELEMENTS))
+    alphabet = tuple(alphabet or ring.ELEMENTS)
+    specs = candidate_specs(kind, n, alphabet)
+    cands = _candidates(kind, n, alphabet)
     signed = [kind == "bdc" and s.gamma != s.beta for s in specs]
     index = {spec: i for i, spec in enumerate(specs)}
     want = [None] * len(specs)
@@ -369,12 +372,24 @@ def test_orbits_match_first_images(kind, n, alphabet):
                 j = index.get(_image(spec, rev, perm, negated))
                 if j is not None and want[j] is None:
                     want[j] = (i, move)
-    owner, index = _orbits(kind, cands, np.array(signed))
+    owner, index = _orbits(kind, cands, np.array(signed), alphabet)
     m = len(specs[0].first_row)
     table = [move for s in (False, True) for *_, move in _moves(m, kind == "bdc", s)]
     assert [construct._spec(kind, row) for row in cands] == specs
     assert owner.tolist() == [i for i, _ in want]
     assert all(table[g] is move for g, (_, move) in zip(index.tolist(), want))
+
+
+@pytest.mark.parametrize("kind,n,alphabet", [
+    ("dc", 1, None), ("dc", 3, None), ("dc", 4, [R("11"), R("31")]),
+    ("bdc", 2, None), ("bdc", 3, [ring.ZERO, R("11"), R("12"), R("33")]),
+    ("bdc", 4, [R("02"), R("11"), R("20"), R("22")]), ("bdc", 15, [R("11")])])
+def test_candidate_count_matches_candidates(monkeypatch, kind, n, alphabet):
+    # the count `search` refuses past its cap, before any candidate is built
+    monkeypatch.setattr(construct, "_MAX_CANDIDATES", 0)
+    with pytest.raises(BudgetExceeded) as exc:
+        search(kind, n, alphabet)
+    assert exc.value.needed == len(_candidates(kind, n, tuple(sorted(alphabet or ring.ELEMENTS))))
 
 
 def test_corrupted_orbit_move_raises():

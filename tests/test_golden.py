@@ -24,9 +24,14 @@ alphabet, at the default budget and at 16^3 messages) and `search_dc4`
 it with `cmp`) were recorded from
 the search that listed one spec object per candidate and certified each
 representative by a dual-membership product, before candidates, orbits
-and certificates moved onto stacked arrays.  Faster paths may change how
-results are computed, never what is printed; a change that means to
-alter stdout updates the files on purpose.
+and certificates moved onto stacked arrays.  `search_bdc4_open` (bdc
+n = 4 over `02,11,20,22`, 1280 candidates: three self-negating betas, one
+gamma row each, and -11 = 33 outside the alphabet, so orbits leave it)
+was recorded from the search that looked images up by sorted row keys,
+before their indices became arithmetic on alphabet places; CI also
+compares it with `cmp`.  Faster paths may change how results are
+computed, never what is printed; a change that means to alter stdout
+updates the files on purpose.
 """
 
 import os
@@ -56,6 +61,8 @@ OPEN_DC4 = ("search", "--kind", "dc", "--n", "4", "--alphabet", "11,31", "--thre
 CASES.append(("search_dc4_open", OPEN_DC4))
 CASES.append(("search_dc4_open_budget3", OPEN_DC4 + ("--budget", "3")))
 CASES.append(("search_dc4", ("search", "--kind", "dc", "--n", "4", "--threshold", "8")))
+CASES.append(("search_bdc4_open", ("search", "--kind", "bdc", "--n", "4", "--alphabet",
+                                   "02,11,20,22", "--threshold", "6")))
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])

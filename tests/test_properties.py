@@ -42,7 +42,7 @@ from hypothesis import strategies as st
 from z4u import code as code_module
 from z4u import construct, ring
 from z4u.code import (LinearCode, _independent, identity, information_sets,
-                      lee_levels, lee_weight_vector, pack_rows, pack_words, ring_matmul,
+                      lee_levels, lee_weight_vector, pack_rows, ring_matmul,
                       span_blocks, unpack_rows)
 from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, R, Z4, packed_weight
@@ -531,9 +531,9 @@ def test_packed_add_and_weight_match_tables(table):
     for m in (1, 7, 16, 33, 70):
         x = rng.integers(0, table.size, size=(200, m), dtype=np.uint8)
         y = rng.integers(0, table.size, size=(200, m), dtype=np.uint8)
-        px, py, low = pack_words(x, table), pack_words(y, table), table.low_mask
+        px, py, low = pack_rows(x, table).T, pack_rows(y, table).T, table.low_mask
         assert px.shape == (-(-m * table.bits // 64), 200)
-        assert (packed_add(px, py, low) == pack_words(table.ADD[x, y], table)).all()
+        assert (packed_add(px, py, low) == pack_rows(table.ADD[x, y], table).T).all()
         assert (packed_weight(px, low).sum(axis=0) == table.LEE[x].sum(axis=1)).all()
 
 
