@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import argparse
 import functools
+import random
 import sys
-
-import numpy as np
 
 from . import construct, gray, project, ring, wenum
 from .code import DistanceResult, LinearCode, dual_of_standard_form
@@ -28,6 +27,8 @@ from .scalars import GaussianInt, GaussianRational
 _ENUM_PRINT_CAP = 16 ** 6
 #: `dual` lists the dual's vectors only up to this many; past it, the count.
 _DUAL_PRINT_CAP = 4096
+#: `macwilliams` draws, evaluates and compares its points this many at a time.
+_POINT_BATCH = 256
 
 
 class _Fail(Exception):
@@ -141,11 +142,7 @@ def cmd_macwilliams(args) -> None:
         ok_p = dp == tp
         print(f"swe transform equals brute-force dual swe: {'yes' if ok_s else 'NO'}")
         print(f"lee transform equals brute-force dual lee: {'yes' if ok_p else 'NO'}")
-        rng = np.random.default_rng(args.seed)
-        pts = [[GaussianInt(int(a), int(b)) for a, b in rng.integers(-3, 4, size=(16, 2))]
-               for _ in range(args.points)]
-        ok_c = wenum.macwilliams_cwe_eval(e, card, pts) == \
-            [GaussianRational.of(v) for v in dcwe.evaluate(pts)]
+        ok_c = _cwe_points_agree(e, dcwe, card, args.points, args.seed)
         print(f"cwe transform evaluations match brute-force dual at {args.points} points: "
               f"{'yes' if ok_c else 'NO'}")
         failures = [name for name, ok in
@@ -154,6 +151,23 @@ def cmd_macwilliams(args) -> None:
         print("brute-force dual comparison: out of budget")
     if failures:
         raise _Fail(f"transform mismatch: {', '.join(failures)}")
+
+
+def _cwe_points_agree(e: wenum.CWE, dual: wenum.CWE, card: int, count: int, seed: int) -> bool:
+    """The CWE's transform equals the dual's CWE at `count` Gaussian points
+    with parts in -3..3, all drawn from one random.Random(seed) stream and
+    drawn, evaluated and compared `_POINT_BATCH` points at a time, so memory
+    does not grow with `count`."""
+    rng = random.Random(seed)
+    for s in range(0, count, _POINT_BATCH):
+        width = min(_POINT_BATCH, count - s)
+        parts = rng.choices(range(-3, 4), k=32 * width)
+        pts = [[GaussianInt(parts[j], parts[j + 1]) for j in range(32 * i, 32 * i + 32, 2)]
+               for i in range(width)]
+        if wenum.macwilliams_cwe_eval(e, card, pts) != \
+                [GaussianRational.of(v) for v in dual.evaluate(pts)]:
+            return False
+    return True
 
 
 def cmd_project(args) -> None:
@@ -308,7 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("macwilliams", help="transform outputs and equality verdicts")
     p.add_argument("--gen", required=True)
     p.add_argument("--points", type=int, default=20, help="Gaussian evaluation points")
-    p.add_argument("--seed", type=int, default=20120521, help="evaluation point seed")
+    p.add_argument("--seed", type=int, default=20120521,
+                   help="seed of the Python random.Random that draws the points (earlier "
+                        "versions drew them with numpy.random: other points for a seed)")
     _add_common(p)
     p.set_defaults(func=cmd_macwilliams)
 

@@ -228,15 +228,24 @@ class SearchOutcome:
 def _candidates(kind: str, n: int, alphabet: tuple[int, ...]) -> np.ndarray:
     """The candidate rows over `alphabet` in `product` order: dc first rows
     of length n, or bdc first rows of length n-1 followed by (alpha, beta,
-    gamma), where gamma = beta comes before gamma = -beta != beta."""
+    gamma), where gamma = beta comes before gamma = -beta != beta.
+
+    Both kinds are n product digits (a dc first row; a bdc first row and
+    alpha) followed by a tail: none for dc, each (beta, gamma) pair for
+    bdc.  The rows are stored column by column (Fortran order), the order
+    in which `_orbits` reads them, and each column is written in place by
+    broadcasting its digit along its own axis: nothing but the result is
+    allocated."""
     a = np.array(alphabet, dtype=np.uint8)
-    w = n if kind == "dc" else n + 1
-    rows = a[np.indices((len(a),) * w, dtype=np.uint8).reshape(w, -1).T]
-    if kind == "dc":
-        return rows
-    gamma = np.column_stack([rows[:, -1], ring.R.NEG[rows[:, -1]]]).ravel()
-    both = np.column_stack([rows.repeat(2, axis=0), gamma])
-    return both[(np.arange(len(both)) % 2 == 0) | (both[:, -1] != both[:, -2])]
+    tail = (np.array([(b, g) for b in alphabet for g in dict.fromkeys((b, int(ring.R.NEG[b])))],
+                     dtype=np.uint8) if kind == "bdc" else np.zeros((1, 0), dtype=np.uint8))
+    cols = np.empty((n + tail.shape[1], len(a) ** n * len(tail)), dtype=np.uint8)
+    shape = (len(a),) * n + tail.shape[:1]
+    for j in range(n):
+        cols[j].reshape(shape)[...] = a.reshape((-1,) + (1,) * (n - j))
+    for j, col in enumerate(tail.T):
+        cols[n + j].reshape(shape)[...] = col
+    return cols.T
 
 
 #: The most candidates `search` builds: dc n = 6 and bdc n = 5 over R fit.

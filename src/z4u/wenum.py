@@ -25,8 +25,11 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
     (wrapping uint64 arithmetic) and, for values too large for that, odd
     primes below 2^31, each term a chain of Gaussian products over its
     elements in ascending order, combined by the Chinese remainder theorem.
-    A rational point is scaled to a Gaussian-integer one, the CWE being
-    homogeneous.
+    A pass covers as many points as keep all its temporaries together
+    within `_EVAL_CELLS` 64-bit cells (1 MB), and one point at the least:
+    past about 20,000 terms a pass holds six arrays of one 64-bit cell
+    per term.  A rational point is scaled to a Gaussian-integer one, the
+    CWE being homogeneous.
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
     class, which is what makes the symmetrization well defined).  No
@@ -67,8 +70,12 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
 _EXPANSION_GUARD = 24
 _COMPOSITION_ROWS = 1 << 16   # keys per sort pass
 _MERGE_KEYS = 1 << 18         # pending distinct keys that trigger a merge at the least
-#: terms x points per residue pass of `CWE._values`: 64-bit temporaries of 1 MB
+#: 64-bit cells of one residue pass of `CWE._values`, all its temporaries
+#: together: 1 MB, while one point's fit
 _EVAL_CELLS = 1 << 17
+#: terms x points arrays that such a pass holds at once: real and imaginary
+#: parts, two gathered coordinates, a product, and the gathers' index casts
+_EVAL_ARRAYS = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,18 +109,24 @@ class CWE:
         """Each term's monomial as its n elements in ascending order, with
         shared prefixes: level j has one node per run of consecutive terms
         whose first j + 1 elements agree, as (element, parent node on level
-        j - 1).  The last level's nodes are the terms, in order."""
-        elems = np.repeat(np.tile(np.arange(16, dtype=np.intp), len(self.comps)),
-                          self.comps.ravel().astype(np.intp)).reshape(-1, self.length)
-        new = np.zeros(len(elems), dtype=bool)
+        j - 1).  The last level's nodes are the terms, in order.
+
+        A term's element j is the number of elements whose running count
+        (the cumulative sum of its row of `comps`) is at most j, so each
+        level is one uint8 column, read off the running sums.
+        """
+        ends = np.cumsum(self.comps, axis=1, dtype=self.comps.dtype)
+        new = np.zeros(len(ends), dtype=bool)
         new[:1] = True
-        node = np.zeros(len(elems), dtype=np.intp)
+        node = np.zeros(len(ends), dtype=np.intp)
         levels = []
-        for col in elems.T:
+        for j in range(self.length):
+            col = (ends <= j).sum(axis=1, dtype=np.uint8)
             new[1:] |= col[1:] != col[:-1]
             first = np.flatnonzero(new)
             levels.append((col[first], node[first]))
-            node = np.cumsum(new) - 1
+            np.cumsum(new, out=node)
+            node -= 1
         return levels
 
     def evaluate(self, points: Sequence):
@@ -150,12 +163,13 @@ class CWE:
         Modulo a prime p every value is below 2^31, so a product of two and
         the sum ac - bd or ad + bc fit int64 before reduction.  A term costs
         at most n - 1 Gaussian products along `_chain`, fewer where it
-        shares a prefix with the term before it.
+        shares a prefix with the term before it.  The products run in
+        place, so a pass holds `_EVAL_ARRAYS` arrays of terms x points.
         """
         count = point.shape[2]
         span = int(np.abs(point).sum(axis=0).max(initial=0))
         bound = int(np.abs(self.counts).sum()) * span ** self.length
-        step = max(1, _EVAL_CELLS // max(len(self.counts), 1))
+        step = max(1, _EVAL_CELLS // (_EVAL_ARRAYS * max(len(self.counts), 1)))
         (first, _), *chain = self._chain
         moduli = [1 << 64]
         for p in _residue_primes(-(-((2 * bound) >> 64).bit_length() // 30)):
@@ -163,16 +177,28 @@ class CWE:
                 moduli.append(p)
         modulus, total = 1, np.zeros((2, count), dtype=object)
         for p in moduli:
-            dtype, red = (np.uint64, lambda v: v) if p == 1 << 64 else (np.int64, lambda v: v % p)
+            dtype, red = ((np.uint64, lambda v: v) if p == 1 << 64 else
+                          (np.int64, lambda v: np.remainder(v, p, out=v)))
             acc = np.zeros((2, count), dtype=dtype)
             c = red(self.counts.astype(dtype))[:, None]
             for s in range(0, count, step):
                 a, b = (point[:, :, s:s + step] % p).astype(dtype)
                 re, im = a[first], b[first]
                 for elem, parent in chain:
-                    x, y, re, im = a[elem], b[elem], re[parent], im[parent]
-                    re, im = red(re * x - im * y), red(re * y + im * x)
-                acc[:, s:s + step] = [red(red(re * c).sum(axis=0)), red(red(im * c).sum(axis=0))]
+                    re = re[parent]
+                    im = im[parent]
+                    x, y = a[elem], b[elem]
+                    t = re * y
+                    re *= x
+                    y *= im
+                    re -= y  # re x - im y
+                    im *= x
+                    im += t  # im x + re y
+                    red(re)
+                    red(im)
+                re *= c
+                im *= c
+                acc[:, s:s + step] = [red(red(re).sum(axis=0)), red(red(im).sum(axis=0))]
             # CRT: the residue modulo modulus * p that agrees with both
             total = total + modulus * ((acc.astype(object) - total) * pow(modulus, -1, p) % p)
             modulus *= p
@@ -280,14 +306,25 @@ def _count_units(bits: int) -> np.ndarray:
     return units
 
 
+def _word_keys(units: np.ndarray, width: int) -> np.ndarray:
+    """(16^width, K) uint64: the composition key of every word of `width`
+    digits in odometer order (the first digit the most significant), digit
+    v keyed by row v of the (16, K) `units`.  A composition adds over the
+    digits, so this is the outer sum of `units` over the digits, added in
+    place by broadcasting: no temporary past the result."""
+    keys = np.zeros((16,) * width + units.shape[1:], np.uint64)
+    for j in range(width):
+        keys += units.reshape((16,) + (1,) * (width - 1 - j) + units.shape[1:])
+    return keys.reshape(-1, units.shape[1])
+
+
 @functools.cache
 def _chunk_keys(bits: int) -> np.ndarray:
     """(2^16, bits // 4) uint64: the key of each 16-bit chunk of a packed R
-    word, the four elements whose Gray images it holds.  Built on first use
-    (512 KB while n <= 15), never at import."""
-    chunk = np.arange(1 << 16)
-    units = _count_units(bits)
-    return sum(units[R.UNPACK[(chunk >> s) & 15]] for s in range(0, 16, 4))
+    word, the four elements whose Gray images it holds, each 4-bit field
+    a digit keyed by its element's unit.  Built on first use (512 KB while
+    n <= 15), never at import."""
+    return _word_keys(_count_units(bits)[R.UNPACK], 4)
 
 
 def _composition_keys(words: np.ndarray, length: int, n: int) -> np.ndarray:
@@ -392,32 +429,33 @@ def dual_cwe(code: LinearCode, budget: int = DEFAULT_BUDGET) -> CWE:
 
     A composition adds over disjoint coordinates, so a dual word's key is
     its high half's plus its low half's, and a half's key is the sum of its
-    digits' units (`_count_units`): the keys of every word of j digits, in
-    odometer order as the pairs index them, are the running outer sum of
-    the units over j digits, the low half's (n - h <= h) on the way.
+    digits' units (`_count_units`): each half's keys, in odometer order as
+    the pairs index them, are `_word_keys` of the units.
     """
     _check_r(code)
     n = code.n
     h = dual_split(n)
     pairs = code.dual_pairs(budget)  # the budget check, before the tables
     units = _count_units(_field_bits(n))
-    keys = [np.zeros((1, units.shape[1]), np.uint64)]  # words of 0, 1, .., h digits
-    for _ in range(h):
-        keys.append((keys[-1][:, None] + units).reshape(-1, units.shape[1]))
-    return CWE(n, *_compositions((keys[h][a] + keys[n - h][b] for a, b in pairs), n))
+    high, low = _word_keys(units, h), _word_keys(units, n - h)
+    return CWE(n, *_compositions((high[a] + low[b] for a, b in pairs), n))
 
 
 def cwe_to_swe(e: CWE) -> SWE:
     """Merge the CWE's variables by weight class: each composition's class
     key, the counts of Y, Z, W and S in base n + 1 (X's is n minus them), is
-    one dot product with the place of each element's class."""
+    accumulated in one int64 column, one column of `comps` at a time."""
     base = e.length + 1
     if base ** 4 > np.iinfo(np.int64).max:
         raise ValueError(f"length {e.length} overflows the 64-bit symmetrized key")
-    place = base ** np.arange(3, -1, -1, dtype=np.int64)
-    keys, total = _merge_counts((e.comps @ np.append(0, place)[list(ELEMENT_CLASS)])[:, None],
-                                e.counts)
-    rest = (keys // place % base).tolist()
+    key = np.zeros(len(e.comps), np.int64)
+    for c in range(1, 5):
+        key *= base
+        for v in range(16):
+            if ELEMENT_CLASS[v] == c:
+                key += e.comps[:, v]
+    keys, total = _merge_counts(key[:, None], e.counts)
+    rest = (keys // base ** np.arange(3, -1, -1, dtype=np.int64) % base).tolist()
     return SWE(e.length, {(e.length - sum(r), *r): c for r, c in zip(rest, total.tolist())})
 
 

@@ -21,6 +21,11 @@ whose row in a `span_blocks` block of G^T is zero, decoded by
 `dual_blocks`, and is its reference.
 `compositions` is the composition census of a list of words by a
 `Counter`, the reference for `wenum`'s packed composition keys.
+`chunk_keys` is the composition key table of 16-bit chunks as a sum of
+four gathers, one per 4-bit field, and `chain_levels` the CWE's term
+chains from every term's elements spelled out by `np.repeat`: the
+references for `wenum._chunk_keys`, built by broadcasting in place, and
+`CWE._chain`, read off running sums of the counts.
 `swe_substitution` and `cwe_value` are the enumerator transforms written
 the direct way: products of expanded linear forms, and Gaussian-number
 arithmetic term by term.  `search_unreduced` is the dc/bdc search with one
@@ -43,7 +48,7 @@ from z4u.code import DEFAULT_BUDGET, dual_of_standard_form
 from z4u.errors import BudgetExceeded
 from z4u.ring import R, RingTable, format_vector, packed_split
 from z4u.scalars import GaussianInt, GaussianRational
-from z4u.wenum import CWE, SWE, cwe_to_swe
+from z4u.wenum import CWE, SWE, _count_units, cwe_to_swe
 
 
 def span(rows, size, add, mul):
@@ -125,6 +130,34 @@ def compositions(words, n):
     keys = sorted(found)
     return (np.frombuffer(b"".join(keys), dtype).reshape(-1, 16),
             np.array([found[k] for k in keys], np.int64))
+
+
+def chunk_keys(bits):
+    """(2^16, bits // 4) uint64 composition keys of the 16-bit chunks of
+    packed R words: the sum of four gathers of element units, one per 4-bit
+    field of the chunk index."""
+    chunk = np.arange(1 << 16)
+    units = _count_units(bits)
+    return sum(units[R.UNPACK[(chunk >> s) & 15]] for s in range(0, 16, 4))
+
+
+def chain_levels(comps, length):
+    """`CWE._chain` of the (T, 16) counts `comps` of length-n words: every
+    term's n elements in ascending order by repeating each element index
+    its count of times, then per level the runs of equal prefixes as
+    (element, parent node)."""
+    elems = np.repeat(np.tile(np.arange(16, dtype=np.intp), len(comps)),
+                      comps.ravel().astype(np.intp)).reshape(-1, length)
+    new = np.zeros(len(elems), dtype=bool)
+    new[:1] = True
+    node = np.zeros(len(elems), dtype=np.intp)
+    levels = []
+    for col in elems.T:
+        new[1:] |= col[1:] != col[:-1]
+        first = np.flatnonzero(new)
+        levels.append((col[first], node[first]))
+        node = np.cumsum(new) - 1
+    return levels
 
 
 def _info_weights(j: int, ring: RingTable) -> np.ndarray:

@@ -281,6 +281,41 @@ def test_import_leaves_multiprocessing_out():
     assert proc.stdout == "False\n"
 
 
+def test_macwilliams_leaves_numpy_random_out():
+    # the points come from Python's random.Random: numpy.random, about 9 ms
+    # and a few MB on first use, is never imported
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys\nfrom z4u.cli import main\n"
+            f"status = main(['macwilliams', '--gen', {gen_path('nonfree4x5.gen')!r}])\n"
+            "print(status, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    lines = proc.stdout.splitlines()
+    assert lines[-2] == "cwe transform evaluations match brute-force dual at 20 points: yes"
+    assert lines[-1] == "0 False"
+
+
+def test_macwilliams_points_in_batches(monkeypatch):
+    # one random.Random stream: batches of 1 and of 3 (a partial last
+    # batch) draw and compare the same points as the default, and no
+    # evaluation sees more points than a batch
+    argv = ("macwilliams", "--gen", gen_path("nonfree4x5.gen"))
+    want = run_cli(*argv)
+    assert want[0] == 0 and want[1].endswith("at 20 points: yes\n")
+    sizes = []
+    evaluate = wenum.macwilliams_cwe_eval
+    monkeypatch.setattr(wenum, "macwilliams_cwe_eval",
+                        lambda e, size, pts: sizes.append(len(pts)) or evaluate(e, size, pts))
+    for batch in (1, 3):
+        monkeypatch.setattr(cli, "_POINT_BATCH", batch)
+        sizes.clear()
+        assert run_cli(*argv) == want
+        assert sum(sizes) == 20 and max(sizes) == batch
+    monkeypatch.setattr(cli, "_cwe_points_agree", lambda *args: False)
+    status, out = run_cli(*argv)
+    assert status == 2 and out.endswith("at 20 points: NO\n")
+
+
 def test_bad_numeric_flags_exit_1():
     u = gen_path("u.gen")
     for argv in (("analyze", "--gen", u, "--threads", "0"),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -390,6 +392,20 @@ def test_candidate_count_matches_candidates(monkeypatch, kind, n, alphabet):
     with pytest.raises(BudgetExceeded) as exc:
         search(kind, n, alphabet)
     assert exc.value.needed == len(_candidates(kind, n, tuple(sorted(alphabet or ring.ELEMENTS))))
+
+
+@pytest.mark.parametrize("kind,n", [("dc", 4), ("bdc", 3)])
+def test_candidates_allocate_only_their_rows(kind, n):
+    # digit by digit in place: no index grid, repeated rows or mask beside
+    # the result (over all 16 elements, 64 KB and 112 KB of rows)
+    tracemalloc.start()
+    try:
+        rows = _candidates(kind, n, ring.ELEMENTS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.flags.f_contiguous and rows.dtype == np.uint8
+    assert peak <= rows.nbytes + (4 << 10)
 
 
 def test_corrupted_orbit_move_raises():

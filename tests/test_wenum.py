@@ -1,11 +1,13 @@
+import importlib.resources as res
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from oracles import (compositions, cwe_value, dual_bruteforce, span_blocks, swe_of_words,
-                     swe_substitution)
+from oracles import (chain_levels, chunk_keys, compositions, cwe_value, dual_bruteforce,
+                     span_blocks, swe_of_words, swe_substitution)
 from z4u import ring, wenum
 from z4u.code import LinearCode, identity, pack_rows
 from z4u.errors import ExpansionTooLarge, NonExactDivision
@@ -70,6 +72,29 @@ def test_composition_keys_match_counter(n, monkeypatch):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and np.array_equal(g, w)
     assert got[1].sum() == len(words)
+
+
+@pytest.mark.parametrize("bits", [4, 8, 16])
+def test_chunk_keys_match_gather_oracle(bits):
+    # count fields of 4 bits (n <= 15), 8 (n <= 255) and 16: the table built
+    # in place by broadcasting against four gathers summed
+    got, want = wenum._chunk_keys.__wrapped__(bits), chunk_keys(bits)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [5, 16, 300])
+def test_chain_matches_repeat_oracle(n):
+    # counts of one byte (n = 5, 16) and two (300); terms of one element
+    # repeated n times, and many terms sharing a prefix of zeros
+    rng = np.random.default_rng(300 + n)
+    words = rng.integers(0, 16, size=(400, n), dtype=np.uint8)
+    words[:16] = np.arange(16, dtype=np.uint8)[:, None]
+    words[16:200, :n - 2] = 0
+    e = CWE.of_words(words, n)
+    got, want = e._chain, chain_levels(e.comps, n)
+    assert len(got) == len(want) == n
+    for (g_elem, g_parent), (w_elem, w_parent) in zip(got, want):
+        assert np.array_equal(g_elem, w_elem) and np.array_equal(g_parent, w_parent)
 
 
 def _free_or_scaled(k, n, free, seed):
@@ -413,6 +438,45 @@ def test_batched_transform_matches_dual_and_single_points():
     assert macwilliams_cwe_eval(e, size, []) == [] and dual_cwe.evaluate([]) == []
     with pytest.raises(NonExactDivision):
         macwilliams_cwe_eval(e, size + 1, pts)
+
+
+def _nonfree4x5():
+    c = LinearCode.from_file(str(res.files("z4u") / "data" / "nonfree4x5.gen"))
+    return c, cwe(c), c.cardinality()
+
+
+def test_evaluation_passes_do_not_change_values(monkeypatch):
+    # 2,424 terms take a few points per pass by default, and both small and
+    # huge points (several prime residues); one point per pass must give
+    # the same values
+    c, e, size = _nonfree4x5()
+    dual = wenum.dual_cwe(c)
+    pts = _huge_points(np.random.default_rng(229), 10 ** 5)
+    pts += [[GaussianInt(int(a), int(b)) for a, b in row]
+            for row in np.random.default_rng(233).integers(-3, 4, size=(30, 16, 2))]
+    assert len(e.counts) == 2424
+    assert 1 < wenum._EVAL_CELLS // (wenum._EVAL_ARRAYS * len(e.counts)) < len(pts)
+    want = e.evaluate(pts), dual.evaluate(pts), macwilliams_cwe_eval(e, size, pts)
+    assert want[2] == [GaussianRational.of(v) for v in want[1]]
+    monkeypatch.setattr(wenum, "_EVAL_CELLS", 1)
+    assert (e.evaluate(pts), dual.evaluate(pts), macwilliams_cwe_eval(e, size, pts)) == want
+
+
+def test_evaluation_pass_stays_within_eval_cells():
+    # every temporary of a pass together, not each one, within _EVAL_CELLS
+    # 64-bit cells: 40 points of 2,424 terms, the chain built beforehand
+    _, e, _ = _nonfree4x5()
+    pts = [[GaussianInt(int(a), int(b)) for a, b in row]
+           for row in np.random.default_rng(239).integers(-3, 4, size=(40, 16, 2))]
+    ints = wenum._integral(pts)[1]
+    e._chain
+    tracemalloc.start()
+    try:
+        e._values(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * wenum._EVAL_CELLS + (64 << 10)
 
 
 def test_cwe_to_swe_matches_term_loop():
