@@ -19,7 +19,7 @@ import random
 import sys
 
 from . import construct, gray, project, ring, wenum
-from .code import DistanceResult, LinearCode, dual_of_standard_form
+from .code import DistanceResult, LinearCode, _per_step, dual_of_standard_form
 from .errors import BudgetExceeded, ExpansionTooLarge, ZeroCode
 from .ring import F2U, R, RingTable, Z4
 from .scalars import GaussianInt, GaussianRational
@@ -27,8 +27,6 @@ from .scalars import GaussianInt, GaussianRational
 _ENUM_PRINT_CAP = 16 ** 6
 #: `dual` lists the dual's vectors only up to this many; past it, the count.
 _DUAL_PRINT_CAP = 4096
-#: `macwilliams` draws, evaluates and compares its points this many at a time.
-_POINT_BATCH = 256
 
 
 class _Fail(Exception):
@@ -156,11 +154,12 @@ def cmd_macwilliams(args) -> None:
 def _cwe_points_agree(e: wenum.CWE, dual: wenum.CWE, card: int, count: int, seed: int) -> bool:
     """The CWE's transform equals the dual's CWE at `count` Gaussian points
     with parts in -3..3, all drawn from one random.Random(seed) stream and
-    drawn, evaluated and compared `_POINT_BATCH` points at a time, so memory
-    does not grow with `count`."""
+    drawn, evaluated and compared as many points at a time as fit
+    `code.SCRATCH_BYTES`, so memory does not grow with `count`."""
     rng = random.Random(seed)
-    for s in range(0, count, _POINT_BATCH):
-        width = min(_POINT_BATCH, count - s)
+    step = _per_step(4096)  # a point: its drawn parts, GaussianInts and both sides' values
+    for s in range(0, count, step):
+        width = min(step, count - s)
         parts = rng.choices(range(-3, 4), k=32 * width)
         pts = [[GaussianInt(parts[j], parts[j + 1]) for j in range(32 * i, 32 * i + 32, 2)]
                for i in range(width)]
@@ -363,11 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_numbers(args) -> None:
-    """Reject out-of-range numeric flags (exit 1, like any other bad input)."""
+    """Reject out-of-range numeric flags (exit 1, like any other bad input),
+    before any work: 16^BUDGET is a number of BUDGET / 2 bytes."""
     for flag, low in (("threads", 1), ("points", 0), ("budget", 0), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < low:
             raise ValueError(f"--{flag} must be >= {low}, got {value}")
+    if args.budget > 64:
+        raise ValueError(f"--budget must be <= 64, got {args.budget}")
 
 
 def main(argv=None) -> int:

@@ -26,10 +26,10 @@ word over R and 32 over Z4 and F2+uF2).  It adds one row at a time: the
 table so far, as a column of prefixes, plus every multiple of the row, a
 field-wise packed sum (`ring.packed_split`; the Gray packing is additive),
 so the table for j digits costs about size/(size-1) passes of its own
-size.  `span_blocks` splits a large space into blocks of at most 2^20 rows
-(5 digits over R, 10 over a 4-element ring): each high prefix comes from a
-small span table, and a block is the low-digit span table grown from that
-prefix.  Membership, the size count, the torsion sweep and the complete
+size.  `span_blocks` splits a large space into blocks of the most rows, a
+power of the ring size, that fit `SCRATCH_BYTES`: each high prefix comes
+from a small span table, and a block is the low-digit span table grown
+from that prefix.  Membership, the size count, the torsion sweep and the complete
 enumerator read the words as they are; element values are unpacked
 (`unpack_rows`) only where they are read one by one.  The dual, the x with
 x G^T = 0, is a meet-in-the-middle join of two span tables of G^T, one per
@@ -50,7 +50,7 @@ the free part x of its message.  The messages are scanned by the Lee
 weight t of x, C(4r, t) Gray bit patterns over R, each with every torsion
 message; each is a high half's message of weight w joined with a low
 half's of weight t - w, their parity products held as packed Gray words
-(`ring.packed_split`, `ring.packed_weight`), in chunks of 2^16 pairs.  Once
+(`ring.packed_split`, `ring.packed_weight`), in steps that fit `SCRATCH_BYTES`.  Once
 level t_i is scanned on each set S_i, every codeword not yet seen weighs
 at least the sum of the (t_i + 1), and the kernel stops when its best
 word meets that bound.  The budget caps the messages scanned on each set;
@@ -91,11 +91,14 @@ from .ring import R, RingTable, packed_split, packed_weight, parse_matrix_text
 #: Default enumeration budget (message count).
 DEFAULT_BUDGET = 16 ** 7
 
-#: A span block holds at most 2^_LO_BITS rows: 5 digits over R, 10 over a
-#: 4-element ring; a block of the dual join's pairs starts within a stretch
-#: of 2^(_LO_BITS - 4) solutions.
-_LO_BITS = 20
+#: Scratch bound of a step of every streamed loop: `_per_step(bytes of an item)`
+#: items, as many as fit, one at the least.
+SCRATCH_BYTES = 1 << 20
 _BIG = 1 << 30
+
+
+def _per_step(item_bytes: int) -> int:
+    return max(1, SCRATCH_BYTES // item_bytes)
 
 
 def _elements(rows, ring: RingTable) -> np.ndarray:
@@ -196,9 +199,11 @@ def span_table(rows: np.ndarray, ring: RingTable = R, base: np.ndarray | None = 
 
 def span_blocks(rows: np.ndarray, ring: RingTable = R) -> Iterator[tuple[int, np.ndarray]]:
     """The span table of `rows` in (first index, packed words) blocks of
-    <= 2^20 rows: the codewords of every message, and the high half of the
-    dual's join."""
-    khi = max(0, rows.shape[0] - _LO_BITS // ring.bits)  # the digits past the block
+    the most rows, a power of the ring size, that fit `SCRATCH_BYTES`: the
+    codewords of every message, and the high half of the dual's join."""
+    # a row: its packed words, and as many bytes again of keys or counts read off them
+    fit = _per_step(16 * max(1, -(-rows.shape[1] // (64 // ring.bits))))
+    khi = max(0, len(rows) - (fit.bit_length() - 1) // ring.bits)  # the digits past the block
     for h, prefix in enumerate(span_table(rows[:khi], ring)):
         yield h * ring.size ** (len(rows) - khi), span_table(rows[khi:], ring, prefix)
 
@@ -229,20 +234,21 @@ def _null_blocks(cols: np.ndarray, ring: RingTable = R) -> Iterator[tuple[np.nda
     sweep.  High keys run in odometer order and equal low keys keep theirs,
     so the solutions come out in odometer order.  A yielded block holds the
     solutions of a run of high keys whose first solution falls in one
-    stretch of 2^16 (a span block's 2^20 / 16), so it has fewer than
-    2^16 + size^(m - h) pairs.
+    stretch of as many pairs as fit `SCRATCH_BYTES`, so it has fewer than
+    that stretch plus size^(m - h) pairs.
     """
     h = dual_split(len(cols))
     low = _keys(span_table(ring.NEG[cols[h:]], ring))
     order = np.argsort(low, kind="stable")
     low = low[order]
+    stretch = _per_step(16)  # a solution: its (high, low) int64 index pair
     for start, blk in span_blocks(cols[:h], ring):
         keys = _keys(blk)
         first = np.searchsorted(low, keys, "left")
         count = np.searchsorted(low, keys, "right") - first
         hit = np.flatnonzero(count)
         offset = np.cumsum(count[hit]) - count[hit]
-        for part in np.split(hit, np.flatnonzero(np.diff(offset >> (_LO_BITS - 4))) + 1):
+        for part in np.split(hit, np.flatnonzero(np.diff(offset // stretch)) + 1):
             c = count[part]
             pos = np.repeat(first[part] - (np.cumsum(c) - c), c)
             pos += np.arange(len(pos))
@@ -480,9 +486,6 @@ def dual_of_standard_form(code: LinearCode) -> LinearCode:
 # Lee-level kernel: Brouwer-Zimmermann over two information sets
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 16  # message pairs joined per step
-_BATCH = 1 << 16  # half-table entries over all codes of one `lee_levels` batch
-
 
 def _rank(cols: Sequence[int]) -> int:
     """F2 rank of column vectors (ints, bit i = row i)."""
@@ -708,7 +711,7 @@ class _InfoSet:
              ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Lee weights of the parity words of the high half's messages of
         weight wh joined with the low half's of weight wl, for the codes
-        `act` (default: all), in blocks of at most _CHUNK pairs per word
+        `act` (default: all), in blocks of the pairs that fit SCRATCH_BYTES
         (one high message of one code when its row alone is more).  Yields
         (c, a, weights): weights[z, r, q] is the pair (a + r, q) of code
         act[c + z]."""
@@ -722,8 +725,9 @@ class _InfoSet:
             ph_low, ph_high, pl_low, pl_high = (
                 p[pick] for p in (ph_low, ph_high, pl_low, pl_high))
         batch, low = len(self.every if act is None else act), self.low
-        codes = max(1, _CHUNK // nl)
-        rows = max(1, _CHUNK // (min(codes, batch) * nl))
+        pair = 16 * max(1, words)  # a pair: its packed sum and the weights read off it, per word
+        codes = _per_step(pair * nl)
+        rows = _per_step(pair * min(codes, batch) * nl)
         for c in range(0, batch, codes):
             span = slice(c * words, (c + codes) * words)  # the rows of codes c, c + 1, ..
             ll, lh = pl_low[span, None], pl_high[span, None]
@@ -812,11 +816,12 @@ def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
     one pass of stacked joins.  A level runs only if the messages scanned
     on its set, itself included, still fit in `cap`; otherwise the results
     left are upper bounds.  Scanning every message on a set makes a result
-    exact, so a cap of size^k always does.  At most _BATCH half-table
-    entries are held at once: a longer batch runs in parts.
+    exact, so a cap of size^k always does.  A batch runs in parts of as
+    many codes as their half tables fit `SCRATCH_BYTES`.
     """
-    k = gens.shape[1]
-    step = max(1, _BATCH // ring.size ** -(-k // 2))
+    k, words = gens.shape[1], -(-gens.shape[2] // (64 // ring.bits))
+    # a code: the entries of one set's two half tables, split in two uint64 per word
+    step = _per_step(16 * words * (ring.size ** (k // 2) + ring.size ** -(-k // 2)))
     if len(gens) > step:
         return [d for i in range(0, len(gens), step)
                 for d in lee_levels(gens[i:i + step], ring, sets, cap)]

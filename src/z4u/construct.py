@@ -34,8 +34,8 @@ result.  Each member is checked, not assumed: the orbit element is a
 signed permutation of rows and columns, and applied to the
 representative's block it must give the member's block.  `_check` runs
 this and the isodual identity: one gather per distinct permutation, over
-slices of `_SLICE` candidates whose blocks are built from their rows on
-demand, raising AssertionError on a mismatch.  A member keeps the
+slices of the candidates that fit `code.SCRATCH_BYTES`, their blocks built
+on demand, raising AssertionError on a mismatch.  A member keeps the
 representative's distance and exact flag; its witness is the
 representative's witness under the element's signed permutation of the
 2k coordinates.  Spec objects are built only for the results printed.
@@ -63,13 +63,15 @@ comes back exact while its 16^k messages fit the budget.
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, DistanceResult, LinearCode, identity, information_sets, lee_levels
+from .code import (DEFAULT_BUDGET, DistanceResult, LinearCode, _per_step, identity,
+                   information_sets, lee_levels)
 from .errors import BadBorder, BudgetExceeded, NotSymmetric
 
 
@@ -275,11 +277,6 @@ def _evaluate(gens: np.ndarray, budget: int) -> list[DistanceResult]:
     return dist
 
 
-#: Candidates per gather in `_orbits` and `_check`: temporaries are held
-#: for one slice at a time, never for every candidate at once.
-_SLICE = 1 << 14
-
-
 @dataclass(frozen=True)
 class _Move:
     """A signed permutation of k x k blocks, built by `of(rows, cols,
@@ -347,7 +344,7 @@ def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray,
 
     Each group element is one gather of the candidates' places in
     `alphabet` (-1 outside it; reversal also swaps a bdc row's beta and
-    gamma), `_SLICE` candidates at a time.  Candidates come in `product`
+    gamma), a slice of candidates at a time.  Candidates come in `product`
     order, so an image's index is the mixed-radix number p of its places;
     for bdc, 2p less the gamma = -beta = beta rows dropped before it, plus
     one when gamma != beta; len(cands), no candidate, where a place is -1.
@@ -375,15 +372,19 @@ def _orbits(kind: str, cands: np.ndarray, signed: np.ndarray,
                          + (rows[:, -1] != rows[:, -2]))
             yield np.where((digits < 0).any(axis=1), len(cands), index)
 
+    step = _per_step(16 * cands.shape[1])  # a candidate: its two int64 place gathers
     owner = np.arange(len(cands))
-    for start in range(0, len(cands), _SLICE):
-        part = owner[start:start + _SLICE]
-        for index in images(cands[start:start + _SLICE]):
+    for start in range(0, len(cands), step):
+        part = owner[start:start + step]
+        for index in images(cands[start:start + step]):
             np.minimum(part, index, out=part)
     first = np.full(len(cands), -1)
-    for g, index in enumerate(images(cands[owner == np.arange(len(cands))])):
-        index = index[index < len(cands)]
-        first[index[first[index] < 0]] = g
+    for start in range(0, len(cands), step):  # the representatives, an orbit's images once each
+        part = owner[start:start + step]
+        reps = start + np.flatnonzero(part == np.arange(start, start + len(part)))
+        for g, index in enumerate(images(cands[reps])):
+            index = index[index < len(cands)]
+            first[index[first[index] < 0]] = g
     return owner, first + len(_moves(m, bordered, False)) * signed
 
 
@@ -391,13 +392,14 @@ def _check(moves: Sequence[_Move], index: np.ndarray, source: np.ndarray,
            block_of: Callable[[np.ndarray], np.ndarray], fail: Callable[[int], str]) -> None:
     """Candidate i's move moves[index[i]] must send the block of candidate
     source[i] to candidate i's own block.  One gather per distinct move,
-    over slices of at most `_SLICE` candidates whose blocks `block_of`
-    builds from their indices.  A failure is a fault in the program:
+    over slices of the candidates that fit `code.SCRATCH_BYTES`, whose
+    blocks `block_of` builds.  A failure is a fault in the program:
     AssertionError with the message `fail(i)`."""
+    step = _per_step(4 * moves[0].take.size)  # a candidate: its source block, negated, stacked
     for g in np.unique(index).tolist():
         members = np.flatnonzero(index == g)
-        for start in range(0, len(members), _SLICE):
-            part = members[start:start + _SLICE]
+        for start in range(0, len(members), step):
+            part = members[start:start + step]
             bad = (moves[g].block(block_of(source[part])) != block_of(part)).any(axis=(1, 2))
             if bad.any():
                 raise AssertionError(fail(int(part[bad.argmax()])))
@@ -436,11 +438,13 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     """Sweep dc/bdc codes of length 2n over `alphabet` (all 16 elements when
     None); keep candidates with d >= threshold.
 
-    Only one candidate per isometry orbit is evaluated, by the worker pool;
+    Only one candidate per isometry orbit is evaluated, by a pool of at
+    most `threads` workers and no more than the machine's cores;
     every result is then carried back out in candidate order, so the
     outcome is worker-count independent.  Every candidate's orbit move and
     isodual block identity passed `_check`, which raises otherwise.
-    BudgetExceeded past `_MAX_CANDIDATES` candidates, before any is built.
+    BudgetExceeded past `_MAX_CANDIDATES` candidates, before any is built
+    (at n >= 26 any alphabet of two or more passes it).
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -451,7 +455,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
         raise ValueError(f"alphabet must be a nonempty set of elements 0..15, got {alphabet}")
     bordered = kind == "bdc"
     lone = int((ring.R.NEG[list(alpha)] == alpha).sum())  # betas with one gamma row
-    count = len(alpha) ** n * (2 * len(alpha) - lone if bordered else 1)  # len(cands)
+    count = len(alpha) ** min(n, 26) * (2 * len(alpha) - lone if bordered else 1)  # len(cands)
     if count > _MAX_CANDIDATES:
         raise BudgetExceeded(count, _MAX_CANDIDATES, "search candidates")
     cands = _candidates(kind, n, alpha)
@@ -473,7 +477,7 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     reps = np.flatnonzero(owner == np.arange(len(cands)))
     gens = np.concatenate([np.broadcast_to(identity(n), (len(reps), n, n)), block_of(reps)], axis=2)
     evaluate = functools.partial(_evaluate, budget=budget)
-    workers = min(threads, len(reps))
+    workers = min(threads, len(reps), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing  # only here: one worker, the default, never needs it
 

@@ -26,10 +26,9 @@ Each enumerator has an exact dual transform scaled by 1/|C|:
     primes below 2^31, each term a chain of Gaussian products over its
     elements in ascending order, combined by the Chinese remainder theorem.
     A pass covers as many points as keep all its temporaries together
-    within `_EVAL_CELLS` 64-bit cells (1 MB), and one point at the least:
-    past about 20,000 terms a pass holds six arrays of one 64-bit cell
-    per term.  A rational point is scaled to a Gaussian-integer one, the
-    CWE being homogeneous.
+    within `code.SCRATCH_BYTES`; past one point's worth of terms, a pass is
+    one point of a range of terms.  A rational point is scaled to a
+    Gaussian-integer one, the CWE being homogeneous.
   * SWE: substitute five linear forms, obtained here by summing the
     columns of T over weight classes (the row sums are constant on each
     class, which is what makes the symmetrization well defined).  No
@@ -55,7 +54,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import ring
-from .code import DEFAULT_BUDGET, LinearCode, dual_split, pack_rows
+from .code import DEFAULT_BUDGET, LinearCode, _per_step, dual_split, pack_rows
 from .errors import ExpansionTooLarge, NonExactDivision
 from .ring import R, RingTable
 from .scalars import GaussianInt, GaussianRational
@@ -68,11 +67,6 @@ ELEMENT_CLASS = tuple({0: 0, 4: 1, 3: 2, 1: 3, 2: 4}[ring.lee_weight(x)]
                       for x in ring.ELEMENTS)
 
 _EXPANSION_GUARD = 24
-_COMPOSITION_ROWS = 1 << 16   # keys per sort pass
-_MERGE_KEYS = 1 << 18         # pending distinct keys that trigger a merge at the least
-#: 64-bit cells of one residue pass of `CWE._values`, all its temporaries
-#: together: 1 MB, while one point's fit
-_EVAL_CELLS = 1 << 17
 #: terms x points arrays that such a pass holds at once: real and imaginary
 #: parts, two gathered coordinates, a product, and the gathers' index casts
 _EVAL_ARRAYS = 6
@@ -129,6 +123,19 @@ class CWE:
             node -= 1
         return levels
 
+    def _ranges(self, width: int) -> list[list[slice]]:
+        """The terms in ranges of `width`, each as its nodes on every level
+        of `_chain`, one slice per level: parent indices never decrease
+        along a level, so a range's ancestors are contiguous."""
+        out = []
+        for lo in range(0, len(self.counts), width):
+            levels = [slice(lo, min(lo + width, len(self.counts)))]
+            for _, parent in self._chain[:0:-1]:
+                at = levels[-1]
+                levels.append(slice(int(parent[at.start]), int(parent[at.stop - 1]) + 1))
+            out.append(levels[::-1])
+        return out
+
     def evaluate(self, points: Sequence):
         """Values at a batch of points of 16 Gaussian integers or
         rationals, exact: a GaussianInt at a point of GaussianInts, else a
@@ -164,12 +171,17 @@ class CWE:
         the sum ac - bd or ad + bc fit int64 before reduction.  A term costs
         at most n - 1 Gaussian products along `_chain`, fewer where it
         shares a prefix with the term before it.  The products run in
-        place, so a pass holds `_EVAL_ARRAYS` arrays of terms x points.
+        place, so a pass holds `_EVAL_ARRAYS` arrays of terms x points, of the
+        points that fit `code.SCRATCH_BYTES`, or of one point and a range of
+        terms (`_ranges`) past one point's worth.
         """
-        count = point.shape[2]
+        count, terms = point.shape[2], len(self.counts)
         span = int(np.abs(point).sum(axis=0).max(initial=0))
         bound = int(np.abs(self.counts).sum()) * span ** self.length
-        step = max(1, _EVAL_CELLS // (_EVAL_ARRAYS * max(len(self.counts), 1)))
+        # a term at one point: its _EVAL_ARRAYS cells, the coordinates gathered before
+        # the last ones, its parent index and its count
+        width = min(terms, _per_step(8 * (_EVAL_ARRAYS + 4)))
+        step = _per_step(8 * _EVAL_ARRAYS * max(width, 1))  # points per pass
         (first, _), *chain = self._chain
         moduli = [1 << 64]
         for p in _residue_primes(-(-((2 * bound) >> 64).bit_length() // 30)):
@@ -180,25 +192,29 @@ class CWE:
             dtype, red = ((np.uint64, lambda v: v) if p == 1 << 64 else
                           (np.int64, lambda v: np.remainder(v, p, out=v)))
             acc = np.zeros((2, count), dtype=dtype)
-            c = red(self.counts.astype(dtype))[:, None]
-            for s in range(0, count, step):
-                a, b = (point[:, :, s:s + step] % p).astype(dtype)
-                re, im = a[first], b[first]
-                for elem, parent in chain:
-                    re = re[parent]
-                    im = im[parent]
-                    x, y = a[elem], b[elem]
-                    t = re * y
-                    re *= x
-                    y *= im
-                    re -= y  # re x - im y
-                    im *= x
-                    im += t  # im x + re y
-                    red(re)
-                    red(im)
-                re *= c
-                im *= c
-                acc[:, s:s + step] = [red(red(re).sum(axis=0)), red(red(im).sum(axis=0))]
+            for levels in self._ranges(width):
+                c = red(self.counts[levels[-1]].astype(dtype))[:, None]
+                for s in range(0, count, step):
+                    a, b = (point[:, :, s:s + step] % p).astype(dtype)
+                    re, im = a[first[levels[0]]], b[first[levels[0]]]
+                    for (elem, parent), up, at in zip(chain, levels, levels[1:]):
+                        index = parent[at] - up.start if up.start else parent[at]
+                        re = re[index]
+                        im = im[index]
+                        x, y = a[elem[at]], b[elem[at]]
+                        t = re * y
+                        re *= x
+                        y *= im
+                        re -= y  # re x - im y
+                        im *= x
+                        im += t  # im x + re y
+                        red(re)
+                        red(im)
+                    re *= c
+                    im *= c
+                    part = acc[:, s:s + step]
+                    part += [red(red(re).sum(axis=0)), red(red(im).sum(axis=0))]
+                    red(part)
             # CRT: the residue modulo modulus * p that agrees with both
             total = total + modulus * ((acc.astype(object) - total) * pow(modulus, -1, p) % p)
             modulus *= p
@@ -354,23 +370,24 @@ def _compositions(key_blocks: Iterable[np.ndarray], n: int) -> tuple[np.ndarray,
 
     Keys sort as their counts do, so while a count fits one byte the key
     order is the byte order; wider counts are put in the order of their
-    bytes at the end.  Each sort pass covers at most _COMPOSITION_ROWS
-    keys.  The distinct keys of each pass wait until they outnumber both
-    the running totals and _MERGE_KEYS, then all merge in one sort: memory
+    bytes at the end.  Each sort pass covers the keys that fit
+    `code.SCRATCH_BYTES`; the distinct keys of each pass wait until they
+    outnumber both the running totals and a pass, then all merge in one sort: memory
     follows the distinct compositions, a stream of many small blocks does
     not re-sort the totals per block, and a stream of one pass needs no
     merge.
     """
     bits, dtype = _field_bits(n), np.min_scalar_type(n)
+    step = _per_step(16 * (bits // 4))  # a key: its uint64 words, then their sorted copy
     found, total = np.zeros((0, bits // 4), np.uint64), np.zeros(0, np.int64)
     keys, counts, pending = [], [], 0
     for blk in key_blocks:
-        for s in range(0, len(blk), _COMPOSITION_ROWS):
-            u, c = _merge_counts(blk[s:s + _COMPOSITION_ROWS])
+        for s in range(0, len(blk), step):
+            u, c = _merge_counts(blk[s:s + step])
             keys.append(u)
             counts.append(c)
             pending += len(u)
-            if pending >= max(len(found), _MERGE_KEYS):
+            if pending >= max(len(found), step):
                 found, total = _merge_counts(np.concatenate([found, *keys]),
                                              np.concatenate([total, *counts]))
                 keys, counts, pending = [], [], 0

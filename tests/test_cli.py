@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from z4u import cli, construct, ring, wenum
+from z4u import code as code_module
 from z4u.cli import build_parser, main
 from z4u.code import LinearCode, identity, ring_matmul
 
@@ -306,8 +307,8 @@ def test_macwilliams_points_in_batches(monkeypatch):
     evaluate = wenum.macwilliams_cwe_eval
     monkeypatch.setattr(wenum, "macwilliams_cwe_eval",
                         lambda e, size, pts: sizes.append(len(pts)) or evaluate(e, size, pts))
-    for batch in (1, 3):
-        monkeypatch.setattr(cli, "_POINT_BATCH", batch)
+    for batch in (1, 3):  # a point counts 4096 bytes
+        monkeypatch.setattr(code_module, "SCRATCH_BYTES", 4096 * batch)
         sizes.clear()
         assert run_cli(*argv) == want
         assert sum(sizes) == 20 and max(sizes) == batch
@@ -323,7 +324,10 @@ def test_bad_numeric_flags_exit_1():
                  ("macwilliams", "--gen", u, "--points", "-1"),
                  ("macwilliams", "--gen", u, "--seed", "-1"),
                  ("search", "--kind", "dc", "--n", "1", "--threads", "-2"),
-                 ("self-check", "--budget", "-3")):
+                 ("self-check", "--budget", "-3"),
+                 # 16^BUDGET would be an integer of half a gigabyte
+                 ("analyze", "--gen", u, "--budget", "1000000000"),
+                 ("search", "--kind", "dc", "--n", "1", "--budget", "65")):
         status, out = run_cli(*argv)
         assert status == 1, argv
         assert out == "", argv
@@ -334,6 +338,7 @@ def test_numeric_flags_at_their_bounds_accepted():
     assert status == 0
     assert "min-lee-distance: 2 (exact)" in out
     assert run_cli("self-check", "--budget", "0")[0] == 0
+    assert run_cli("self-check", "--budget", "64")[0] == 0
     status, out = run_cli("macwilliams", "--gen", gen_path("u.gen"), "--points", "0")
     assert status == 0
     assert "at 0 points: yes" in out

@@ -152,13 +152,13 @@ def test_dual_bruteforce_two_zero():
 
 def test_dual_join_two_word_keys_in_small_blocks(monkeypatch):
     # 18 rows over R pack into two 64-bit key words; rows times 2u leave a
-    # dual of thousands of words, cut into many blocks when a block of high
-    # keys starts at most 2^4 solutions apart
+    # dual of thousands of words, cut into many blocks when a 16-byte bound
+    # (one index pair) starts a block of high keys at every solution
     rng = np.random.default_rng(5)
     c = LinearCode(ring.R.MUL[ring.TWO_U, rng.integers(0, 16, size=(18, 4))])
     oracle = dual_bruteforce(c)
     assert len(oracle) > 1000
-    monkeypatch.setattr(code_module, "_LO_BITS", 4)
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 16)
     blocks = list(c.dual_blocks())
     assert len(blocks) > 16 and max(map(len, blocks)) < 16 + 16 ** 2
     assert np.array_equal(np.concatenate(blocks), oracle)
@@ -382,7 +382,8 @@ def _dc6():
 
 
 CENSUS_CASES = {
-    # two information sets; 16^6 message pairs are 256 joins of _CHUNK pairs
+    # two information sets; 16^6 message pairs are 256 join steps of 2^16
+    # pairs at the default SCRATCH_BYTES
     "R-dc-k6": (ring.R, _dc6, 2, None),
     # rows scaled by 2 and by u: two partial information sets and |K| > 1
     "R-nonfree-k6-n8": (ring.R, lambda: _scaled_rows(ring.R, 6, 8, 11), 2, None),
@@ -502,8 +503,10 @@ def all_messages(k, table):
 
 @pytest.mark.parametrize("table,k,m", [(ring.R, 3, 4), (ring.R, 2, 0), (Z4, 5, 3),
                                        (F2U, 4, 0), (Z4, 11, 2), (F2U, 11, 3)])
-def test_span_blocks_equal_ring_matmul(table, k, m):
-    # k = 11 over a 4-element ring has one high digit: four blocks
+def test_span_blocks_equal_ring_matmul(table, k, m, monkeypatch):
+    # k = 11 over a 4-element ring has one high digit past blocks of 2^20
+    # rows of one packed word, 16 bytes each: four blocks
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 16 << 20)
     rows = np.random.default_rng(k * 10 + m).integers(0, table.size, size=(k, m),
                                                         dtype=np.uint8)
     blocks = list(span_blocks(rows, table))
@@ -534,8 +537,10 @@ def test_identity_code_has_empty_parity_block(table, k):
 def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
     # dc codes of length 6 and 8 over three units and 20, grouped by their
     # information sets: the same results when each batch runs in parts of two
-    # codes and every join in blocks of at most 8 pairs, so blocks split
-    # both the codes and the high messages
+    # codes of length 8 (a bound of two codes' two half tables of 16^2 split
+    # entries, 16 bytes each; three codes of length 6) and when every join
+    # runs in blocks of at most 8 pairs (a bound of 8 pairs of 16 bytes), so
+    # blocks split the codes and the high messages
     alphabet = [R("10"), R("13"), R("31"), R("20")]
     codes = [LinearCode(np.hstack([identity(len(row)), circulant(row)]))
              for n in (3, 4) for row in product(alphabet, repeat=n) if row[0] != R("20")]
@@ -544,8 +549,8 @@ def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
         groups.setdefault(information_sets(c.gen), []).append(c)
     assert len(groups) > 2 and max(map(len, groups.values())) > 8
     want = {sets: [c.min_lee_distance() for c in group] for sets, group in groups.items()}
-    monkeypatch.setattr(code_module, "_BATCH", 2 * 16 ** 2)
-    monkeypatch.setattr(code_module, "_CHUNK", 8)
-    for sets, group in groups.items():
-        assert lee_levels(np.array([c.gen for c in group]), ring.R, sets,
-                          DEFAULT_BUDGET) == want[sets]
+    for bound in (2 * 2 * 16 ** 2 * 16, 8 * 16):
+        monkeypatch.setattr(code_module, "SCRATCH_BYTES", bound)
+        for sets, group in groups.items():
+            assert lee_levels(np.array([c.gen for c in group]), ring.R, sets,
+                              DEFAULT_BUDGET) == want[sets]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import candidate_specs, isodual_map, maps_dual_into, search_unreduced
+from z4u import code as code_module
 from z4u import construct, ring
 from z4u.code import DEFAULT_BUDGET, LinearCode, identity, lee_weight_vector
 from z4u.construct import (BDC_TABLE, DC_TABLE, BorderSpec, CirculantSpec,
@@ -158,9 +159,9 @@ class _SerialPool:
         return [fn(x) for x in items]
 
 
-def test_worker_pools_capped_at_their_work(monkeypatch):
-    # the 16 dc candidates for n = 1 fall into 10 negation orbits, one
-    # evaluation each
+def _serial_pools(monkeypatch, cores):
+    """The sizes of the pools `search` asks for, on a machine of `cores`
+    cores, with no process started."""
     import multiprocessing
 
     sizes = []
@@ -169,10 +170,30 @@ def test_worker_pools_capped_at_their_work(monkeypatch):
         def Pool(self, processes):
             return _SerialPool(sizes, processes)
 
-    expected = search("dc", 1, threshold=2, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: _Context())
+    monkeypatch.setattr(construct.os, "cpu_count", lambda: cores)
+    return sizes
+
+
+def test_worker_pools_capped_at_their_work(monkeypatch):
+    # the 16 dc candidates for n = 1 fall into 10 negation orbits, one
+    # evaluation each
+    expected = search("dc", 1, threshold=2, threads=1)
+    sizes = _serial_pools(monkeypatch, 64)
     assert search("dc", 1, threshold=2, threads=64) == expected
     assert sizes == [10]
+
+
+def test_worker_pools_capped_at_cpu_count(monkeypatch):
+    # --threads 5000 on the 60 orbits of the 8 units at n = 3 asks for one
+    # worker per core, and none on a machine that reports no count
+    expected = search("dc", 3, UNITS, threshold=6, threads=1)
+    sizes = _serial_pools(monkeypatch, 3)
+    assert search("dc", 3, UNITS, threshold=6, threads=5000) == expected
+    assert sizes == [3]
+    _serial_pools(monkeypatch, None)
+    assert search("dc", 3, UNITS, threshold=6, threads=5000) == expected
+    assert sizes == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -301,26 +322,29 @@ def test_information_sets_once_per_unit_pattern(monkeypatch):
 @pytest.mark.parametrize("kind,n", [("dc", 3), ("bdc", 2)])
 def test_search_independent_of_slice(monkeypatch, kind, n):
     # 4096 dc and 7168 bdc candidates: owners, moves and both checks cut
-    # into slices of one candidate, of 7 (partial last slices) and of the
-    # default size give the same outcome, witnesses included
+    # into slices of one candidate, of 7 owners (two int64 place gathers of
+    # each candidate's columns; partial last slices) and of the default
+    # size give the same outcome, witnesses included
     want = search(kind, n, threshold=2 * n)
     assert want.results
-    for size in (1, 7):
-        monkeypatch.setattr(construct, "_SLICE", size)
+    columns = n + 3 * (kind == "bdc") - (kind == "bdc")
+    for bound in (1, 7 * 16 * columns):
+        monkeypatch.setattr(code_module, "SCRATCH_BYTES", bound)
         assert search(kind, n, threshold=2 * n) == want  # DistanceResult == compares witnesses
 
 
 def test_corrupted_move_in_last_partial_slice_raises(monkeypatch):
     # the last candidate (33 33 33) is the negation of (11 11 11); its move
     # swapped for the same shift without the negation, and it falls in the
-    # partial last slice of that move's members
+    # partial last slice of that move's members: slices of 7 candidates,
+    # four 3 x 3 blocks of each
     orbits = construct._orbits
-    monkeypatch.setattr(construct, "_SLICE", 7)
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 7 * 4 * 3 * 3)
 
     def corrupted(*args):
         owner, index = orbits(*args)
         index[-1] ^= 1
-        assert np.count_nonzero(index == index[-1]) % construct._SLICE != 0
+        assert np.count_nonzero(index == index[-1]) % 7 != 0
         return owner, index
 
     monkeypatch.setattr(construct, "_orbits", corrupted)

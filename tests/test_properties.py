@@ -230,8 +230,9 @@ def test_dual_join_matches_sweep(name, data):
     if data.draw(st.booleans()):
         rows[data.draw(st.integers(0, k - 1))] = [0] * n
     c = LinearCode(rows, table)
-    lo_bits = data.draw(st.sampled_from([code_module._LO_BITS, 2 * table.bits]))
-    with mock.patch.object(code_module, "_LO_BITS", lo_bits):
+    lo_bits = data.draw(st.sampled_from([oracles._LO_BITS, 2 * table.bits]))
+    # a block of pairs starts within 2^lo_bits solutions, 16 bytes each
+    with mock.patch.object(code_module, "SCRATCH_BYTES", 16 << lo_bits):
         blocks = list(c.dual_blocks())
         oracle = dual_bruteforce(c)
     assert all(b.dtype == np.uint8 and b.shape[1] == n for b in blocks)
@@ -548,8 +549,9 @@ def test_packed_span_blocks_match_byte_tables(name, data):
     k, m = data.draw(st.integers(0, kmax + 1)), data.draw(st.integers(0, 70))
     rows = np.array(data.draw(st.lists(st.integers(0, table.size - 1),
                                        min_size=k * m, max_size=k * m)), np.uint8).reshape(k, m)
-    lo_bits = data.draw(st.sampled_from([code_module._LO_BITS, table.bits, 2 * table.bits]))
-    with mock.patch.object(code_module, "_LO_BITS", lo_bits), \
+    lo_bits = data.draw(st.sampled_from([oracles._LO_BITS, table.bits, 2 * table.bits]))
+    words = max(1, -(-m // (64 // table.bits)))  # a row: 16 bytes per packed word
+    with mock.patch.object(code_module, "SCRATCH_BYTES", 16 * words << lo_bits), \
             mock.patch.object(oracles, "_LO_BITS", lo_bits):
         got, want = list(span_blocks(rows, table)), list(oracles.span_blocks(rows, table))
     assert [start for start, _ in got] == [start for start, _ in want]

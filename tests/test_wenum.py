@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (chain_levels, chunk_keys, compositions, cwe_value, dual_bruteforce,
                      span_blocks, swe_of_words, swe_substitution)
+from z4u import code as code_module
 from z4u import ring, wenum
 from z4u.code import LinearCode, identity, pack_rows
 from z4u.errors import ExpansionTooLarge, NonExactDivision
@@ -65,8 +66,8 @@ def test_composition_keys_match_counter(n, monkeypatch):
     words = rng.integers(0, 16, size=(3000, n), dtype=np.uint8)
     words[:16] = np.arange(16, dtype=np.uint8)[:, None]  # count n of each element
     words[16:40, :n // 2] = 0
-    monkeypatch.setattr(wenum, "_COMPOSITION_ROWS", 256)
-    monkeypatch.setattr(wenum, "_MERGE_KEYS", 512)
+    # passes of 256 keys of 16 bytes per uint64 word
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 256 * 16 * (wenum._field_bits(n) // 4))
     blocks = [wenum._composition_keys(pack_rows(part), n, n) for part in np.split(words, [1000])]
     got, want = wenum._compositions(blocks, n), compositions(words, n)
     for g, w in zip(got, want):
@@ -373,7 +374,7 @@ def test_batched_evaluate_matches_oracle_at_huge_points(n, monkeypatch):
     assert got[3] == GaussianInt(sum(e.terms.values()) * 10 ** (6 * n), 0)
     if n == 7:
         assert max(abs(v.re) + abs(v.im) for v in got) > 2 ** 62
-    monkeypatch.setattr(wenum, "_EVAL_CELLS", 1)
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 8 * wenum._EVAL_ARRAYS * len(e.counts))
     assert e.evaluate(pts) == got
 
 
@@ -455,16 +456,22 @@ def test_evaluation_passes_do_not_change_values(monkeypatch):
     pts += [[GaussianInt(int(a), int(b)) for a, b in row]
             for row in np.random.default_rng(233).integers(-3, 4, size=(30, 16, 2))]
     assert len(e.counts) == 2424
-    assert 1 < wenum._EVAL_CELLS // (wenum._EVAL_ARRAYS * len(e.counts)) < len(pts)
+    assert 1 < code_module._per_step(8 * wenum._EVAL_ARRAYS * len(e.counts)) < len(pts)
     want = e.evaluate(pts), dual.evaluate(pts), macwilliams_cwe_eval(e, size, pts)
     assert want[2] == [GaussianRational.of(v) for v in want[1]]
-    monkeypatch.setattr(wenum, "_EVAL_CELLS", 1)
-    assert (e.evaluate(pts), dual.evaluate(pts), macwilliams_cwe_eval(e, size, pts)) == want
+
+    def one_point(f, cwe, *args):
+        """f(*args) under the bound of one point of all of `cwe`'s terms."""
+        monkeypatch.setattr(code_module, "SCRATCH_BYTES", 8 * wenum._EVAL_ARRAYS * len(cwe.counts))
+        return f(*args)
+
+    assert (one_point(e.evaluate, e, pts), one_point(dual.evaluate, dual, pts),
+            one_point(macwilliams_cwe_eval, e, e, size, pts)) == want
 
 
 def test_evaluation_pass_stays_within_eval_cells():
-    # every temporary of a pass together, not each one, within _EVAL_CELLS
-    # 64-bit cells: 40 points of 2,424 terms, the chain built beforehand
+    # every temporary of a pass together, not each one, within
+    # SCRATCH_BYTES: 40 points of 2,424 terms, the chain built beforehand
     _, e, _ = _nonfree4x5()
     pts = [[GaussianInt(int(a), int(b)) for a, b in row]
            for row in np.random.default_rng(239).integers(-3, 4, size=(40, 16, 2))]
@@ -476,7 +483,46 @@ def test_evaluation_pass_stays_within_eval_cells():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * wenum._EVAL_CELLS + (64 << 10)
+    assert peak <= code_module.SCRATCH_BYTES + (64 << 10)
+
+
+def random_cwe(terms, n):
+    """A CWE of `terms` distinct random compositions of length-n words, in
+    byte order, with random counts: built straight from its arrays."""
+    rng = np.random.default_rng(terms)
+    comps = np.zeros((0, 16), np.uint8)
+    while len(comps) < terms:
+        words = rng.integers(0, 16, size=(terms, n))
+        more = np.zeros((terms, 16), np.uint8)
+        np.add.at(more, (np.arange(terms)[:, None], words), 1)
+        comps = np.unique(np.concatenate([comps, more]), axis=0)
+    comps = comps[np.sort(rng.choice(len(comps), terms, replace=False))]
+    return CWE(n, comps, rng.integers(1, 100, size=terms))
+
+
+def test_evaluation_in_term_ranges_matches_one_range(monkeypatch):
+    # 30,000 terms are more than one point's pass holds: three ranges of
+    # 13,107 terms (ten 64-bit cells a term), one point a pass, whose sums
+    # modulo 2^64 and the primes equal those of one range of all terms, and
+    # every pass, not only each array, stays within SCRATCH_BYTES
+    e = random_cwe(30000, 12)
+    pts = _huge_points(np.random.default_rng(241), 10 ** 5)[:4] + [
+        [GaussianInt(int(a), int(b)) for a, b in row]
+        for row in np.random.default_rng(251).integers(-3, 4, size=(2, 16, 2))]
+    ints = wenum._integral(pts)[1]
+    assert len(e._ranges(code_module._per_step(8 * (wenum._EVAL_ARRAYS + 4)))) == 3
+    e._chain
+    tracemalloc.start()
+    try:
+        e._values(ints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= code_module.SCRATCH_BYTES + (64 << 10)
+    got = e.evaluate(pts)
+    monkeypatch.setattr(code_module, "SCRATCH_BYTES", 1 << 40)
+    assert len(e._ranges(code_module._per_step(8 * (wenum._EVAL_ARRAYS + 4)))) == 1
+    assert e.evaluate(pts) == got
 
 
 def test_cwe_to_swe_matches_term_loop():
