@@ -50,27 +50,35 @@ the free part x of its message.  The messages are scanned by the Lee
 weight t of x, C(4r, t) Gray bit patterns over R, each with every torsion
 message; each is a high half's message of weight w joined with a low
 half's of weight t - w, their parity products held as packed Gray words
-(`ring.packed_split`, `ring.packed_weight`), in steps that fit `SCRATCH_BYTES`.  Once
-level t_i is scanned on each set S_i, every codeword not yet seen weighs
-at least the sum of the (t_i + 1), and the kernel stops when its best
-word meets that bound.  The budget caps the messages scanned on each set;
-one set's levels add up to size^k, so a code whose size^k fits the budget
-is always exact.  The Lee census is the full join on the first set, every
-level of one half against every level of the other: one chunked join
+(`ring.packed_split`, `ring.packed_weight`), in steps that fit
+`SCRATCH_BYTES`.  A parity of at most 32 bits (n - r <= 8 over R, <= 16
+over Z4 and F2+uF2) is one uint32 word, so the sums, levels and joins move
+half the bytes of uint64 words; a wider one keeps uint64 words, on the same
+code path.  Once level t_i is scanned on each set S_i, every codeword not
+yet seen weighs at least the sum of the (t_i + 1), and the kernel stops
+when its best word meets that bound.  The sets have the same size, so the
+same level counts: they rise in lockstep, set 0 to level t and then set 1
+to level t.  The budget caps the messages scanned on each set; one set's
+levels add up to size^k, so a code whose size^k fits the budget is always
+exact.  The Lee census is the full join on the first set, every level of
+one half against every level of the other: one chunked join
 (`_InfoSet.join`), reduced by argmin for the scan and by bincount for the
 census.
 
 The kernel works on batches: `lee_levels` takes a stack of generators of
-one ring, k and n that hold the same information sets, and every array of
-the kernel has a leading batch axis (a level holds each code's packed
-words in turn).  Gauss-Jordan runs on the stacked generators, each code
-taking its own pivot rows; the half tables and the join blocks are
-stacked, and each block is reduced by a per-code argmin.  A witness is
-the codeword itself, its message times its own code's systematic rows,
-so no layer tracks the row operations.  The level schedule and the cap
-depend on the sets alone, so the whole batch scans the same levels, and
-a code leaves it once its best word meets the bound.  `min_lee_distance`
-is a batch of one; `construct.search` passes its orbit representatives
+one ring, k and n that hold the same information sets, and every array
+of the kernel has a leading batch axis that holds each code on each set,
+the sets stacked one after the other (a level holds each entry's packed
+words in turn).  One Gauss-Jordan runs on the stacked generators, each
+entry taking its own pivot columns and rows; the half tables and the join
+blocks are stacked, and each block is reduced by a per-entry argmin, so
+one join pass scans a level on both sets.  The results are applied set 0
+first, as if the sets had run one after the other.  A witness is the
+codeword itself, its message times its own entry's systematic rows, so no
+layer tracks the row operations.  The level schedule and the cap depend
+on the sets alone, so the whole batch scans the same levels, and a code
+leaves it once its best word meets the bound.  `min_lee_distance` is a
+batch of one; `construct.search` passes its orbit representatives
 grouped by information sets.
 """
 
@@ -78,7 +86,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from math import comb
 from typing import Iterator, Sequence
@@ -355,7 +363,7 @@ class LinearCode:
         """`information_sets` of G, and G made systematic on the first, P:
         the free rows F, then the torsion rows (module docstring)."""
         sets = information_sets(self.gen, self.ring)
-        return sets, systematic(self.gen[None], sets[0], self.ring)[0]
+        return sets, systematic(self.gen[None], sets[:1], self.ring)[0]
 
     def _torsion_blocks(self, budget: int, what: str) -> Iterator[np.ndarray]:
         """The packed words of all size^(k-r) torsion messages, as
@@ -465,7 +473,7 @@ class LinearCode:
         if total > budget:
             raise BudgetExceeded(total, budget, "weight census")
         (cols, *_), g = self._reduced
-        hist = _InfoSet(g[None], cols, self.ring).census()
+        hist = _InfoSet(g[None], (cols,), self.ring).census()
         return hist // hist[0]
 
     def __repr__(self) -> str:
@@ -529,9 +537,11 @@ def information_sets(gen: np.ndarray, ring: RingTable = R) -> tuple[tuple[int, .
 
 
 def _unit_columns(gen: np.ndarray, ring: RingTable) -> list[int]:
-    """Each column's unit pattern over F2 as an int, bit i = row i."""
-    unit = ring.INV[gen] != 0
-    return [sum(1 << i for i in range(gen.shape[0]) if unit[i, j]) for j in range(gen.shape[1])]
+    """Each column's unit pattern over F2 as an int, bit i = row i: the
+    column's bits packed little-endian into bytes, read as one integer."""
+    packed = np.packbits(ring.INV[gen] != 0, axis=0, bitorder="little")
+    w, raw = len(packed), packed.T.tobytes()
+    return [int.from_bytes(raw[j * w:(j + 1) * w], "little") for j in range(gen.shape[1])]
 
 
 def _partition(vec: list[int], r: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
@@ -585,54 +595,80 @@ def _partition(vec: list[int], r: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return None
 
 
-def systematic(gen: np.ndarray, cols: Sequence[int], ring: RingTable = R) -> np.ndarray:
-    """Gauss-Jordan with unit pivots on a stack (B, k, m) of generators:
-    generators of the same codes whose `cols` block is the identity over
-    zero rows (the columns' unit patterns must be independent over F2 in
-    every code).  Each code takes its own pivot row, by index."""
-    g = gen.copy()
-    if (g[:, :, cols] == identity(g.shape[1], ring)[:, :len(cols)]).all():
+def systematic(gen: np.ndarray, cols: np.ndarray, ring: RingTable = R) -> np.ndarray:
+    """Gauss-Jordan with unit pivots on a stack (B, k, m) of generators,
+    once on each of the S rows of the (S, r) `cols`: the (S*B, k, m) stack,
+    entry s*B + b generator b made systematic on cols[s], a generator of the
+    same code whose block there is the identity over zero rows (the
+    columns' unit patterns must be independent over F2 in every code).
+    Entries whose block is the identity already are left as they are; each
+    other entry takes its own pivot row, by index."""
+    cols = np.asarray(cols, np.intp)
+    g = np.concatenate([gen] * len(cols))
+    if len(cols) > 1:
+        cols = np.repeat(cols, len(gen), axis=0)
+    ok = g[np.arange(len(g))[:, None], :, cols] == identity(g.shape[1], ring)[:cols.shape[1]]
+    if ok.all():
         return g
-    b = np.arange(len(g))
-    for i, j in enumerate(cols):
-        p = i + ring.INV[g[:, i:, j]].argmax(axis=1)  # each code's first unit row
-        pivot = g[b, p]
-        g[b, p] = g[:, i]
-        g[:, i] = ring.MUL[ring.INV[pivot[:, j]][:, None], pivot]
-        f = ring.NEG[g[:, :, j]]
+    todo = ~ok.all(axis=(1, 2))
+    g[todo] = _pivot(g[todo], cols[todo] if len(cols) > 1 else cols, ring)
+    return g
+
+
+def _pivot(g: np.ndarray, cols: np.ndarray, ring: RingTable) -> np.ndarray:
+    """`systematic` on codes whose block is not the identity: the (B, r)
+    `cols` by index, or by basic slices when every code shares them."""
+    e = np.arange(len(g))
+    b, js = (slice(None), cols[0].tolist()) if (cols == cols[0]).all() else (e, cols.T)
+    for i, j in enumerate(js):
+        p = i + ring.INV[g[b, i:, j]].argmax(axis=1)  # each code's first unit row
+        pivot = g[e, p]
+        g[e, p] = g[:, i]
+        g[:, i] = ring.MUL[ring.INV[pivot[b, j]][:, None], pivot]
+        f = ring.NEG[g[b, :, j]]
         f[:, i] = 0
         g = ring.ADD[g, ring.MUL[f[:, :, None], g[:, i, None, :]]]
     return g
 
 
+@cache
+def _parity_words(m: int, ring: RingTable) -> tuple[type, int, np.unsignedinteger]:
+    """The word type and count of m packed parity elements, one uint32 when
+    they fit 32 bits, else the uint64 words of `pack_rows`, and the ring's
+    low-bit mask in that type."""
+    word = np.uint32 if ring.bits * m <= 32 else np.uint64
+    return word, -(-m // (64 // ring.bits)), ring.low_mask.astype(word)
+
+
 class _Half:
-    """Messages on a run of rows of a stack of B systematic generators, by
+    """Messages on a run of rows of a stack of E systematic generators, by
     the weight of their restriction to the set (a torsion row's elements
     add 0), as the packed products with the parity blocks.  A level is one
-    (B*W, N) array: code b's W packed words are rows b*W .. b*W + W - 1,
-    so a stack of one has the layout of a single code.  The messages of a
-    level, and their order, are the same in every code.  Built on demand,
-    one row at a time: the messages of weight w from row j on are an
-    element of weight l at row j followed by the messages of weight w - l
-    from row j + 1 on, in that order, so an entry's digits are decoded from
-    its index alone (`message`)."""
+    (E*W, N) array: entry e's W packed words are rows e*W .. e*W + W - 1,
+    so a stack of one has the layout of a single code.  The words are the
+    parity's width: one uint32 when the parity fits 32 bits, so sums, levels
+    and joins move half the bytes, else uint64 (`_parity_words`); `low` has
+    their type.  The messages of a level, and their order, are the same in
+    every entry.  Built on demand, one row at a time: the messages of weight
+    w from row j on are an element of weight l at row j followed by the
+    messages of weight w - l from row j + 1 on, in that order, so an
+    entry's digits are decoded from its index alone (`message`)."""
 
     def __init__(self, parity: np.ndarray, free: Sequence[bool], ring: RingTable):
         batch, self.h, m = parity.shape
         self.top = ring.max_lee * sum(free)  # the heaviest message's weight
-        self.low = ring.low_mask
-        self.words = -(-m // (64 // ring.bits))
+        word, self.words, self.low = _parity_words(m, ring)
         rows = batch * self.words
-        self.empty = np.zeros((rows, 0), np.uint64)
-        self.zero = np.zeros((rows, 1), np.uint64)  # the zero word
-        # per row and weight l, its elements e of weight l and, (B*W, count, 1)
+        self.empty = np.zeros((rows, 0), word)
+        self.zero = np.zeros((rows, 1), word)  # the zero word
+        # per row and weight l, its elements e of weight l and, (E*W, count, 1)
         # each, the split packed products e * row.  Free rows come first, and
         # their elements are put in the order of the weight classes, so each
         # class is a slice.
         self.classes = [ring.by_lee if f else (np.arange(ring.size, dtype=np.uint8),)
                         for f in free]
-        words = pack_rows(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring).swapaxes(
-            -1, -2).reshape(self.h, rows, ring.size, 1)
+        words = pack_rows(ring.MUL[:, parity].transpose(2, 1, 0, 3), ring).astype(
+            word, copy=False).swapaxes(-1, -2).reshape(self.h, rows, ring.size, 1)
         nfree = sum(free)
         words[:nfree] = words[:nfree, :, np.concatenate(ring.by_lee)]
         low, high = packed_split(words, self.low)
@@ -644,7 +680,7 @@ class _Half:
         self.memo: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def level(self, w: int, j: int = 0) -> tuple[np.ndarray, np.ndarray]:
-        """Packed parities (B*W, N) of the messages of weight w from row j,
+        """Packed parities (E*W, N) of the messages of weight w from row j,
         split (`ring.packed_split`): a level joins many levels of the rows
         above it, or of the other half, so it is split once."""
         key = (j, w)
@@ -680,84 +716,94 @@ class _Half:
 
 
 class _InfoSet:
-    """A stack of B generators made systematic on one shared information
-    set P of r columns: r free rows, the identity on P, and k - r torsion
-    rows, zero on P.  A message (x, y) on them weighs x's weight plus its
-    parity word's.  Its messages with x of weight t are a high half's of
-    weight w joined with a low half's of weight t - w; each half takes half
-    the free rows and half the torsion rows, so neither holds every torsion
-    message.  `rows` holds the systematic generators, their rows in the
-    halves' order, so a message's codeword is the message times them."""
+    """A stack of B generators made systematic on each of S information
+    sets of r columns, stacked on the batch axis: entry e = s*B + b is code
+    b on set s (the sets must have the same size, as `information_sets`'
+    do), so one Gauss-Jordan, one half-table build per half and one join
+    per level serve every set.  On its set an entry has r free rows, the
+    identity there, and k - r torsion rows, zero there.  A message (x, y)
+    on them weighs x's weight plus its parity word's.  Its messages with x
+    of weight t are a high half's of weight w joined with a low half's of
+    weight t - w; each half takes half the free rows and half the torsion
+    rows, so neither holds every torsion message.  `rows` holds the
+    systematic generators, their rows in the halves' order, so a message's
+    codeword is the message times them."""
 
-    def __init__(self, gens: np.ndarray, cols: Sequence[int], ring: RingTable):
-        (batch, k, n), r = gens.shape, len(cols)
+    def __init__(self, gens: np.ndarray, sets: Sequence[Sequence[int]], ring: RingTable):
+        (batch, k, n), r = gens.shape, len(sets[0])
         # the high half: free rows 0..hf-1 and torsion rows r..ht-1
         hf, ht = r // 2, r + (k - r) // 2
         order = [*range(hf), *range(r, ht), *range(hf, r), *range(ht, k)]
-        self.rows = systematic(gens, cols, ring)[:, order]
-        parity = self.rows[:, :, [j for j in range(n) if j not in cols]]
+        self.rows = systematic(gens, sets, ring)[:, order]
+        parity = np.concatenate([self.rows[s * batch:(s + 1) * batch, :, [
+            j for j in range(n) if j not in cols]] for s, cols in enumerate(sets)])
         free = [i < r for i in order]
         h = hf + ht - r
         self.halves = (_Half(parity[:, :h], free[:h], ring),
                        _Half(parity[:, h:], free[h:], ring))
-        self.low = ring.low_mask
+        self.batch, self.sets, self.ring, self.low = batch, len(sets), ring, self.halves[0].low
         self.bins = ring.max_lee * n + 1  # codeword Lee weights 0..max_lee*n
-        self.every = np.arange(batch)  # each code's index
+        self.every = np.arange(len(self.rows))  # each entry's index
         # messages with x of weight t: t-subsets of x's Gray bits, any y
         self.counts = [comb(ring.bits * r, t) * ring.size ** (k - r)
                        for t in range(ring.bits * r + 1)]
 
-    def join(self, wh: int, wl: int, act: np.ndarray | None = None
+    def join(self, wh: int, wl: int, ent: np.ndarray | None = None
              ) -> Iterator[tuple[int, int, np.ndarray]]:
         """Lee weights of the parity words of the high half's messages of
-        weight wh joined with the low half's of weight wl, for the codes
-        `act` (default: all), in blocks of the pairs that fit SCRATCH_BYTES
-        (one high message of one code when its row alone is more).  Yields
-        (c, a, weights): weights[z, r, q] is the pair (a + r, q) of code
-        act[c + z]."""
+        weight wh joined with the low half's of weight wl, for the entries
+        `ent` (default: all), in blocks of the pairs that fit SCRATCH_BYTES
+        (one high message of one entry when its row alone is more).  Yields
+        (c, a, weights): weights[z, r, q] is the pair (a + r, q) of entry
+        ent[c + z]."""
         (ph_low, ph_high), (pl_low, pl_high) = self.halves[0].level(wh), self.halves[1].level(wl)
         nh, nl = ph_low.shape[1], pl_low.shape[1]
         if not nh or not nl:
             return
         words = self.halves[0].words
-        if act is not None and len(act) < len(self.every):
-            pick = (act[:, None] * words + np.arange(words)).ravel()
+        if ent is not None and len(ent) < len(self.every):
+            pick = (ent[:, None] * words + np.arange(words)).ravel()
             ph_low, ph_high, pl_low, pl_high = (
                 p[pick] for p in (ph_low, ph_high, pl_low, pl_high))
-        batch, low = len(self.every if act is None else act), self.low
-        pair = 16 * max(1, words)  # a pair: its packed sum and the weights read off it, per word
-        codes = _per_step(pair * nl)
-        rows = _per_step(pair * min(codes, batch) * nl)
-        for c in range(0, batch, codes):
-            span = slice(c * words, (c + codes) * words)  # the rows of codes c, c + 1, ..
+        batch, low = len(self.every if ent is None else ent), self.low
+        # a pair: its packed sum and as many bytes again of weights read off it, per word
+        pair = 2 * low.itemsize * max(1, words)
+        entries = _per_step(pair * nl)
+        rows = _per_step(pair * min(entries, batch) * nl)
+        for c in range(0, batch, entries):
+            span = slice(c * words, (c + entries) * words)  # the rows of entries c, c + 1, ..
             ll, lh = pl_low[span, None], pl_high[span, None]
             for a in range(0, nh, rows):
                 x = ph_low[span, a:a + rows, None] + ll
                 x ^= ph_high[span, a:a + rows, None]
                 x ^= lh
                 cnt = packed_weight(x, low)
-                # summed over each code's words; none without parity columns
+                # summed over each entry's words; none without parity columns
                 wt = cnt if words == 1 else cnt.reshape(
-                    min(codes, batch - c), words, *cnt.shape[1:]).sum(axis=1, dtype=np.uint16)
+                    min(entries, batch - c), words, *cnt.shape[1:]).sum(axis=1, dtype=np.uint16)
                 yield c, a, wt
 
     def scan(self, t: int, best: np.ndarray, stop: int, act: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each code act[c], the lightest nonzero codeword below best[c]
-        among its messages with x of Lee weight t.  Returns the new bests,
-        and the positions c that improved with their messages on the set.
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """For each code act[c] on each set s, the lightest nonzero codeword
+        below best[c] among its messages with x of Lee weight t, every set
+        starting from the same best.  Returns the (S, len(act)) new bests,
+        and the (2, S, len(act)) high weight and join entry of each one's
+        witness (-1 where it did not improve; `codewords` reads them).
         Stops early once every best is <= `stop`.
 
-        A block no code improves on is passed over by its minimum alone.  In
-        the others, a code's witness is recorded where its best strictly
-        drops: the last drop is its first entry at the final best.
+        A block no entry improves on is passed over by its minimum alone.
+        In the others, an entry's witness is recorded where its best
+        strictly drops: the last drop is its first entry at the final best.
         """
         hi, lo = self.halves
-        best = best.copy()
-        beat = int(best[best.argmax()]) - t  # no parity weight from it on improves a code
-        found = np.full((2, len(act)), -1, np.intp)  # per code: wh and entry of its witness
+        ent = None if len(act) == self.batch else (
+            np.arange(0, self.sets * self.batch, self.batch)[:, None] + act).ravel()
+        best = np.concatenate([best] * self.sets)
+        beat = int(best[best.argmax()]) - t  # no parity weight from it on improves an entry
+        found = np.full((2, len(best)), -1, np.intp)  # per entry: wh and entry of its witness
         for wh in range(max(0, t - lo.top), min(t, hi.top) + 1):
-            for c, a, wt in self.join(wh, t - wh, act):
+            for c, a, wt in self.join(wh, t - wh, ent):
                 if not t:  # the torsion code: a message may encode to the zero word
                     wt = np.where(wt == 0, np.int64(_BIG), wt)
                 if int(wt.flat[wt.argmin()]) >= beat:  # argmin: on small blocks min costs more
@@ -776,18 +822,26 @@ class _InfoSet:
             else:
                 continue
             break
-        up = (found[0] >= 0).nonzero()[0]
+        return best.reshape(self.sets, -1), found.reshape(2, self.sets, -1)
+
+    def codewords(self, t: int, s: int, codes: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """The witnesses on set s of `codes` at level t, from their (2, N)
+        `found` (`scan`): each message times its own entry's systematic
+        rows."""
+        hi, lo = self.halves
         msgs = []
-        for wh, e in found[:, up].T.tolist():
+        for wh, e in found.T.tolist():
             r, q = divmod(e, lo.level(t - wh)[0].shape[1])
             msgs.append(hi.message(wh, r) + lo.message(t - wh, q))
-        return best, up, np.array(msgs, np.uint8)
+        terms = self.ring.MUL[np.array(msgs, np.uint8).T[:, :, None],
+                              self.rows[s * self.batch + codes].swapaxes(0, 1)]
+        return reduce(lambda a, b: self.ring.ADD[a, b], terms)
 
     def census(self) -> np.ndarray:
         """Messages per codeword Lee weight, over all size^k messages of a
-        stack of one code: every level of one half joined with every level
-        of the other.  A codeword weighs its parity word plus its
-        restriction to the set, wh + wl."""
+        stack of one code on one set: every level of one half joined with
+        every level of the other.  A codeword weighs its parity word plus
+        its restriction to the set, wh + wl."""
         hist = np.zeros(self.bins, dtype=np.int64)
         hi, lo = self.halves
         for wh in range(hi.top + 1):
@@ -800,72 +854,81 @@ class _InfoSet:
 def lee_levels(gens: np.ndarray, ring: RingTable, sets: Sequence[Sequence[int]],
                cap: int) -> list[DistanceResult]:
     """Minimum distances of the codes of a (B, k, n) stack of generators
-    over `ring`, by Lee levels on disjoint information sets S_i that every
-    generator holds (Brouwer-Zimmermann, on partial sets after White and
-    Grassl when the rows are no free basis).
+    over `ring`, by Lee levels on disjoint information sets S_i of the same
+    size that every generator holds (Brouwer-Zimmermann, on partial sets
+    after White and Grassl when the rows are no free basis).
 
     A codeword's restriction to S_i is the free part x of its message, so
     once level t_i is scanned on every S_i, every codeword not yet seen has
     Lee weight at least the sum of the (t_i + 1), and at least 1.  Level 0,
     the torsion code, is the zero word alone on a set of k columns, so such
-    a set starts at level 0 and a partial one at -1.  The lowest level rises
-    next, first set first on a tie, until a code's best word found (at
-    first its lightest nonzero generator row) meets the bound; then the
-    code leaves the batch.  The schedule and the cap depend on the sets
-    alone, so every code in the batch scans the same levels, each level in
-    one pass of stacked joins.  A level runs only if the messages scanned
-    on its set, itself included, still fit in `cap`; otherwise the results
-    left are upper bounds.  Scanning every message on a set makes a result
-    exact, so a cap of size^k always does.  A batch runs in parts of as
-    many codes as their half tables fit `SCRATCH_BYTES`.
+    a set starts at level 0 and a partial one at -1.  The sets rise in
+    lockstep, set 0 to level t and then set 1 to level t, until a code's
+    best word found (at first its lightest nonzero generator row) meets the
+    bound; then the code leaves the batch.  Both sets' level t is one pass
+    of stacked joins (`_InfoSet`), every set starting from the same best
+    words, and its results are applied in the set order: set 0's, then the
+    codes set 0 lets leave go, then set 1's where it strictly drops a code's
+    best, so every value, bound, witness and certificate is the one set 0
+    and then set 1 would give on their own.  The schedule and the cap
+    depend on the sets alone, so every code in the batch scans the same
+    levels.  A level runs only if the messages scanned on each set, itself
+    included, still fit in `cap`; otherwise the results left are upper
+    bounds.  Scanning every message on a set makes a result exact, so a
+    cap of size^k always does.  A batch runs in parts of as many codes as
+    their half tables on every set fit `SCRATCH_BYTES`.
     """
-    k, words = gens.shape[1], -(-gens.shape[2] // (64 // ring.bits))
-    # a code: the entries of one set's two half tables, split in two uint64 per word
-    step = _per_step(16 * words * (ring.size ** (k // 2) + ring.size ** -(-k // 2)))
+    k, r = gens.shape[1], len(sets[0])
+    _, words, low = _parity_words(gens.shape[2] - r, ring)
+    # a code: the entries of each set's two half tables, split in two words each
+    step = _per_step(2 * low.itemsize * max(1, words) * len(sets)
+                     * (ring.size ** (k // 2) + ring.size ** -(-k // 2)))
     if len(gens) > step:
         return [d for i in range(0, len(gens), step)
                 for d in lee_levels(gens[i:i + step], ring, sets, cap)]
-    sides = [_InfoSet(gens, s, ring) for s in sets]
+    info = _InfoSet(gens, sets, ring)
     row_weights = ring.LEE[gens].sum(axis=2, dtype=np.int64)
     row_weights[row_weights == 0] = _BIG
     first = row_weights.argmin(axis=1)
     best = row_weights[np.arange(len(gens)), first]
     where = gens[np.arange(len(gens)), first]  # each code's best word
-    levels, spent = [-int(len(s) < k) for s in sets], [0] * len(sides)
+    levels, spent = [-int(r < k)] * len(sets), 0
     lower = max(1, sum(levels) + len(sets))
     out: list[DistanceResult] = [None] * len(gens)  # type: ignore[list-item]
     act = np.arange(len(gens))  # the codes in the batch, and their best weights
+    at = act  # each code's position in the last scan
 
     def leave(upto: int, bound: int) -> None:
         """Record the results of the codes whose best weight is <= upto;
         they leave the batch."""
-        nonlocal act, best
+        nonlocal act, best, at
         if not best.size or best[best.argmin()] > upto:
             return
         gone = best <= upto
         cert = "levels " + "/".join(map(str, levels))
         for b, w in zip(act[gone].tolist(), best[gone].tolist()):
             out[b] = DistanceResult(w, min(bound, w), tuple(where[b].tolist()), cert)
-        act, best = act[~gone], best[~gone]
+        act, best, at = act[~gone], best[~gone], at[~gone]
 
     leave(lower, lower)
     while act.size:
-        s = levels.index(min(levels))
-        t = levels[s] + 1
-        if t == len(sides[s].counts):  # every message on S_s scanned: all seen
+        t = levels[0] + 1
+        if t == len(info.counts):  # every message on a set scanned: all seen
             leave(_BIG, _BIG)
-        elif spent[s] + sides[s].counts[t] > cap:
+        elif spent + info.counts[t] > cap:
             leave(_BIG, lower)
         else:
-            spent[s] += sides[s].counts[t]
-            best, up, msgs = sides[s].scan(t, best, lower, act)
-            if up.size:  # each message times its own code's systematic rows
-                rows, words = sides[s].rows[act[up]], 0
-                for i in range(k):
-                    words = ring.ADD[words, ring.MUL[msgs[:, i, None], rows[:, i]]]
-                where[act[up]] = words
+            spent += info.counts[t]
+            bests, found = info.scan(t, best, lower, act)
+            at = np.arange(len(act))
+            for s in range(len(sets)):
+                new = bests[s, at]
+                up = (new < best).nonzero()[0]  # strict drops only
+                if up.size:
+                    where[act[up]] = info.codewords(t, s, act[up], found[:, s, at[up]])
+                    best = np.minimum(best, new)
+                    leave(lower, lower)
+                levels[s] = t
+                lower = max(1, sum(levels) + len(sets))
                 leave(lower, lower)
-            levels[s] = t
-            lower = max(1, sum(levels) + len(sets))
-            leave(lower, lower)
     return out

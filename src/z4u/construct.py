@@ -252,6 +252,10 @@ def _candidates(kind: str, n: int, alphabet: tuple[int, ...]) -> np.ndarray:
 
 #: The most candidates `search` builds: dc n = 6 and bdc n = 5 over R fit.
 _MAX_CANDIDATES = 1 << 25
+#: The largest order `search` takes: the longest first row that an alphabet
+#: of two fits in `_MAX_CANDIDATES`, so one element (a single candidate at
+#: any order) cannot ask for an n-byte row and an n^2-byte block.
+_MAX_ORDER = _MAX_CANDIDATES.bit_length() - 1
 
 
 def _spec(kind: str, row: np.ndarray) -> "CirculantSpec | BorderSpec":
@@ -443,8 +447,8 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     every result is then carried back out in candidate order, so the
     outcome is worker-count independent.  Every candidate's orbit move and
     isodual block identity passed `_check`, which raises otherwise.
-    BudgetExceeded past `_MAX_CANDIDATES` candidates, before any is built
-    (at n >= 26 any alphabet of two or more passes it).
+    BudgetExceeded past `_MAX_CANDIDATES` candidates or past order
+    `_MAX_ORDER`, before any candidate is built.
     """
     if kind not in ("dc", "bdc"):
         raise ValueError("kind must be 'dc' or 'bdc'")
@@ -454,8 +458,10 @@ def search(kind: str, n: int, alphabet: Sequence[int] | None = None,
     if not alpha or alpha[0] < 0 or alpha[-1] >= len(ring.ELEMENTS):
         raise ValueError(f"alphabet must be a nonempty set of elements 0..15, got {alphabet}")
     bordered = kind == "bdc"
+    if n > _MAX_ORDER:
+        raise BudgetExceeded(n, _MAX_ORDER, "search order")
     lone = int((ring.R.NEG[list(alpha)] == alpha).sum())  # betas with one gamma row
-    count = len(alpha) ** min(n, 26) * (2 * len(alpha) - lone if bordered else 1)  # len(cands)
+    count = len(alpha) ** n * (2 * len(alpha) - lone if bordered else 1)  # len(cands)
     if count > _MAX_CANDIDATES:
         raise BudgetExceeded(count, _MAX_CANDIDATES, "search candidates")
     cands = _candidates(kind, n, alpha)

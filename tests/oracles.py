@@ -35,6 +35,8 @@ checks each isodual map by `maps_dual_into`, the membership of the mapped
 dual generator rows in the code.  `packed_add` is the field-wise sum of
 packed Gray words that the Lee-level join computes inline, `format_matrix`
 writes a generator file and `swe_of_words` is the SWE of a list of words.
+`unit_columns` is each column's unit pattern built bit by bit in Python,
+the oracle of `code._unit_columns`.
 """
 
 import multiprocessing
@@ -101,6 +103,12 @@ def sweep_contains(code, words, budget=DEFAULT_BUDGET):
         bv = np.ascontiguousarray(blk).view(key).ravel()
         found |= np.isin(qv, bv[np.isin(bv, qv)])
     return found
+
+
+def unit_columns(gen, ring: RingTable = R):
+    """Each column's unit pattern over F2 as an int, bit i = row i."""
+    unit = ring.INV[gen] != 0
+    return [sum(1 << i for i in range(gen.shape[0]) if unit[i, j]) for j in range(gen.shape[1])]
 
 
 def packed_add(x, y, low):

@@ -199,6 +199,20 @@ def test_search_past_candidate_cap_exit_1(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: search candidates needs 4096 steps, budget is 4095\n"
 
 
+def test_search_past_order_cap_exit_1(capsys, monkeypatch):
+    # one element is one candidate at any order: an order past the longest
+    # row two elements fit under the candidate cap is refused before any
+    # candidate row or block is built
+    def no_candidates(*_):
+        raise AssertionError("candidates built past the order cap")
+
+    monkeypatch.setattr(construct, "_candidates", no_candidates)
+    for kind, n in (("dc", "1000000000"), ("bdc", "1000000000"), ("dc", "26")):
+        status, out = run_cli("search", "--kind", kind, "--n", n, "--alphabet", "11")
+        assert status == 1 and out == ""
+        assert capsys.readouterr().err == f"error: search order needs {n} steps, budget is 25\n"
+
+
 def test_verify_tables_command():
     status, out = run_cli("verify-tables", "--table", "2", "--max-length", "8")
     assert status == 0

@@ -1,3 +1,5 @@
+import json
+import os
 from itertools import product
 from math import comb
 
@@ -14,7 +16,7 @@ from z4u.errors import BudgetExceeded, ZeroCode
 from z4u.ring import F2U, Z4
 
 from oracles import (dual_bruteforce, is_linear, members, sweep_census, sweep_contains,
-                     sweep_distance)
+                     sweep_distance, unit_columns)
 
 
 def R(tok):
@@ -325,23 +327,66 @@ def test_all_unit_double_circulant_past_budget_is_exact():
 def test_low_weight_message_count():
     # messages of Lee weight t on an information set of k coordinates are
     # the t-subsets of its Gray bits, and each half table lists exactly
-    # the messages of its weight (oracle: every message of ring^h)
+    # the messages of its weight, for each set of the stack (oracle: every
+    # message of ring^h, times that entry's parity rows)
     for table, k in ((ring.R, 5), (Z4, 6), (F2U, 6)):
-        gen = np.hstack([identity(k, table),
-                         np.random.default_rng(k).integers(0, table.size, (k, k), np.uint8)])
-        info = _InfoSet(gen[None], range(k), table)  # a stack of one code
+        a = np.triu(np.random.default_rng(k).integers(0, table.size, (k, k), np.uint8), 1)
+        np.fill_diagonal(a, table.ONE)  # a unit pattern invertible over F2
+        gen = np.hstack([identity(k, table), a])
+        sets = (tuple(range(k)), tuple(range(k, 2 * k)))
+        info = _InfoSet(gen[None], sets, table)  # one code, stacked on two sets
         bits = table.bits * k
         assert info.counts == [comb(bits, t) for t in range(bits + 1)]
-        for half, rows in zip(info.halves, (gen[:k // 2, k:], gen[k // 2:, k:])):
-            every = np.array(list(product(range(table.size), repeat=half.h)), np.uint8)
-            weights = table.LEE[every].sum(axis=1)
-            for t in range(table.max_lee * half.h + 1):
-                words = np.bitwise_or(*half.level(t))  # its low-bit and other-bit parts
-                digits = np.array([half.message(t, i) for i in range(words.shape[1])],
-                                  np.uint8).reshape(-1, half.h)
-                assert sorted(map(tuple, digits.tolist())) == \
-                    sorted(map(tuple, every[weights == t].tolist()))
-                assert (words == pack_rows(ring_matmul(digits, rows, table), table).T).all()
+        for e, cols in enumerate(sets):
+            assert (info.rows[e][:, cols] == identity(k, table)).all()
+            parity = info.rows[e][:, [j for j in range(2 * k) if j not in cols]]
+            for half, rows in zip(info.halves, (parity[:k // 2], parity[k // 2:])):
+                every = np.array(list(product(range(table.size), repeat=half.h)), np.uint8)
+                weights = table.LEE[every].sum(axis=1)
+                for t in range(table.max_lee * half.h + 1):
+                    words = np.bitwise_or(*half.level(t))  # its low-bit and other-bit parts
+                    assert words.dtype == np.uint32  # k parity elements fit 32 bits
+                    digits = np.array([half.message(t, i) for i in range(words.shape[1])],
+                                      np.uint8).reshape(-1, half.h)
+                    assert sorted(map(tuple, digits.tolist())) == \
+                        sorted(map(tuple, every[weights == t].tolist()))
+                    assert (words[e] == pack_rows(ring_matmul(digits, rows, table), table).T).all()
+
+
+@pytest.mark.parametrize("table", [ring.R, Z4, F2U], ids=str)
+def test_unit_columns_match_oracle(table, monkeypatch):
+    # the packed unit patterns equal the bit-by-bit oracle, past 64 rows too,
+    # and give the same information sets on random and scaled generators
+    rng = np.random.default_rng(table.size)
+    gens = [rng.integers(0, table.size, size=shape, dtype=np.uint8)
+            for shape in ((1, 1), (3, 7), (6, 12), (9, 20), (70, 3))]
+    gens += [_scaled_rows(table, k, n, seed) for k, n, seed in ((4, 8, 1), (6, 13, 2), (9, 18, 3))]
+    sets = [information_sets(g, table) for g in gens]
+    for g in gens:
+        assert code_module._unit_columns(g, table) == unit_columns(g, table)
+    monkeypatch.setattr(code_module, "_unit_columns", unit_columns)
+    assert [information_sets(g, table) for g in gens] == sets
+
+
+@pytest.mark.parametrize("table,m,word", [(ring.R, 8, np.uint32), (ring.R, 9, np.uint64),
+                                          (Z4, 16, np.uint32), (Z4, 17, np.uint64),
+                                          (F2U, 16, np.uint32), (F2U, 17, np.uint64)], ids=str)
+def test_parity_words_no_wider_than_parity(table, m, word):
+    # one uint32 holds a parity of up to 32 bits, and the join's weights are
+    # the parity words' Lee weights (oracle: the products' weights)
+    gen = np.hstack([identity(2, table), np.random.default_rng(m).integers(
+        0, table.size, (2, m), np.uint8)])
+    info = _InfoSet(gen[None], (range(2),), table)
+    hi, lo = info.halves
+    for wh in range(hi.top + 1):
+        for wl in range(lo.top + 1):
+            msgs = np.array([hi.message(wh, i) + lo.message(wl, j)
+                             for i in range(hi.level(wh)[0].shape[1])
+                             for j in range(lo.level(wl)[0].shape[1])], np.uint8)
+            (_, _, wt), = info.join(wh, wl)
+            assert hi.level(wh)[0].dtype == word
+            assert wt.ravel().tolist() == table.LEE[ring_matmul(msgs, gen[:, 2:], table)].sum(
+                axis=1).tolist()
 
 
 def test_exact_kernel_crosses_block_split():
@@ -537,10 +582,10 @@ def test_identity_code_has_empty_parity_block(table, k):
 def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
     # dc codes of length 6 and 8 over three units and 20, grouped by their
     # information sets: the same results when each batch runs in parts of two
-    # codes of length 8 (a bound of two codes' two half tables of 16^2 split
-    # entries, 16 bytes each; three codes of length 6) and when every join
-    # runs in blocks of at most 8 pairs (a bound of 8 pairs of 16 bytes), so
-    # blocks split the codes and the high messages
+    # codes of length 8 on two sets (a bound of two codes' two sets' two half
+    # tables of 16^2 split uint32 entries, 8 bytes each; four codes on one
+    # set) and when every join runs in blocks of at most 16 pairs (a bound of
+    # 16 pairs of 8 bytes), so blocks split the codes and the high messages
     alphabet = [R("10"), R("13"), R("31"), R("20")]
     codes = [LinearCode(np.hstack([identity(len(row)), circulant(row)]))
              for n in (3, 4) for row in product(alphabet, repeat=n) if row[0] != R("20")]
@@ -549,8 +594,108 @@ def test_batch_in_parts_and_small_blocks_matches_single_codes(monkeypatch):
         groups.setdefault(information_sets(c.gen), []).append(c)
     assert len(groups) > 2 and max(map(len, groups.values())) > 8
     want = {sets: [c.min_lee_distance() for c in group] for sets, group in groups.items()}
-    for bound in (2 * 2 * 16 ** 2 * 16, 8 * 16):
+    for bound in (2 * 2 * 2 * 16 ** 2 * 8, 16 * 8):
         monkeypatch.setattr(code_module, "SCRATCH_BYTES", bound)
         for sets, group in groups.items():
             assert lee_levels(np.array([c.gen for c in group]), ring.R, sets,
                               DEFAULT_BUDGET) == want[sets]
+
+
+KERNEL_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "kernel.json")
+
+
+def _largest_group(table, gens, count):
+    """The `count` information sets most of the generators hold, and those
+    generators stacked in order."""
+    groups = {}
+    for g in gens:
+        sets = information_sets(g, table)
+        if len(sets) == count:
+            groups.setdefault(sets, []).append(g)
+    sets = max(groups, key=lambda s: len(groups[s]))
+    return sets, np.array(groups[sets])
+
+
+def _systematic_stack(table, k, parity, count, seed, units=False):
+    """`count` random [I | A] generators, A k x parity (over the units only
+    when `units`)."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([x for x in range(table.size) if table.INV[x] or not units], np.uint8)
+    a = pool[rng.integers(0, len(pool), size=(count, k, parity))]
+    return np.concatenate([np.broadcast_to(identity(k, table), (count, k, k)), a], axis=2)
+
+
+def _scaled_stack(table, k, n, count, seed):
+    return [_scaled_rows(table, k, n, seed + i) for i in range(count)]
+
+
+#: name: (ring, generators, information sets, cap, SCRATCH_BYTES or None for
+#: the default); the generators are grouped by their information sets, and
+#: the largest group with that many sets is the batch
+KERNEL_CASES = {
+    # free dc codes of length 8 on two information sets, exact; then the
+    # same batch in parts of two codes, and in joins of at most 16 pairs
+    "R-dc4-two-sets": (ring.R, lambda: _systematic_stack(ring.R, 4, 4, 200, 31), 2,
+                       DEFAULT_BUDGET, None),
+    "R-dc4-parts": (ring.R, lambda: _systematic_stack(ring.R, 4, 4, 200, 31), 2,
+                    DEFAULT_BUDGET, 2 * 2 * 2 * 16 ** 2 * 16),
+    "R-dc4-small-joins": (ring.R, lambda: _systematic_stack(ring.R, 4, 4, 200, 31), 2,
+                          DEFAULT_BUDGET, 8 * 16),
+    # one information set
+    "R-dc4-one-set": (ring.R, lambda: _systematic_stack(ring.R, 4, 4, 60, 32, units=True), 1,
+                      DEFAULT_BUDGET, None),
+    # capped below 16^5: upper bounds, on two sets and on one
+    "R-k5-capped": (ring.R, lambda: _systematic_stack(ring.R, 5, 5, 120, 33), 2, 16 ** 3, None),
+    "R-k5-one-set-capped": (ring.R, lambda: _systematic_stack(ring.R, 5, 5, 120, 33), 1,
+                            16 ** 3, None),
+    # parities of 8 R elements (32 bits) and of 9 (36 bits); 16^8 messages
+    # pass the cap, and 16^3 leaves upper bounds
+    "R-k8-parity8": (ring.R, lambda: _systematic_stack(ring.R, 8, 8, 40, 34), 2,
+                     DEFAULT_BUDGET, None),
+    "R-k8-parity9": (ring.R, lambda: _systematic_stack(ring.R, 8, 9, 30, 35), 2,
+                     DEFAULT_BUDGET, None),
+    "R-k8-parity8-capped": (ring.R, lambda: _systematic_stack(ring.R, 8, 8, 40, 34), 2,
+                            16 ** 3, None),
+    "R-k8-parity9-capped": (ring.R, lambda: _systematic_stack(ring.R, 8, 9, 30, 35), 2,
+                            16 ** 3, None),
+    # rows scaled by 2 and by u: partial sets, exact and capped
+    "R-nonfree-k5-n7": (ring.R, lambda: _scaled_stack(ring.R, 5, 7, 80, 36), 2,
+                        DEFAULT_BUDGET, None),
+    "R-nonfree-k6-n9-capped": (ring.R, lambda: _scaled_stack(ring.R, 6, 9, 60, 37), 2,
+                               16 ** 4, None),
+    # Z4 and F2+uF2 parities of 16 elements (32 bits) and of 17
+    "Z4-k6-parity16": (Z4, lambda: _systematic_stack(Z4, 6, 16, 40, 38), 2, DEFAULT_BUDGET, None),
+    "Z4-k6-parity17": (Z4, lambda: _systematic_stack(Z4, 6, 17, 40, 39), 2, DEFAULT_BUDGET, None),
+    "F2U-k8-parity16": (F2U, lambda: _systematic_stack(F2U, 8, 16, 40, 40), 2,
+                        DEFAULT_BUDGET, None),
+    "F2U-k8-parity17-capped": (F2U, lambda: _systematic_stack(F2U, 8, 17, 40, 41), 2,
+                               4 ** 5, None),
+    "Z4-nonfree-k7-n9": (Z4, lambda: _scaled_stack(Z4, 7, 9, 30, 42), 1, DEFAULT_BUDGET, None),
+    "Z4-nonfree-k5-n12": (Z4, lambda: _scaled_stack(Z4, 5, 12, 30, 44), 2, DEFAULT_BUDGET, None),
+    "F2U-nonfree-k6-n8-capped": (F2U, lambda: _scaled_stack(F2U, 6, 8, 30, 43), 1, 4 ** 4, None),
+    "F2U-nonfree-k6-n14-capped": (F2U, lambda: _scaled_stack(F2U, 6, 14, 30, 45), 2,
+                                  4 ** 4, None),
+}
+
+
+def kernel_results(case):
+    """(sets, [value, lower_bound, witness, certificate] per code) of one
+    `KERNEL_CASES` batch; the caller sets SCRATCH_BYTES."""
+    table, make, count, cap, _ = KERNEL_CASES[case]
+    sets, gens = _largest_group(table, make(), count)
+    return sets, [[d.value, d.lower_bound, list(d.witness), d.certificate]
+                  for d in lee_levels(gens, table, sets, cap)]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
+def test_kernel_matches_golden(case, monkeypatch):
+    # recorded from the kernel that scanned one information set at a time
+    # on uint64 parity words; every field must come out the same
+    with open(KERNEL_GOLDEN, encoding="utf-8") as fh:
+        golden = json.load(fh)[case]
+    bound = KERNEL_CASES[case][4]
+    if bound is not None:
+        monkeypatch.setattr(code_module, "SCRATCH_BYTES", bound)
+    sets, results = kernel_results(case)
+    assert [list(s) for s in sets] == golden["sets"]
+    assert results == golden["results"]

@@ -77,10 +77,11 @@ def _dual_pairs(monkeypatch):
 
 
 def _join_step(monkeypatch):
-    # the census join of a dc code of length 12: 16^6 pairs, 2^16 a step
+    # the census join of a dc code of length 12: 16^6 pairs on uint32 parity
+    # words, 8 bytes a pair, so 2^17 a step
     row = np.random.default_rng(5).integers(0, 16, size=6, dtype=np.uint8)
     gen = np.hstack([identity(6), circulant(row)])
-    info = _InfoSet(gen[None], information_sets(gen)[0], ring.R)
+    info = _InfoSet(gen[None], information_sets(gen)[:1], ring.R)
     hi, lo = info.halves
     return _steps(wt for wh in range(hi.top + 1) for wl in range(lo.top + 1)
                   for _, _, wt in info.join(wh, wl))
@@ -88,14 +89,14 @@ def _join_step(monkeypatch):
 
 def _kernel_batch(monkeypatch):
     # 700 dc codes of length 8 over the units, one unit pattern: parts of
-    # 128 codes, two half tables of 16^2 split entries each
+    # 256 codes, two half tables of 16^2 split uint32 entries each
     rows = np.array(sorted(ring.UNITS), np.uint8)[
         np.random.default_rng(7).integers(0, 8, size=(700, 4))]
     gens = np.concatenate([np.broadcast_to(identity(4), (700, 4, 4)), circulant(rows)], axis=2)
     sets = information_sets(gens[0])
     return _calls(monkeypatch, code_module, "lee_levels",
                   lambda levels: levels(gens, ring.R, sets, DEFAULT_BUDGET),
-                  lambda gens, *_: len(gens) <= 128)
+                  lambda gens, *_: len(gens) <= 256)
 
 
 def _sort_pass(monkeypatch):
